@@ -2,8 +2,6 @@
 funnelled into one report."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import frobenius, oracle, pluecker, tau
 from .config import RunConfig
 from .partitions import partitions
@@ -127,7 +125,8 @@ def _check_oracle_calibration(report, dart_cap):
 
 
 def _three_way_for_N(N, cfg: RunConfig):
-    """One worker task: all engine comparisons for a single N."""
+    """All engine comparisons for a single N; returns the rows and the
+    Recursion the tr engine used (None when it did not run)."""
     rows = []
     rec = Recursion(N, cfg.g_max, cfg.n_max, cfg.cache_dir) \
         if "tr" in cfg.engines else None
@@ -144,7 +143,7 @@ def _three_way_for_N(N, cfg: RunConfig):
             values["tau"] = tau.rhm_from_tau(tz, g, degrees)
         ok = len(set(values.values())) <= 1 and len(values) >= 1
         rows.append((g, degrees, values, ok))
-    return rows
+    return rows, rec
 
 
 def _check_pluecker(report, N_list, W):
@@ -157,11 +156,13 @@ def _check_pluecker(report, N_list, W):
                    rep.ok and rep.relations_checked > 0)
 
 
-def _check_curve_identities(report, N_list, recursions):
+def _check_curve_identities(report, N_list, recursions, cache_dir):
     for N in N_list:
         rec = recursions.get(N)
-        if rec is None:
-            rec = Recursion(N, 1, 2)
+        # omega_{0,3} lies within a Recursion's expansion order iff
+        # 3 g_max + n_max >= 3
+        if rec is None or 3 * rec.g_max + rec.n_max < 3:
+            rec = Recursion(N, 1, 2, cache_dir)
         curve = rec.curve
         frame = frobenius.canonical_frame(N)
         # x on the rescaled curve at the i-th ramification point equals
@@ -212,24 +213,22 @@ def run_crosscheck(config: RunConfig) -> Report:
         report.add_error("frobenius.gates", {}, exc)
 
     recursions = {}
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        futures = [(N, pool.submit(_three_way_for_N, N, config))
-                   for N in config.N]
-        for N, fut in futures:
-            try:
-                rows = fut.result()
-            except Exception as exc:  # noqa: BLE001
-                report.add_error("rhm.three_way", {"N": N}, exc)
-                continue
-            ok_all = all(ok for _, _, _, ok in rows)
-            sample = [
-                {"g": g, "degrees": list(d),
-                 "values": {k: str(v) for k, v in vals.items()}}
-                for g, d, vals, ok in rows if not ok
-            ]
-            report.add("rhm.three_way",
-                       {"N": N, "profiles": len(rows)},
-                       {"disagreements": sample[:10]}, ok_all)
+    for N in config.N:
+        try:
+            rows, rec = _three_way_for_N(N, config)
+        except Exception as exc:  # noqa: BLE001
+            report.add_error("rhm.three_way", {"N": N}, exc)
+            continue
+        recursions[N] = rec
+        ok_all = all(ok for _, _, _, ok in rows)
+        sample = [
+            {"g": g, "degrees": list(d),
+             "values": {k: str(v) for k, v in vals.items()}}
+            for g, d, vals, ok in rows if not ok
+        ]
+        report.add("rhm.three_way",
+                   {"N": N, "profiles": len(rows)},
+                   {"disagreements": sample[:10]}, ok_all)
 
     try:
         _check_pluecker(report, [n for n in config.N if n in (2, 3)],
@@ -237,7 +236,8 @@ def run_crosscheck(config: RunConfig) -> Report:
     except Exception as exc:  # noqa: BLE001
         report.add_error("pluecker.window", {}, exc)
     try:
-        _check_curve_identities(report, config.N, recursions)
+        _check_curve_identities(report, config.N, recursions,
+                                config.cache_dir)
         _check_unstable_curve(report, config.N)
     except Exception as exc:  # noqa: BLE001
         report.add_error("curve.identities", {}, exc)

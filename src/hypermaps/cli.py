@@ -186,7 +186,10 @@ def build_parser():
     p.add_argument("--engine", default=None,
                    help="comma separated subset of oracle,tr,tau")
     p.add_argument("--out", choices=("json", "csv"), default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility (must be >= 1); the "
+                        "crosscheck runs sequentially and this changes "
+                        "neither scheduling nor the report")
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_crosscheck)
 

@@ -1,7 +1,7 @@
 """Run configuration: flat key = value files with CLI override."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 VALID_ENGINES = ("oracle", "tr", "tau")
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .rational import Q
-
 DEFAULT_DART_CAP = 12
 
 

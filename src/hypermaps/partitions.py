@@ -90,13 +90,6 @@ def _beta_set(lam, length):
     return frozenset(padded[i] + (length - 1 - i) for i in range(length))
 
 
-def _from_beta(beta):
-    """Partition recovered from a beta-set, dropping trailing zeros."""
-    b = sorted(beta, reverse=True)
-    lam = tuple(b[i] - (len(b) - 1 - i) for i in range(len(b)))
-    return tuple(p for p in lam if p > 0)
-
-
 @lru_cache(maxsize=None)
 def character(lam, mu) -> int:
     """Irreducible character chi^lam evaluated on cycle type mu.
@@ -130,11 +123,6 @@ def _mn(beta, mu) -> int:
         sign = -1 if between % 2 else 1
         total += sign * _mn((beta - {b}) | {nb}, rest)
     return total
-
-
-def character_table_column(n: int, mu):
-    """chi^lam(mu) for all lam of size n, as a dict."""
-    return {lam: character(lam, tuple(mu)) for lam in partitions(n)}
 
 
 def schur_from_powersums(lam, p):

@@ -71,7 +71,8 @@ def _window_partitions(W):
 
 def pluecker_check(N: int, W: int, L: int = None) -> PlueckerReport:
     """Check every window relation; violations are recorded, not raised."""
-    assert W >= 4
+    if W < 4:
+        raise ValueError(f"Pluecker window needs a weight cap >= 4, got {W}")
     if L is None:
         L = W
     report = PlueckerReport(N, W)

@@ -140,7 +140,7 @@ class Recursion:
         self._decks = {}
         self._xprime_inv = {}
         self._U = {}        # (a_idx, j) -> UniSeries
-        self._loc = {}      # (a_idx, side, b_idx, k) -> UniSeries
+        self._slots = {}    # (a_idx, slot role) -> UniSeries
         self._resvec = {}   # (a_idx, left key, right key) -> tuple
         self._eta_coeffs = None
 
@@ -168,64 +168,59 @@ class Recursion:
         self._U[key] = u
         return u
 
-    def _local(self, a_idx: int, side: str, b_idx: int, k: int) -> UniSeries:
-        """Local expansion of the basis form at the residue point.
-
-        side "z": xi_{b,k}(a+t) / dt = (t + (a-b))^(-k)
-        side "s": xi_{b,k}(sigma(a+t)) / dt = s'(t) (s(t) + (a-b))^(-k)
-        """
-        key = (a_idx, side, b_idx, k)
-        if key in self._loc:
-            return self._loc[key]
-        ring = self.curve.ring
-        a = self.curve.ram[a_idx]
-        b = self.curve.ram[b_idx]
-        if side == "z":
-            if a_idx == b_idx:
-                out = UniSeries.monomial("t", ring, 1, -k, self.Mw)
-            else:
-                base = UniSeries("t", ring, {0: a - b, 1: ring.one}, None)
-                out = base.inv(prec=self.Mw).pow(k, prec=self.Mw)
-        else:
-            s = self.deck(a_idx)
-            sp = s.deriv()
-            if a_idx == b_idx:
-                out = sp * s.pow(k).inv()
-            else:
-                shifted = s + UniSeries.monomial("t", ring, a - b, 0,
-                                                 s.trunc)
-                out = sp * shifted.inv().pow(k, prec=s.trunc)
-        self._loc[key] = out
-        return out
-
     def _factor_series(self, a_idx: int, role) -> UniSeries:
-        """Local series for one slot of the residue integrand.
+        """Local series for one slot of the residue integrand, memoized on
+        (a_idx, role).
 
         role is ("z", b_idx, k) / ("s", b_idx, k) for a stable-correlator
-        basis form on the z or sigma(z) side, ("zB", k) / ("sB", k) for
-        the omega_{0,2} bridge whose other leg is an external variable
-        (with the k-1 prefactor folded in), or ("B2",) for
-        omega_{0,2}(z, sigma z) itself.
+        basis form xi_{b,k} on the z or sigma(z) side,
+
+            z: xi_{b,k}(a+t) / dt = (t + (a-b))^(-k)
+            s: xi_{b,k}(sigma(a+t)) / dt = s'(t) (s(t) + (a-b))^(-k),
+
+        ("zB", k) / ("sB", k) for the omega_{0,2} bridge whose other leg
+        is an external variable (with the k-1 prefactor folded in), or
+        ("B2",) for omega_{0,2}(z, sigma z) itself.
         """
+        key = (a_idx, role)
+        out = self._slots.get(key)
+        if out is not None:
+            return out
         ring = self.curve.ring
         kind = role[0]
         if kind == "z":
-            return self._local(a_idx, "z", role[1], role[2])
-        if kind == "s":
-            return self._local(a_idx, "s", role[1], role[2])
-        if kind == "zB":
+            b_idx, k = role[1:]
+            if a_idx == b_idx:
+                out = UniSeries.monomial("t", ring, 1, -k, self.Mw)
+            else:
+                diff = self.curve.ram[a_idx] - self.curve.ram[b_idx]
+                base = UniSeries("t", ring, {0: diff, 1: ring.one}, None)
+                out = base.inv(prec=self.Mw).pow(k, prec=self.Mw)
+        elif kind == "s":
+            b_idx, k = role[1:]
+            s = self.deck(a_idx)
+            if a_idx == b_idx:
+                out = s.deriv() * s.pow(k).inv()
+            else:
+                diff = self.curve.ram[a_idx] - self.curve.ram[b_idx]
+                shifted = s + UniSeries.monomial("t", ring, diff, 0, s.trunc)
+                out = s.deriv() * shifted.inv().pow(k, prec=s.trunc)
+        elif kind == "zB":
             k = role[1]
-            return UniSeries.monomial("t", ring, Q(k - 1), k - 2, self.Mw)
-        if kind == "sB":
+            out = UniSeries.monomial("t", ring, Q(k - 1), k - 2, self.Mw)
+        elif kind == "sB":
             k = role[1]
             s = self.deck(a_idx)
-            return (s.deriv() * s.pow(k - 2)).scale(Q(k - 1)) \
+            out = (s.deriv() * s.pow(k - 2)).scale(Q(k - 1)) \
                 if k > 2 else s.deriv().scale(Q(k - 1))
-        if kind == "B2":
+        elif kind == "B2":
             s = self.deck(a_idx)
             t = UniSeries.monomial("t", ring, 1, 1, self.Mw)
-            return s.deriv() * (t - s).pow(2).inv()
-        raise ValueError(f"unknown role {role!r}")
+            out = s.deriv() * (t - s).pow(2).inv()
+        else:
+            raise ValueError(f"unknown role {role!r}")
+        self._slots[key] = out
+        return out
 
     def _res_vector(self, a_idx: int, left, right, j_max: int):
         """tuple over j = 1..j_max of Res_t U_j(t) w(t) dt for the

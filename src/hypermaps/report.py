@@ -34,9 +34,10 @@ class Report:
         self.records.append(Record(check_id, inputs, values,
                                    "pass" if ok else "fail"))
 
-    def add_error(self, check_id, inputs, message):
+    def add_error(self, check_id, inputs, exc):
         self.records.append(Record(check_id, inputs,
-                                   {"error": str(message)}, "error"))
+                                   {"error": f"{type(exc).__name__}: {exc}"},
+                                   "error"))
 
     @property
     def ok(self):

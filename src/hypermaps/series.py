@@ -11,12 +11,9 @@ Provides:
   beyond the truncation order.
 * ``MultiSeries`` -- weight-capped series in countably many variables
   v_1, v_2, ... where v_k carries weight k; coefficients are EpsLaurent.
-* ``residue``, ``lagrange_invert`` -- residue extraction and exact series
-  reversion.
+* ``lagrange_invert`` -- exact series reversion.
 """
 from __future__ import annotations
-
-import math
 
 from .rational import Q, QONE, QZERO, is_rational, rat_str
 
@@ -174,27 +171,7 @@ class _RatRing:
         return v == 0
 
 
-class _EpsRing:
-    zero = EpsLaurent()
-    one = EpsLaurent.const(1)
-
-    @staticmethod
-    def coerce(v):
-        if isinstance(v, EpsLaurent):
-            return v
-        return EpsLaurent.const(v)
-
-    @staticmethod
-    def inv(v):
-        return v.inv()
-
-    @staticmethod
-    def is_zero(v):
-        return not v
-
-
 QRING = _RatRing()
-EPSRING = _EpsRing()
 
 _BIG = 1 << 60
 
@@ -226,12 +203,6 @@ class UniSeries:
     @classmethod
     def monomial(cls, var, ring, coef=1, exp=0, trunc=None):
         return cls(var, ring, {exp: ring.coerce(coef)}, trunc)
-
-    @classmethod
-    def from_coeff_list(cls, var, ring, coefs, min_exp=0, trunc=None):
-        return cls(var, ring,
-                   {min_exp + i: ring.coerce(v) for i, v in enumerate(coefs)},
-                   trunc)
 
     # -- inspection ----------------------------------------------------
 
@@ -547,37 +518,6 @@ class UniSeries:
         return body + tail
 
 
-def residue(s: UniSeries, at: str = "zero"):
-    """Residue of s d(var): coefficient of var^-1 at zero, its negative at
-    infinity (so that res_0 + res_inf = 0 for functions with no other poles).
-
-    For ``at="infinity"`` the series is understood as the expansion in the
-    chart at infinity (descending exponents, finitely many terms above).
-    """
-    if at == "zero":
-        c = s.coeff(-1)
-    elif at == "infinity":
-        c = -s.coeff(-1)
-    else:
-        raise ValueError(f"unknown residue location {at!r}")
-    return c
-
-
-def series_arith(a: UniSeries, b: UniSeries, op: str) -> UniSeries:
-    """Dispatch helper for the four basic series operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        if not isinstance(b, int):
-            raise ValueError("pow exponent must be an integer")
-        return a.pow(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def lagrange_invert(phi: UniSeries, trunc: int, out_var: str = "w") -> UniSeries:
     """Solve z = w*phi(z) for z(w) modulo w^trunc.
 
@@ -756,9 +696,3 @@ class MultiSeries:
     def __repr__(self):
         return f"MultiSeries(cap={self.cap}, {len(self.c)} monomials)"
 
-
-def log_exp(s, op: str):
-    """Formal log/exp dispatch over UniSeries and MultiSeries."""
-    if op not in ("log", "exp"):
-        raise ValueError(f"unknown op {op!r}")
-    return s.log() if op == "log" else s.exp()

@@ -155,7 +155,8 @@ def tau_Z(N: int, W: int) -> TauTruncation:
     Exact by weighted homogeneity: the coefficient of a weight-w
     monomial only receives contributions from |lambda| = w.
     """
-    assert W >= N
+    if W < N:
+        raise ValueError(f"weight cap {W} is below N = {N}")
     acc = MultiSeries.const(W, 1)
     for lam in partitions_upto(W):
         n = sum(lam)
@@ -225,16 +226,3 @@ def eps_exponent_profile(tau: TauTruncation, degrees):
     monomial; the genus grading predicts only values 2g-2 >= -2."""
     return _log_coefficient(tau, tuple(degrees)).exponents()
 
-
-def osmh_ratio_table(tau: TauTruncation, profiles):
-    """Rows (g, degrees, rhm, osmh, osmh * prod(degrees)) for reporting
-    the relative normalization of the two coefficient families."""
-    rows = []
-    for g, degrees in profiles:
-        rhm = rhm_from_tau(tau, g, degrees)
-        osmh = osmh_from_tau(tau, g, degrees)
-        prod = 1
-        for d in degrees:
-            prod *= d
-        rows.append((g, tuple(degrees), rhm, osmh, osmh * prod))
-    return rows

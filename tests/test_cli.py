@@ -28,6 +28,18 @@ def test_rhm_invalid_inputs(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rhm", "--N", "3", "--genus", "0", "--degrees", "1", "--engine", "tau"],
+    ["tau", "--N", "2", "--weight-cap", "1"],
+    ["pluecker", "--N", "2", "--weight-cap", "3"],
+])
+def test_weight_cap_too_small_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_smatrix_output(capsys):
     assert main(["smatrix", "--N", "2", "--m-max", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -85,6 +97,8 @@ def test_config_validation():
         RunConfig(engines=("oracle", "quantum"))
     with pytest.raises(ValueError, match="caps must be positive"):
         RunConfig(weight_cap=0)
+    with pytest.raises(ValueError, match="caps must be positive"):
+        RunConfig(threads=0)
     with pytest.raises(ValueError, match="unknown output format"):
         RunConfig(out="xml")
     with pytest.raises(ValueError, match="N must be at least 2"):
@@ -103,3 +117,7 @@ def test_emit_determinism_and_formats():
         emit(rep, "yaml")
     assert not rep.ok
     assert rep.summary() == {"pass": 1, "fail": 0, "error": 1}
+    # error records name the exception, even when its message is empty
+    assert rep.records[-1].values == {"error": "RuntimeError: nope"}
+    rep.add_error("bare", {}, AssertionError())
+    assert rep.records[-1].values["error"].startswith("AssertionError")
