@@ -15,6 +15,10 @@ expansion variable: dx/x^(d+1) = r^d dxt/xt^(d+1), so the extracted
 coefficient has to be multiplied by (N-1)^(D/N) with D the (necessarily
 divisible by N) total degree.
 
+The recursion kernel needs the local deck involution sigma at each
+ramification point a, with xt(sigma(v)) = xt(v): it is the root w of the
+polynomial P(v, w) = (xt(v) - xt(w))(N-1)vw/(v - w) near v = w = a.
+
 Correlators are stored as coefficient tensors in the global pole basis
 xi_{a,k}(v) = dv/(v-a)^k at the ramification points: the tensor maps a
 sorted n-tuple of (ramification index, pole order) pairs to the field
@@ -38,7 +42,8 @@ class Curve:
     """Rescaled spectral-curve data over the cyclotomic field."""
 
     def __init__(self, N: int):
-        assert N >= 2
+        if N < 2:
+            raise ValueError(f"need N >= 2, got {N}")
         self.N = N
         self.field = NumberField.cyclotomic_field(N)
         self.ring = NFRing(self.field)
@@ -47,8 +52,8 @@ class Curve:
         self.zeta = zeta
         self.ram = [zeta.pow(i) for i in range(1, N + 1)]
         for a in self.ram:
-            assert self.xprime(a).is_zero(), "ramification point check"
-            assert not self.xsecond(a).is_zero(), "simple ramification check"
+            if not self.xprime(a).is_zero() or self.xsecond(a).is_zero():
+                raise ArithmeticError("not a simple ramification point")
 
     def x_at(self, v):
         """xt(v) = v^(N-1)/(N-1) + 1/v for a field element v."""
@@ -73,47 +78,44 @@ class Curve:
         a = self.ram[a_idx]
         ring = self.ring
         base = UniSeries("t", ring, {0: a, 1: ring.one}, None)
-        if self.N == 2:
-            pos = UniSeries.monomial("t", ring, ring.one, 0, None)
-        else:
-            pos = base.pow(self.N - 2)
+        pos = base.pow(self.N - 2)
         neg = base.inv(prec=trunc).pow(2, prec=trunc)
         return (pos - neg).truncated(trunc)
 
 
 def deck_series(curve: Curve, a_idx: int, order: int) -> UniSeries:
-    """The local deck transformation sigma as s(t) = sigma(a+t) - a,
-    solved degree by degree from xt(a + s(t)) = xt(a + t).
+    """The local deck transformation sigma as s(t) = sigma(a+t) - a: the
+    root of P(a+t, a+s) = 0 with s(0) = 0.  Since a^N = 1, dP/dw(a, a) =
+    N(N-1)/(2a) != 0, so each step s <- s - P(a+t, a+s) 2a/(N(N-1)) fixes
+    one more coefficient.
 
     Returns s with s(0) = 0, s'(0) = -1, known modulo t^order.
     """
-    ring = curve.ring
-    work = order + 3
-    x_loc = curve.x_series(a_idx, work + 2)
-    p2 = x_loc.coeff(2)
-    assert not p2.is_zero(), "non-simple ramification"
-    xp_loc = x_loc.deriv()
-    # Newton iteration on F(s) = xt(a+s) - xt(a+t), starting from the
-    # order-2 solution s = -t; each step roughly doubles the precision
-    s = UniSeries.monomial("t", ring, -1, 1, work)
-    for _ in range(work.bit_length() + 3):
-        f = x_loc.compose(s) - x_loc.truncated(work)
-        f = f.shifted(-1)
-        if f.is_zero():
+    N, ring = curve.N, curve.ring
+    a = curve.ram[a_idx]
+    v = UniSeries("t", ring, {0: a, 1: ring.one}, None)
+    v_pows = [v.pow(i) for i in range(N)]
+    step = a * Q(2, N * (N - 1))
+    w = UniSeries("t", ring, {0: a, 1: -ring.one}, order)  # a + s, s = -t
+    for _ in range(order):
+        # Horner in w: P = w (v^(N-1) + w (v^(N-2) + ... + w v)) - (N-1)
+        acc = v
+        for i in range(2, N):
+            acc = v_pows[i] + w * acc
+        p = w * acc - UniSeries.monomial("t", ring, N - 1, 0)
+        if p.is_zero():
             break
-        corr = f * xp_loc.compose(s).shifted(-1).inv()
-        # re-declare the full working precision: coefficients beyond the
-        # step's certified order are provisional and get corrected by the
-        # following iterations; the defining contracts below are the gate
-        s = UniSeries("t", ring, (s - corr).c, work)
+        w = w - p.scale(step)
     else:
-        raise ArithmeticError("deck iteration failed to converge")
-    s = s.truncated(order)
+        raise ArithmeticError("deck series failed to converge")
+    s = w - UniSeries.monomial("t", ring, a, 0)
     # defining contracts, to working order
-    check = x_loc.truncated(order).compose(s) - x_loc.truncated(order)
-    assert check.is_zero(), "deck series does not preserve x"
-    invol = s.compose(s) - UniSeries.monomial("t", ring, 1, 1, order)
-    assert invol.is_zero(), "deck series is not an involution"
+    x_loc = curve.x_series(a_idx, order)
+    if not (x_loc.compose(s) - x_loc).is_zero():
+        raise ArithmeticError("deck series does not preserve x")
+    t = UniSeries.monomial("t", ring, 1, 1, order)
+    if not (s.compose(s) - t).is_zero():
+        raise ArithmeticError("deck series is not an involution")
     return s
 
 
@@ -231,8 +233,8 @@ class Recursion:
         w = self._factor_series(a_idx, left)
         if right is not None:
             w = w * self._factor_series(a_idx, right)
-        assert w.trunc is None or w.trunc >= 1, \
-            "insufficient local expansion order"
+        if w.trunc is not None and w.trunc < 1:
+            raise ArithmeticError("insufficient local expansion order")
         w = w.truncated(1)
         zero = self.curve.ring.zero
         out = []
@@ -421,7 +423,9 @@ class Recursion:
                         # the recursion computes the distinguished-slot
                         # coefficient; symmetry of omega makes every slot
                         # choice agree
-                        assert prev == c, "correlator symmetry violated"
+                        if prev != c:
+                            raise ArithmeticError(
+                                "correlator symmetry violated")
         return {k: v for k, v in result.items() if not v.is_zero()}
 
     # -- tensor cache ------------------------------------------------------
@@ -556,19 +560,22 @@ class Recursion:
 
 def rhm01_from_curve(N: int, k: int) -> int:
     """[X^(k+1)] z(X)^N with X = z/(1+z^N): genus 0, one boundary."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     trunc = k + 3
     phi = UniSeries("z", QRING, {0: QONE, N: QONE}, None)
     z = lagrange_invert(phi, trunc, out_var="X")
     value = z.pow(N, prec=trunc).c.get(k + 1, QZERO)
-    assert value.denominator == 1 and value >= 0
+    if value.denominator != 1 or value < 0:
+        raise ArithmeticError(f"rhm01 is not a count: {value}")
     return int(value)
 
 
 def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
     """Genus 0, two boundaries, from the bivariate residue of the
     two-point function against x1^(k1+1) x2^(k2+1)."""
-    assert k1 >= 0 and k2 >= 0
+    if k1 < 0 or k2 < 0:
+        raise ValueError(f"need k1, k2 >= 0, got {k1}, {k2}")
     cap1 = k1 + 2 + N
     cap2 = k2 + 2 + N
     # m(z1,z2) = z1 z2 (z1^(N-1)-z2^(N-1))/(z1-z2), a polynomial
@@ -628,5 +635,6 @@ def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
             continue
         total += v * c1 * c2
     total = -total
-    assert total.denominator == 1 and total >= 0
+    if total.denominator != 1 or total < 0:
+        raise ArithmeticError(f"rhm02 is not a count: {total}")
     return int(total)

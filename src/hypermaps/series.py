@@ -278,10 +278,6 @@ class UniSeries:
             return self._new({}, self.trunc)
         return self._new({e: v * k for e, v in self.c.items()}, self.trunc)
 
-    def shifted(self, n):
-        t = None if self.trunc is None else self.trunc + n
-        return self._new({e + n: v for e, v in self.c.items()}, t)
-
     def truncated(self, t):
         if self.trunc is not None:
             t = min(t, self.trunc)

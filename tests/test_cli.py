@@ -40,6 +40,23 @@ def test_weight_cap_too_small_exits_2(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_rhm_failed_verification_exits_1(tmp_path, capsys):
+    argv = ["rhm", "--N", "3", "--genus", "0", "--degrees", "3,3,3",
+            "--engine", "tr", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # tamper with one cached omega_{0,3} coefficient
+    path = tmp_path / "tensor_N3_g0_n3_M18_v1.json"
+    payload = json.loads(path.read_text())
+    assert payload["0,2;0,2;0,2"][0] == "1/3"
+    payload["0,2;0,2;0,2"][0] = "1/7"
+    path.write_text(json.dumps(payload))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ArithmeticError: field descent failure\n"
+
+
 def test_smatrix_output(capsys):
     assert main(["smatrix", "--N", "2", "--m-max", "1"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -30,8 +30,17 @@ def test_curve_ram_points():
             assert curve.x_at(a) == curve.zeta.pow(-i) * Q(N, N - 1)
 
 
+def test_curve_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        Curve(1)
+    with pytest.raises(ValueError):
+        rhm01_from_curve(2, -1)
+    with pytest.raises(ValueError):
+        rhm02_from_curve(2, 1, -1)
+
+
 def test_deck_contracts():
-    for N in (2, 3):
+    for N in (2, 3, 4, 5):
         curve = Curve(N)
         for a_idx in range(N):
             s = deck_series(curve, a_idx, 12)
@@ -41,6 +50,28 @@ def test_deck_contracts():
             assert (s.compose(s) - t).is_zero()
             x_loc = curve.x_series(a_idx, 12)
             assert (x_loc.compose(s) - x_loc).is_zero()
+
+
+def test_deck_closed_form_N2():
+    # xt = v + 1/v, so sigma(v) = 1/v and s(t) = 1/(a+t) - a
+    curve = Curve(2)
+    ring = curve.ring
+    for a_idx, a in enumerate(curve.ram):
+        base = UniSeries("t", ring, {0: a, 1: ring.one}, None)
+        expected = base.inv(prec=20) - UniSeries.monomial("t", ring, a, 0)
+        assert deck_series(curve, a_idx, 20) == expected
+
+
+def test_deck_rejects_a_perturbed_curve(monkeypatch):
+    x_series = Curve.x_series
+
+    def perturbed(self, a_idx, trunc):
+        bump = UniSeries.monomial("t", self.ring, 1, 3)
+        return x_series(self, a_idx, trunc) + bump
+
+    monkeypatch.setattr(Curve, "x_series", perturbed)
+    with pytest.raises(ArithmeticError, match="does not preserve x"):
+        deck_series(Curve(3), 0, 12)
 
 
 def test_omega_pole_bounds(rec2):
