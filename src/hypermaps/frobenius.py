@@ -132,7 +132,8 @@ def _f_power_coeff(N: int, s, target_exp: int):
     expanded at infinity, for rational s with (N-1)s an integer."""
     s = Q(s)
     top = s * (N - 1)
-    assert top.denominator == 1, "exponent (N-1)s must be an integer"
+    if top.denominator != 1:
+        raise ValueError("exponent (N-1)s must be an integer")
     j = (top - target_exp) / N
     if j.denominator != 1 or j < 0:
         return QZERO
@@ -310,23 +311,6 @@ def tilde_xi(N: int, alpha: int, trunc: int) -> UniSeries:
         c[shift + N * k] = pref * Q(N - 1) ** k
         k += 1
     return UniSeries("z", QRING, c, trunc)
-
-
-def _tilde_xi_at_infinity(N: int, alpha: int, trunc: int) -> UniSeries:
-    """Expansion of tilde xi in the chart u = 1/z at z = infinity:
-    -K u^(N-e) sum_k u^(Nk) / (N-1)^k."""
-    if alpha == 1:
-        pref, shift = Q(-1, N - 1), N - 1
-    elif alpha == N:
-        pref, shift = Q(-1, N - 1), N
-    else:
-        pref, shift = -QONE, N - alpha
-    c = {}
-    k = 0
-    while shift + N * k < trunc:
-        c[shift + N * k] = pref * Q(N - 1) ** (-k)
-        k += 1
-    return UniSeries("u", QRING, c, trunc)
 
 
 def s_column_residue_check(N: int, alpha: int, a: int, k: int) -> bool:

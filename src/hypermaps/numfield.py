@@ -40,7 +40,8 @@ def cyclotomic(n: int):
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod(num, cyclotomic(d))
-            assert not rem, "cyclotomic division must be exact"
+            if rem:
+                raise ArithmeticError("cyclotomic division must be exact")
     return num
 
 
@@ -49,7 +50,8 @@ class NumberField:
 
     def __init__(self, minpoly, name="x"):
         mp = [Q(c) for c in minpoly]
-        assert mp and mp[-1] == 1, "minimal polynomial must be monic"
+        if not mp or mp[-1] != 1:
+            raise ValueError("minimal polynomial must be monic")
         self.minpoly = mp
         self.deg = len(mp) - 1
         self.name = name
@@ -83,7 +85,8 @@ class NumberField:
             a, b = b, r
         while a and a[-1] == 0:
             a.pop()
-        assert len(a) <= 1, "minimal polynomial must be squarefree"
+        if len(a) > 1:
+            raise ValueError("minimal polynomial must be squarefree")
 
     @classmethod
     def cyclotomic_field(cls, n: int):
@@ -91,12 +94,14 @@ class NumberField:
 
     def elem(self, v):
         if isinstance(v, NFElem):
-            assert v.field is self
+            if v.field is not self:
+                raise ValueError("element of another number field")
             return v
         if is_rational(v) or isinstance(v, int):
             return NFElem(self, [Q(v)] + [QZERO] * (self.deg - 1))
         v = [Q(c) for c in v]
-        assert len(v) == self.deg
+        if len(v) != self.deg:
+            raise ValueError(f"need {self.deg} coordinates, got {len(v)}")
         return NFElem(self, v)
 
     def _reduce(self, long_vec):
@@ -130,12 +135,14 @@ class NFElem:
         return all(c == 0 for c in self.v[1:])
 
     def rational_part(self):
-        assert self.is_rational(), "element not in the prime field"
+        if not self.is_rational():
+            raise ValueError("element not in the prime field")
         return self.v[0]
 
     def _coerce(self, other):
         if isinstance(other, NFElem):
-            assert other.field is self.field
+            if other.field is not self.field:
+                raise ValueError("element of another number field")
             return other
         if is_rational(other) or isinstance(other, int):
             return self.field.elem(other)

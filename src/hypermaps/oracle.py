@@ -25,8 +25,11 @@ class Profile:
     degrees: tuple
 
     def __post_init__(self):
-        assert self.N >= 2 and self.g >= 0
-        assert self.degrees and all(d >= 1 for d in self.degrees)
+        if self.N < 2 or self.g < 0:
+            raise ValueError(f"need N >= 2 and g >= 0, got {self.N}, "
+                             f"{self.g}")
+        if not self.degrees or any(d < 1 for d in self.degrees):
+            raise ValueError(f"need degrees >= 1, got {self.degrees}")
 
 
 def _canonical_white(degrees):
@@ -155,7 +158,8 @@ def enumerate_rhm(profile: Profile, dart_cap=DEFAULT_DART_CAP,
 def rhm01_closed(N: int, k: int) -> int:
     """Genus-zero one-boundary count at side count k+1, closed form:
     the p^(-1) coefficient of (p^(N-1)+1/p)^(k+2) divided by k+2."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     # [p^-1] of sum_j C(k+2,j) p^{(N-1)(k+2)-Nj}: j = ((N-1)(k+2)+1)/N
     num = (N - 1) * (k + 2) + 1
     if num % N != 0:
@@ -164,5 +168,6 @@ def rhm01_closed(N: int, k: int) -> int:
     if j < 0 or j > k + 2:
         return 0
     res = comb(k + 2, j)
-    assert res % (k + 2) == 0, "closed form must divide exactly"
+    if res % (k + 2):
+        raise ArithmeticError("closed form must divide exactly")
     return res // (k + 2)

@@ -100,7 +100,8 @@ def character(lam, mu) -> int:
     """
     lam = tuple(lam)
     mu = tuple(mu)
-    assert sum(lam) == sum(mu), "character requires |lam| == |mu|"
+    if sum(lam) != sum(mu):
+        raise ValueError("character requires |lam| == |mu|")
     if not mu:
         return 1
     length = max(len(lam), 1)

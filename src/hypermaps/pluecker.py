@@ -31,7 +31,8 @@ from .tau import coefficient_A
 def beta_set(lam, L: int):
     """Beta-numbers of lam padded to L rows, as a sorted-descending tuple."""
     lam = tuple(lam)
-    assert len(lam) <= L
+    if len(lam) > L:
+        raise ValueError(f"{lam} has more than {L} rows")
     padded = list(lam) + [0] * (L - len(lam))
     return tuple(padded[i] + (L - 1 - i) for i in range(L))
 
@@ -41,14 +42,10 @@ def partition_of(beta):
     b = sorted(beta, reverse=True)
     L = len(b)
     lam = tuple(b[i] - (L - 1 - i) for i in range(L))
-    assert all(p >= 0 for p in lam) and all(
-        lam[i] >= lam[i + 1] for i in range(L - 1))
+    if any(p < 0 for p in lam) or any(
+            lam[i] < lam[i + 1] for i in range(L - 1)):
+        raise ValueError(f"{tuple(beta)} is not a set of beta-numbers")
     return tuple(p for p in lam if p > 0)
-
-
-def _weight(beta):
-    L = len(beta)
-    return sum(beta) - L * (L - 1) // 2
 
 
 @dataclass
@@ -100,7 +97,6 @@ def pluecker_check(N: int, W: int, L: int = None) -> PlueckerReport:
         _known[bset] = out
         return out
 
-    seen = set()
     s_candidates = set()
     for b in betas:
         for s in combinations(sorted(b), L - 1):
@@ -113,10 +109,6 @@ def pluecker_check(N: int, W: int, L: int = None) -> PlueckerReport:
 
     for S in s_candidates:
         for T in t_candidates:
-            key = (S, T)
-            if key in seen:
-                continue
-            seen.add(key)
             t_sorted = sorted(T, reverse=True)
             terms = []
             unknown = False

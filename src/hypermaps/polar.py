@@ -40,7 +40,8 @@ class ExactPolar:
     __slots__ = ("N", "q", "e1", "e2", "ang")
 
     def __init__(self, N: int, q, e1=0, e2=0, ang=0):
-        assert N >= 2
+        if N < 2:
+            raise ValueError(f"need N >= 2, got {N}")
         q = Q(q)
         e1, e2, ang = Q(e1), Q(e2), Q(ang)
         if q == 0:
@@ -79,7 +80,8 @@ class ExactPolar:
 
     def __mul__(self, other):
         if isinstance(other, ExactPolar):
-            assert other.N == self.N
+            if other.N != self.N:
+                raise ValueError("polar values for different N")
             return ExactPolar(self.N, self.q * other.q, self.e1 + other.e1,
                               self.e2 + other.e2, self.ang + other.ang)
         return ExactPolar(self.N, self.q * Q(other), self.e1, self.e2,
@@ -112,7 +114,8 @@ class ExactPolar:
         """
         e = Q(e)
         if self.q == 0:
-            assert e > 0
+            if e <= 0:
+                raise ValueError("non-positive power of zero")
             return ExactPolar.zero(self.N)
         # q^e must itself be expressible; demand integer e unless q == 1
         if e.denominator != 1 and self.q != 1:
@@ -126,7 +129,8 @@ class ExactPolar:
         parts must match, so the sum stays in the class."""
         if not isinstance(other, ExactPolar):
             return NotImplemented
-        assert other.N == self.N
+        if other.N != self.N:
+            raise ValueError("polar values for different N")
         if self.q == 0:
             return other
         if other.q == 0:
@@ -176,6 +180,6 @@ def roots_of_unity_sum(N: int, step, extra_ang=0):
         return ExactPolar(N, N, 0, 0, extra_ang)
     # geometric sum of a nontrivial N-th root of unity: zero provided
     # N*step is an integer (the progression closes up)
-    assert (Q(N) * step).denominator == 1, \
-        "progression must run over N-th roots of unity"
+    if (Q(N) * step).denominator != 1:
+        raise ValueError("progression must run over N-th roots of unity")
     return ExactPolar.zero(N)

@@ -23,6 +23,15 @@ Correlators are stored as coefficient tensors in the global pole basis
 xi_{a,k}(v) = dv/(v-a)^k at the ramification points: the tensor maps a
 sorted n-tuple of (ramification index, pole order) pairs to the field
 coefficient of each distinct ordered monomial.
+
+A product term omega_{g1,1+j1}(z, I1) omega_{g2,1+j2}(sigma z, I2) of the
+recursion at a is a pair of legs, one per factor.  A leg is (slot role,
+remaining externals, coefficient): the omega_{0,2} bridge to an external
+xi_{a,k} gives role ("zB"|"sB", k), externals ((a, k),) and coefficient
+1; a stable omega_{g,n} gives role ("z"|"s", b, k) once per distinct
+slot (b, k) of each tensor key, with the rest of the key as externals and
+the key's coefficient.  The residue of a pair of legs depends only on the
+two roles and is memoized.
 """
 from __future__ import annotations
 
@@ -73,14 +82,6 @@ class Curve:
         pos = base.pow(self.N - 1).scale(Q(1, self.N - 1))
         neg = base.inv(prec=trunc)
         return (pos + neg).truncated(trunc)
-
-    def xprime_series(self, a_idx: int, trunc: int) -> UniSeries:
-        a = self.ram[a_idx]
-        ring = self.ring
-        base = UniSeries("t", ring, {0: a, 1: ring.one}, None)
-        pos = base.pow(self.N - 2)
-        neg = base.inv(prec=trunc).pow(2, prec=trunc)
-        return (pos - neg).truncated(trunc)
 
 
 def deck_series(curve: Curve, a_idx: int, order: int) -> UniSeries:
@@ -161,7 +162,7 @@ class Recursion:
         s = self.deck(a_idx)
         t = UniSeries.monomial("t", ring, 1, 1, self.Mw)
         if a_idx not in self._xprime_inv:
-            xp = self.curve.xprime_series(a_idx, self.Mw)
+            xp = self.curve.x_series(a_idx, self.Mw + 1).deriv()
             denom = (s - t) * xp
             denom = denom.scale(Q(2))
             self._xprime_inv[a_idx] = denom.inv()
@@ -301,6 +302,21 @@ class Recursion:
             count *= comb(merged.count(v), r1.count(v))
         return merged, count
 
+    def _legs(self, a_idx, t, side, bound):
+        """Legs (slot role, remaining externals, coefficient) of the
+        factor omega_t at the z (side "z") or sigma(z) (side "s") slot of
+        a product term at a_idx; see the module docstring."""
+        if t == (0, 2):
+            return [((side + "B", k), ((a_idx, k),), 1)
+                    for k in range(2, bound + 1)]
+        legs = []
+        for K, c in self.omega(*t).items():
+            for p in sorted(set(K)):
+                rest = list(K)
+                rest.remove(p)
+                legs.append(((side,) + p, tuple(rest), c))
+        return legs
+
     def _compute(self, g: int, n: int) -> dict:
         ring = self.curve.ring
         n_ext = n - 1
@@ -336,78 +352,27 @@ class Recursion:
                     for K, c in prev.items():
                         for p, q, rest in self._pair_submultisets(K):
                             vz = self._res_vector(
-                                a_idx, ("z", p[0], p[1]),
-                                ("s", q[0], q[1]), j_max)
+                                a_idx, ("z",) + p, ("s",) + q, j_max)
                             if p != q:
                                 vs = self._res_vector(
-                                    a_idx, ("z", q[0], q[1]),
-                                    ("s", p[0], p[1]), j_max)
+                                    a_idx, ("z",) + q, ("s",) + p, j_max)
                                 vz = tuple(x + y for x, y in zip(vz, vs))
                             add(rest, vz, c)
 
-            # product terms over ordered stable/bridge splittings
-            ext_orders = range(2, bound + 1)
+            # product terms omega_{g1,1+j1}(z, ...) omega_{g2,1+j2}(sigma z,
+            # ...) over ordered splittings, one factor per leg
             for g1 in range(g + 1):
-                g2 = g - g1
                 for j1 in range(n_ext + 1):
-                    j2 = n_ext - j1
-                    t1 = (g1, 1 + j1)
-                    t2 = (g2, 1 + j2)
+                    t1, t2 = (g1, 1 + j1), (g - g1, n - j1)
                     if t1 == (0, 1) or t2 == (0, 1):
                         continue
-                    b1 = t1 == (0, 2)
-                    b2 = t2 == (0, 2)
-                    if b1 and b2:
-                        for k in ext_orders:
-                            for m in ext_orders:
-                                r, cnt = self._merge_count(
-                                    ((a_idx, k),), ((a_idx, m),))
-                                vec = self._res_vector(
-                                    a_idx, ("zB", k), ("sB", m), j_max)
-                                add(r, vec, ring.coerce(cnt))
-                    elif b1:
-                        w2 = self.omega(*t2)
-                        for K2, c2 in w2.items():
-                            for q in sorted(set(K2)):
-                                r2 = list(K2)
-                                r2.remove(q)
-                                for k in ext_orders:
-                                    r, cnt = self._merge_count(
-                                        ((a_idx, k),), tuple(r2))
-                                    vec = self._res_vector(
-                                        a_idx, ("zB", k),
-                                        ("s", q[0], q[1]), j_max)
-                                    add(r, vec, c2 * Q(cnt))
-                    elif b2:
-                        w1 = self.omega(*t1)
-                        for K1, c1 in w1.items():
-                            for p in sorted(set(K1)):
-                                r1 = list(K1)
-                                r1.remove(p)
-                                for m in ext_orders:
-                                    r, cnt = self._merge_count(
-                                        tuple(r1), ((a_idx, m),))
-                                    vec = self._res_vector(
-                                        a_idx, ("z", p[0], p[1]),
-                                        ("sB", m), j_max)
-                                    add(r, vec, c1 * Q(cnt))
-                    else:
-                        w1 = self.omega(*t1)
-                        w2 = self.omega(*t2)
-                        for K1, c1 in w1.items():
-                            for p in sorted(set(K1)):
-                                r1 = list(K1)
-                                r1.remove(p)
-                                for K2, c2 in w2.items():
-                                    for q in sorted(set(K2)):
-                                        r2 = list(K2)
-                                        r2.remove(q)
-                                        r, cnt = self._merge_count(
-                                            tuple(r1), tuple(r2))
-                                        vec = self._res_vector(
-                                            a_idx, ("z", p[0], p[1]),
-                                            ("s", q[0], q[1]), j_max)
-                                        add(r, vec, c1 * c2 * Q(cnt))
+                    s_legs = self._legs(a_idx, t2, "s", bound)
+                    for z_role, r1, c1 in self._legs(a_idx, t1, "z", bound):
+                        for s_role, r2, c2 in s_legs:
+                            r, cnt = self._merge_count(r1, r2)
+                            vec = self._res_vector(a_idx, z_role, s_role,
+                                                   j_max)
+                            add(r, vec, cnt * c1 * c2)
 
             # fold the z0 pole basis in: slot (a_idx, j+1) with vec[j-1]
             for r, vec in acc.items():
@@ -441,17 +406,23 @@ class Recursion:
         path = self._cache_path(g, n)
         if path is None:
             return
+        payload = {
+            ";".join(f"{a},{k}" for a, k in key): [rat_str(c) for c in val.v]
+            for key, val in sorted(tensor.items())
+        }
+        # write a temp file and rename it, so that no reader ever sees a
+        # partial tensor at the final path
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
-            payload = {
-                ";".join(f"{a},{k}" for a, k in key):
-                    [rat_str(c) for c in val.v]
-                for key, val in sorted(tensor.items())
-            }
-            with open(path, "w") as fh:
+            with open(tmp, "w") as fh:
                 json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, path)
         except OSError:
             pass
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     def _load_cached(self, g, n):
         path = self._cache_path(g, n)

@@ -46,12 +46,6 @@ class EpsLaurent:
     def coeff(self, e):
         return self.c.get(e, QZERO)
 
-    def min_exp(self):
-        return min(self.c) if self.c else None
-
-    def max_exp(self):
-        return max(self.c) if self.c else None
-
     def __bool__(self):
         return bool(self.c)
 
@@ -116,12 +110,6 @@ class EpsLaurent:
         return out
 
     __rmul__ = __mul__
-
-    def inv(self):
-        if len(self.c) != 1:
-            raise ZeroDivisionError("only monomials in eps are invertible")
-        (e, v), = self.c.items()
-        return EpsLaurent({-e: QONE / v})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -220,9 +208,6 @@ class UniSeries:
 
     def _val_or(self, default):
         return min(self.c) if self.c else default
-
-    def exponents(self):
-        return sorted(self.c)
 
     def is_zero(self):
         return not self.c
@@ -336,8 +321,7 @@ class UniSeries:
             raise ZeroDivisionError("non-invertible leading term")
         if self.trunc is None:
             if len(self.c) == 1:
-                t = prec
-                return self._new({-v: lead_inv}, t)
+                return self._new({-v: lead_inv}, prec)
             if prec is None:
                 raise ValueError("inverse of a non-monomial polynomial "
                                  "requires an explicit precision")
@@ -346,37 +330,23 @@ class UniSeries:
             t_res = self.trunc - 2 * v
             if prec is not None:
                 t_res = min(t_res, prec)
-        # self = lead * x^v * (1 + n), n of positive valuation
+        # self = x^v sum_j a_j x^j and self^(-1) = x^(-v) sum_k b_k x^k
+        # with b_0 = 1/a_0, b_k = -(1/a_0) sum_{j=1..k} a_j b_(k-j)
         n_prec = t_res + v
-        n = {e - v: v2 * lead_inv for e, v2 in self.c.items()
-             if e != v and e - v < n_prec}
-        # geometric series for (1+n)^(-1)
-        acc = {0: self.ring.one}
-        if n:
-            nv = min(n)
-            power = dict(n)
-            sign = -1
-            k = 1
-            while k * nv < n_prec:
-                for e, val in power.items():
-                    if e >= n_prec:
-                        continue
-                    w = acc.get(e, self.ring.zero) + (val if sign > 0 else -val)
-                    acc[e] = w
-                # next power of n
-                k += 1
-                if k * nv >= n_prec:
+        tail = [(e - v, c) for e, c in sorted(self.c.items())
+                if v < e < v + n_prec]
+        neg_lead_inv = -lead_inv
+        b = [lead_inv]
+        for k in range(1, n_prec):
+            acc = None
+            for j, a_j in tail:
+                if j > k:
                     break
-                newp = {}
-                for e1, v1 in power.items():
-                    for e2, v2 in n.items():
-                        e = e1 + e2
-                        if e >= n_prec:
-                            continue
-                        newp[e] = newp.get(e, self.ring.zero) + v1 * v2
-                power = newp
-                sign = -sign
-        out = {e - v: val * lead_inv for e, val in acc.items()}
+                if b[k - j] is not None:
+                    term = a_j * b[k - j]
+                    acc = term if acc is None else acc + term
+            b.append(None if acc is None else acc * neg_lead_inv)
+        out = {k - v: b_k for k, b_k in enumerate(b) if b_k is not None}
         return self._new(out, t_res)
 
     def pow(self, n, prec=None):
@@ -445,58 +415,6 @@ class UniSeries:
             acc = acc.truncated(t)
         return acc
 
-    def log(self, prec=None):
-        """Formal logarithm; requires constant term 1 and no principal part."""
-        if self.c and min(self.c) < 0:
-            raise ValueError("log requires a series without principal part")
-        one = self.ring.one
-        if self.c.get(0, self.ring.zero) != one:
-            raise ValueError("log requires constant term 1")
-        if prec is None:
-            prec = self.trunc
-        if prec is None:
-            raise ValueError("log of an exact polynomial requires a precision")
-        u = self - UniSeries.monomial(self.var, self.ring, 1, 0, self.trunc)
-        u = u.truncated(prec)
-        if u.is_zero():
-            return UniSeries.zero(self.var, self.ring, prec)
-        uv = u.val()
-        acc = UniSeries.zero(self.var, self.ring, prec)
-        power = u
-        k = 1
-        while k * uv < prec:
-            acc = acc + power.scale(Q((-1) ** (k + 1), k))
-            k += 1
-            if k * uv >= prec:
-                break
-            power = (power * u).truncated(prec)
-        return acc
-
-    def exp(self, prec=None):
-        """Formal exponential; requires positive valuation."""
-        if self.c and min(self.c) < 1:
-            raise ValueError("exp requires constant term 0")
-        if prec is None:
-            prec = self.trunc
-        if prec is None:
-            raise ValueError("exp of an exact polynomial requires a precision")
-        u = self.truncated(prec)
-        acc = UniSeries.monomial(self.var, self.ring, 1, 0, prec)
-        if u.is_zero():
-            return acc
-        uv = u.val()
-        power = u
-        k = 1
-        fact = QONE
-        while k * uv < prec:
-            acc = acc + power.scale(QONE / fact)
-            k += 1
-            fact = fact * k
-            if k * uv >= prec:
-                break
-            power = (power * u).truncated(prec)
-        return acc
-
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
@@ -560,11 +478,6 @@ class MultiSeries:
     def const(cls, cap, q):
         v = q if isinstance(q, EpsLaurent) else EpsLaurent.const(q)
         return cls(cap, {(): v})
-
-    @classmethod
-    def variable(cls, cap, k, coef=None):
-        v = coef if coef is not None else EpsLaurent.const(1)
-        return cls(cap, {(k,): v})
 
     def coeff(self, key):
         key = tuple(sorted(key, reverse=True))

@@ -202,8 +202,8 @@ def rhm_from_tau(tau: TauTruncation, g: int, degrees) -> int:
         return 0
     coeff = _log_coefficient(tau, degrees)
     value = coeff.coeff(2 * g - 2) * _mult_correction(degrees)
-    assert value.denominator == 1 and value >= 0, \
-        "count extraction must be a nonnegative integer"
+    if value.denominator != 1 or value < 0:
+        raise ArithmeticError(f"tau count is not a count: {value}")
     return int(value)
 
 

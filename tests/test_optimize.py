@@ -1,0 +1,71 @@
+"""Checks that must survive ``python -O``, which strips ``assert``."""
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import hypermaps
+
+SRC = pathlib.Path(hypermaps.__file__).parent
+
+SCRIPT = r'''
+import sys
+from fractions import Fraction
+
+from hypermaps import frobenius, numfield, oracle, partitions, pluecker
+from hypermaps import polar, tau
+
+
+def raises(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc:
+        return
+    sys.exit(f"{fn.__qualname__}{args} did not raise {exc.__name__}")
+
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+F3 = numfield.NumberField.cyclotomic_field(3)
+F5 = numfield.NumberField.cyclotomic_field(5)
+# bad requests
+raises(ValueError, oracle.Profile, 1, 0, (1,))
+raises(ValueError, oracle.Profile, 2, 0, (0,))
+raises(ValueError, oracle.rhm01_closed, 2, -1)
+raises(ValueError, partitions.character, (2,), (1,))
+raises(ValueError, pluecker.beta_set, (1, 1, 1), 2)
+raises(ValueError, pluecker.partition_of, (0, 0))
+raises(ValueError, polar.ExactPolar, 1, 1)
+raises(ValueError, polar.ExactPolar(3, 1).__mul__, polar.ExactPolar(2, 1))
+raises(ValueError, polar.ExactPolar(3, 1).__add__, polar.ExactPolar(2, 1))
+raises(ValueError, polar.ExactPolar.zero(3).pow, -1)
+raises(ValueError, polar.roots_of_unity_sum, 3, Fraction(1, 2))
+raises(ValueError, numfield.NumberField, [1, 0, 2])
+raises(ValueError, numfield.NumberField, [1, 2, 1])
+raises(ValueError, F3.elem, [1, 2, 3])
+raises(ValueError, F3.elem, F5.gen)
+raises(ValueError, F3.gen.__mul__, F5.gen)
+raises(ValueError, F3.gen.rational_part)
+raises(ValueError, frobenius._f_power_coeff, 3, Fraction(1, 3), 0)
+# a failed verification: a count that is not an integer
+tau._mult_correction = lambda degrees: Fraction(1, 7)
+raises(ArithmeticError, tau.rhm_from_tau, tau.tau_Z(2, 4), 0, (2,))
+'''
+
+
+def test_src_has_no_assert():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_checks_raise_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from hypermaps import oracle as O
-from hypermaps.rational import Q
+from hypermaps.rational import Q, rat_str
 from hypermaps.recursion import (
     Curve,
     Recursion,
@@ -139,6 +142,60 @@ def test_tensor_cache_round_trip(tmp_path):
     assert set(t1) == set(t2)
     for k in t1:
         assert t1[k].v == t2[k].v
+
+
+@pytest.mark.parametrize("exc", [OSError, RuntimeError])
+def test_tensor_cache_write_is_atomic(tmp_path, monkeypatch, exc):
+    def failing_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj)[:20])
+        raise exc("write interrupted")
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dump", failing_dump)
+        a = Recursion(2, 1, 2, cache_dir=str(tmp_path))
+        if exc is OSError:  # an unwritable cache is skipped
+            t1 = a.omega(1, 1)
+        else:
+            with pytest.raises(exc):
+                a.omega(1, 1)
+            t1 = Recursion(2, 1, 2).omega(1, 1)
+    assert list(tmp_path.iterdir()) == []
+    b = Recursion(2, 1, 2, cache_dir=str(tmp_path))
+    computed = []
+    compute = b._compute
+    b._compute = lambda g, n: computed.append((g, n)) or compute(g, n)
+    t2 = b.omega(1, 1)
+    assert {k: c.v for k, c in t2.items()} == {k: c.v for k, c in t1.items()}
+    assert computed == [(1, 1)]
+    assert [str(p) for p in tmp_path.iterdir()] == [b._cache_path(1, 1)]
+
+
+# sha256 of the cache-format payload of each tensor
+PINNED = {
+    (2, 0, 3):
+        "81708e79e44c0fa634a39198a9b11accc3ea8585112c4d11cc2cd54867ceb39f",
+    (2, 1, 1):
+        "310de1abb2e5b938447a19644bcdbf7d53a1e1d7ae543f0730e1c3c366750658",
+    (2, 1, 2):
+        "cee2e6f29a81aeebd0d9d6b64637d3264c3558d3831ac2c0f21ae3c2621b5f89",
+    (3, 0, 3):
+        "ed4362f38963a5a34d91d4bd25ce2e554956dbf1000596aba1b4e95fea700a88",
+    (3, 1, 1):
+        "49701167682ec44e4719103e4d7c661315af0fc5748251ebd812a5f192efbb42",
+    (3, 1, 2):
+        "8fb47c7b1f960321d30a4166489e037f90a648d08bbd6dc4bff12be42d9b731d",
+}
+
+
+def test_omega_tensors_pinned(rec2, rec3):
+    for (N, g, n), digest in PINNED.items():
+        tensor = (rec2 if N == 2 else rec3).omega(g, n)
+        payload = {";".join(f"{a},{k}" for a, k in key):
+                   [rat_str(c) for c in val.v]
+                   for key, val in tensor.items()}
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, \
+            (N, g, n)
 
 
 def test_rhm01_from_curve_examples():

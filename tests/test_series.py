@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hypermaps.numfield import NFRing, NumberField
 from hypermaps.rational import Q, QONE
 from hypermaps.series import (
     EpsLaurent,
@@ -19,6 +20,52 @@ def S(coeffs, trunc=None, var="z"):
 def test_geometric_inverse():
     inv = S({0: 1, 1: -1}).inv(prec=4)
     assert [inv.coeff(e) for e in range(4)] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("ring", [QRING, NFRing(
+    NumberField.cyclotomic_field(3))], ids=["Q", "Q(zeta3)"])
+def test_inverse_property(ring):
+    rng = random.Random(5)
+
+    def coef():
+        c = Q(rng.randint(-4, 4), rng.randint(1, 3))
+        return ring.coerce(c) if ring is QRING else ring.coerce(
+            [c, Q(rng.randint(-2, 2))])
+
+    checked = 0
+    for v in range(-3, 4):
+        for _ in range(12):
+            length = rng.randint(1, 10)
+            coeffs = {v: coef()}
+            coeffs.update({v + j: coef() for j in range(1, length)})
+            while ring.is_zero(coeffs[v]):
+                coeffs[v] = coef()
+            if len(coeffs) > 1 and rng.random() < 0.3:
+                # an exact polynomial needs an explicit precision
+                s = UniSeries("z", ring, coeffs, None)
+                prec = expected = rng.randint(1, 12)
+            else:
+                T = v + length
+                s = UniSeries("z", ring, coeffs, T)
+                prec = rng.choice([None, rng.randint(1, 12)])
+                expected = T - 2 * v if prec is None else min(T - 2 * v,
+                                                              prec)
+            inv = s.inv(prec=prec)
+            assert inv.trunc == expected
+            if expected + v <= 0:  # the inverse knows no coefficient
+                continue
+            prod = s * inv
+            assert prod.trunc == expected + v
+            one = UniSeries.monomial("z", ring, 1, 0, prod.trunc)
+            assert (prod - one).is_zero()
+            checked += 1
+    assert checked > 40
+    with pytest.raises(ZeroDivisionError):
+        UniSeries.zero("z", ring).inv(prec=4)
+    with pytest.raises(ZeroDivisionError):
+        UniSeries.zero("z", ring, 6).inv()
+    with pytest.raises(ValueError, match="explicit precision"):
+        UniSeries("z", ring, {0: ring.one, 2: ring.one}).inv()
 
 
 def test_laurent_square():
@@ -82,12 +129,6 @@ def test_series_add_and_mul():
     assert (a * b).coeff(0) == 3
     with pytest.raises(TypeError):
         a * "frobnicate"
-
-
-def test_log_exp_round_trip():
-    s = S({0: 1, 1: 2, 2: -1, 3: 5}, trunc=7)
-    back = s.log().exp()
-    assert (back - s).is_zero()
 
 
 def test_truncation_guard():
