@@ -265,8 +265,10 @@ def s_matrix(N: int, m: int):
 def symplectic_defect(N: int, k: int):
     """Matrix of sum_m (-1)^m (S_m)^T eta S_{k-m} - delta_{k0} eta.
 
-    Reported, not gated: the identity depends on an eta-symplecticity
-    convention for the calibration that is checked empirically here.
+    No check, report or CLI command reads it, and the tests check only
+    its shape: that it vanishes is the eta-symplecticity of the
+    calibration, a convention this package does not assert (the matrix is
+    zero for N = 2..5, k = 0..4).
     """
     et = eta(N)
     out = []

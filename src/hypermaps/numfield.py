@@ -7,6 +7,8 @@ coefficients; reduction uses precomputed images of x^k for k up to
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .rational import Q, QONE, QZERO, is_rational
 
 
@@ -46,7 +48,9 @@ def cyclotomic(n: int):
 
 
 class NumberField:
-    """Q[x]/(minpoly), minpoly monic of degree >= 1."""
+    """Q[x]/(minpoly), minpoly monic of degree >= 1; also the coefficient
+    ring of a ``UniSeries`` over the field (``zero``, ``one``, ``coerce``,
+    ``inv``, ``is_zero``)."""
 
     def __init__(self, minpoly, name="x"):
         mp = [Q(c) for c in minpoly]
@@ -88,11 +92,14 @@ class NumberField:
         if len(a) > 1:
             raise ValueError("minimal polynomial must be squarefree")
 
-    @classmethod
-    def cyclotomic_field(cls, n: int):
-        return cls(cyclotomic(n), name=f"zeta{n}")
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def cyclotomic_field(n: int):
+        """Q(zeta_n), one object per n, so that elements built for the same
+        n by different callers mix."""
+        return NumberField(cyclotomic(n), name=f"zeta{n}")
 
-    def elem(self, v):
+    def coerce(self, v):
         if isinstance(v, NFElem):
             if v.field is not self:
                 raise ValueError("element of another number field")
@@ -103,6 +110,14 @@ class NumberField:
         if len(v) != self.deg:
             raise ValueError(f"need {self.deg} coordinates, got {len(v)}")
         return NFElem(self, v)
+
+    @staticmethod
+    def inv(v):
+        return v.inv()
+
+    @staticmethod
+    def is_zero(v):
+        return v.is_zero()
 
     def _reduce(self, long_vec):
         """Reduce a coefficient list of length <= 2*deg - 1 mod minpoly."""
@@ -145,7 +160,7 @@ class NFElem:
                 raise ValueError("element of another number field")
             return other
         if is_rational(other) or isinstance(other, int):
-            return self.field.elem(other)
+            return self.field.coerce(other)
         return None
 
     def __add__(self, other):
@@ -191,7 +206,7 @@ class NFElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         if self.is_rational():
-            return self.field.elem(QONE / self.v[0])
+            return self.field.coerce(QONE / self.v[0])
         # columns: self * x^j reduced
         cols = []
         for j in range(d):
@@ -262,22 +277,3 @@ class NFElem:
             else:
                 terms.append(f"({c})*{name}^{i}")
         return " + ".join(terms) if terms else "0"
-
-
-class NFRing:
-    """UniSeries coefficient-ring adapter for a NumberField."""
-
-    def __init__(self, field):
-        self.field = field
-        self.zero = field.zero
-        self.one = field.one
-
-    def coerce(self, v):
-        return self.field.elem(v)
-
-    def inv(self, v):
-        return v.inv()
-
-    @staticmethod
-    def is_zero(v):
-        return v.is_zero()

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rational import Q
-
 
 def partitions(n: int, max_part=None):
     """All partitions of n with parts <= max_part, lexicographically
@@ -63,16 +61,6 @@ def contents(lam):
     return out
 
 
-def hook_products(lam):
-    """Product of hook lengths of lam."""
-    cols = conjugate(lam)
-    prod = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            prod *= (row - j) + (cols[j] - i) - 1
-    return prod
-
-
 def conjugate(lam):
     """Conjugate partition."""
     if not lam:
@@ -123,33 +111,4 @@ def _mn(beta, mu) -> int:
         between = sum(1 for x in blist if nb < x < b)
         sign = -1 if between % 2 else 1
         total += sign * _mn((beta - {b}) | {nb}, rest)
-    return total
-
-
-def schur_from_powersums(lam, p):
-    """Schur polynomial s_lam evaluated at a power-sum assignment.
-
-    p maps k -> value of the k-th power sum (missing keys mean 0).
-    Computed by the character expansion s_lam = sum_mu chi^lam_mu p_mu / z_mu.
-    Used as a cross-check against Jacobi-Trudi elsewhere.
-    """
-    n = sum(lam)
-    if n == 0:
-        return Q(1)
-    total = Q(0)
-    for mu in partitions(n):
-        chi = character(lam, mu)
-        if chi == 0:
-            continue
-        pm = Q(1)
-        ok = True
-        for k in mu:
-            v = p.get(k)
-            if v is None or v == 0:
-                ok = False
-                break
-            pm = pm * v
-        if not ok:
-            continue
-        total += Q(chi) * pm / z_mu(mu)
     return total

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .partitions import partitions_upto
 from .series import EpsLaurent
 from .tau import coefficient_A
 
@@ -61,20 +62,14 @@ class PlueckerReport:
         return not self.violations
 
 
-def _window_partitions(W):
-    from .partitions import partitions_upto
-    return [tuple(lam) for lam in partitions_upto(W)]
-
-
-def pluecker_check(N: int, W: int, L: int = None) -> PlueckerReport:
-    """Check every window relation; violations are recorded, not raised."""
+def pluecker_check(N: int, W: int) -> PlueckerReport:
+    """Check every window relation, with L = W rows (every window
+    partition fits); violations are recorded, not raised."""
     if W < 4:
         raise ValueError(f"Pluecker window needs a weight cap >= 4, got {W}")
-    if L is None:
-        L = W
+    L = W
     report = PlueckerReport(N, W)
-    window = _window_partitions(W)
-    betas = [frozenset(beta_set(lam, L)) for lam in window]
+    betas = [frozenset(beta_set(lam, L)) for lam in partitions_upto(W)]
     universe = sorted({x for b in betas for x in b}
                       | set(range(W + L)))
 

@@ -32,15 +32,26 @@ xi_{a,k} gives role ("zB"|"sB", k), externals ((a, k),) and coefficient
 slot (b, k) of each tensor key, with the rest of the key as externals and
 the key's coefficient.  The residue of a pair of legs depends only on the
 two roles and is memoized.
+
+Counts are the correlators' coefficients at the pole of x, in X = 1/xt =
+v/(1 + v^N/(N-1)).  By Lagrange-Buermann and a^N = 1, a basis form at the
+ramification point a = zeta^(i+1) of index i has
+
+    [X^e] (v(X) - a)^(-k) v'(X) = [v^e] (v - a)^(-k) (1 + v^N/(N-1))^(e+1)
+                                = (-1)^k a^(-k-e) r_N(k, e),
+    r_N(k, e) = sum_{j=0..e//N} C(e+1, j) (N-1)^(-j) C(k+e-Nj-1, e-Nj),
+
+a rational times a power of zeta.
 """
 from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from .numfield import NFRing, NumberField
+from .numfield import NumberField
 from .rational import Q, QONE, QZERO, rat_str, parse_rat
 from .series import QRING, UniSeries, lagrange_invert
 
@@ -54,11 +65,9 @@ class Curve:
         if N < 2:
             raise ValueError(f"need N >= 2, got {N}")
         self.N = N
-        self.field = NumberField.cyclotomic_field(N)
-        self.ring = NFRing(self.field)
-        zeta = self.field.gen
+        self.ring = NumberField.cyclotomic_field(N)
         # a_i = zeta^i, i = 1..N (so a_N = 1)
-        self.zeta = zeta
+        self.zeta = zeta = self.ring.gen
         self.ram = [zeta.pow(i) for i in range(1, N + 1)]
         for a in self.ram:
             if not self.xprime(a).is_zero() or self.xsecond(a).is_zero():
@@ -120,10 +129,6 @@ def deck_series(curve: Curve, a_idx: int, order: int) -> UniSeries:
     return s
 
 
-def _default_cache_dir():
-    return os.environ.get("HYPERMAPS_CACHE_DIR")
-
-
 class Recursion:
     """Memoized correlator recursion for a fixed N."""
 
@@ -138,14 +143,13 @@ class Recursion:
         self.M = 6 * g_max + 2 * n_max + 6
         self.Mw = self.M + 10
         self.cache_dir = cache_dir if cache_dir is not None \
-            else _default_cache_dir()
+            else os.environ.get("HYPERMAPS_CACHE_DIR")
         self._memo = {}
         self._decks = {}
         self._xprime_inv = {}
         self._U = {}        # (a_idx, j) -> UniSeries
         self._slots = {}    # (a_idx, slot role) -> UniSeries
         self._resvec = {}   # (a_idx, left key, right key) -> tuple
-        self._eta_coeffs = None
 
     # -- local series ----------------------------------------------------
 
@@ -163,9 +167,7 @@ class Recursion:
         t = UniSeries.monomial("t", ring, 1, 1, self.Mw)
         if a_idx not in self._xprime_inv:
             xp = self.curve.x_series(a_idx, self.Mw + 1).deriv()
-            denom = (s - t) * xp
-            denom = denom.scale(Q(2))
-            self._xprime_inv[a_idx] = denom.inv()
+            self._xprime_inv[a_idx] = ((s - t) * xp).scale(Q(2)).inv()
         num = t.pow(j) - s.pow(j)
         u = num * self._xprime_inv[a_idx]
         self._U[key] = u
@@ -398,8 +400,8 @@ class Recursion:
     def _cache_path(self, g, n):
         if not self.cache_dir:
             return None
-        name = (f"tensor_N{self.N}_g{g}_n{n}_M{self.M}"
-                f"_v{TENSOR_CACHE_VERSION}.json")
+        # the tensors are exact: the working order M is not in the key
+        name = f"tensor_N{self.N}_g{g}_n{n}_v{TENSOR_CACHE_VERSION}.json"
         return os.path.join(self.cache_dir, name)
 
     def _store_cached(self, g, n, tensor):
@@ -433,46 +435,15 @@ class Recursion:
                 payload = json.load(fh)
         except (OSError, ValueError):
             return None
-        field = self.curve.field
+        ring = self.curve.ring
         out = {}
         for skey, vec in payload.items():
             key = tuple(tuple(int(x) for x in part.split(","))
                         for part in skey.split(";")) if skey else ()
-            out[key] = field.elem([parse_rat(x) for x in vec])
+            out[key] = ring.coerce([parse_rat(x) for x in vec])
         return out
 
     # -- extraction ---------------------------------------------------------
-
-    def _eta_table(self, max_exp: int, max_order: int):
-        """Coefficients of the basis forms re-expanded at v = 0 in the
-        variable X = 1/xt: eta_{a,k}(X) = (v(X)-a)^(-k) v'(X)."""
-        want = (max_exp, max_order)
-        if self._eta_coeffs is not None:
-            have = self._eta_coeffs[0]
-            if have[0] >= max_exp and have[1] >= max_order:
-                return self._eta_coeffs[1]
-            want = (max(max_exp, have[0]), max(max_order, have[1]))
-            max_exp, max_order = want
-        ring = self.curve.ring
-        trunc = max_exp + 2
-        # X = v / (1 + v^N/(N-1)), so v = X * phi(v), phi = 1 + v^N/(N-1)
-        phi = UniSeries("X", ring, {0: ring.one,
-                                    self.N: ring.coerce(Q(1, self.N - 1))},
-                        None)
-        v = lagrange_invert(phi, trunc, out_var="X")
-        vp = v.deriv()
-        table = {}
-        for a_idx, a in enumerate(self.curve.ram):
-            shifted = v - UniSeries.monomial("X", ring, a, 0, v.trunc)
-            inv = shifted.inv(prec=trunc)
-            cur = UniSeries.monomial("X", ring, 1, 0, trunc)
-            for k in range(1, max_order + 1):
-                cur = (cur * inv).truncated(trunc)
-                series = (cur * vp).truncated(trunc)
-                table[(a_idx, k)] = [series.c.get(e, ring.zero)
-                                     for e in range(max_exp + 1)]
-        self._eta_coeffs = (want, table)
-        return table
 
     def rhm_from_tr(self, g: int, degrees) -> int:
         """Hypermap count from the correlator expansion; degrees are the
@@ -486,21 +457,28 @@ class Recursion:
         if total % self.N != 0:
             return 0
         tensor = self.omega(g, n)
-        max_order = max((k for K in tensor for _, k in K), default=1)
         exps = tuple(d - 1 for d in degrees)
-        table = self._eta_table(max(exps, default=0), max_order)
-        ring = self.curve.ring
-        acc = ring.zero
+        N, ram, zero = self.N, self.curve.ram, self.curve.ring.zero
+        # an ordering of a key contributes (-1)^(sum of k) zeta^p times a
+        # rational: bucket the rationals by p, and collect the
+        # coefficient of each zeta^p over all keys
+        by_power = [zero] * N
         for K, c in tensor.items():
-            osum = ring.zero
+            buckets = [QZERO] * N
             for order in set(permutations(K)):
-                term = ring.one
-                for slot, e in zip(order, exps):
-                    term = term * table[slot][e]
-                    if term.is_zero():
-                        break
-                osum = osum + term
-            acc = acc + c * osum
+                q, p = QONE, 0
+                for (a_idx, k), e in zip(order, exps):
+                    q = q * eta_coeff(N, k, e)
+                    p -= (a_idx + 1) * (k + e)
+                buckets[p % N] += q
+            if sum(k for _, k in K) % 2:
+                c = -c
+            for p, q in enumerate(buckets):
+                if q:
+                    by_power[p] = by_power[p] + c * q
+        acc = zero
+        for p, c in enumerate(by_power):
+            acc = acc + ram[p - 1] * c  # ram[p - 1] = zeta^p
         if not acc.is_rational():
             raise ArithmeticError("field descent failure")
         value = acc.rational_part() * Q(self.N - 1) ** (total // self.N)
@@ -523,6 +501,15 @@ class Recursion:
             if got != expected:
                 bad.append(K)
         return bad
+
+
+@lru_cache(maxsize=None)
+def eta_coeff(N: int, k: int, e: int):
+    """r_N(k, e) of the module docstring: [X^e] of the basis form
+    dv/(v-a)^k at ramification point a is (-1)^k a^(-k-e) r_N(k, e)."""
+    return sum((Q(comb(e + 1, j), (N - 1) ** j)
+                * comb(k + e - N * j - 1, e - N * j)
+                for j in range(e // N + 1)), QZERO)
 
 
 # ---------------------------------------------------------------------------

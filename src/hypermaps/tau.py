@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import (character, contents, mult_vector, partitions,
-                         partitions_upto, z_mu)
+                         partitions_upto)
 from .rational import Q, QONE, QZERO, factorial_q
 from .series import EpsLaurent, MultiSeries
 
@@ -26,85 +26,6 @@ def content_product(lam) -> EpsLaurent:
     for c in contents(lam):
         out = out * EpsLaurent({0: QONE, 1: Q(c)})
     return out
-
-
-def _newton_h(p, n):
-    """Complete homogeneous h_0..h_n from power sums p (dict k -> value,
-    values in any commutative Q-algebra) via Newton's identities."""
-    h = [EpsLaurent.const(1)]
-    for k in range(1, n + 1):
-        acc = EpsLaurent()
-        for i in range(1, k + 1):
-            pi = p.get(i)
-            if pi is None:
-                continue
-            acc = acc + pi * h[k - i]
-        h.append(acc * Q(1, k))
-    return h
-
-
-def schur_at(lam, p) -> EpsLaurent:
-    """s_lambda at a power-sum assignment (dict k -> EpsLaurent), by the
-    Jacobi-Trudi determinant det(h_{lam_i - i + j})."""
-    lam = tuple(lam)
-    if not lam:
-        return EpsLaurent.const(1)
-    L = len(lam)
-    h = _newton_h(p, lam[0] + L - 1)
-
-    def hax(m):
-        if m < 0:
-            return EpsLaurent()
-        return h[m]
-
-    # determinant by column-subset dynamic programming (division-free)
-    states = {frozenset(): EpsLaurent.const(1)}
-    for i in range(L):
-        new = {}
-        for used, val in states.items():
-            if not val:
-                continue
-            if len(used) != i:
-                continue
-            for j in range(L):
-                if j in used:
-                    continue
-                entry = hax(lam[i] - (i + 1) + (j + 1))
-                if not entry:
-                    continue
-                # sign of appending column j: parity of used columns > j
-                sgn = -1 if sum(1 for u in used if u > j) % 2 else 1
-                term = val * entry * Q(sgn)
-                key = used | {j}
-                new[key] = new.get(key, EpsLaurent()) + term
-        states = new
-    full = frozenset(range(L))
-    return states.get(full, EpsLaurent())
-
-
-def schur_at_mn(lam, p) -> EpsLaurent:
-    """Independent evaluation through the character expansion
-    s_lambda = sum_mu chi^lambda_mu p_mu / z_mu."""
-    lam = tuple(lam)
-    n = sum(lam)
-    if n == 0:
-        return EpsLaurent.const(1)
-    total = EpsLaurent()
-    for mu in partitions(n):
-        chi = character(lam, mu)
-        if chi == 0:
-            continue
-        pm = EpsLaurent.const(Q(chi, z_mu(mu)))
-        ok = True
-        for k in mu:
-            v = p.get(k)
-            if v is None or not v:
-                ok = False
-                break
-            pm = pm * v
-        if ok:
-            total = total + pm
-    return total
 
 
 @lru_cache(maxsize=None)

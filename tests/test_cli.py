@@ -46,7 +46,7 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     # tamper with one cached omega_{0,3} coefficient
-    path = tmp_path / "tensor_N3_g0_n3_M18_v1.json"
+    path = tmp_path / "tensor_N3_g0_n3_v1.json"
     payload = json.loads(path.read_text())
     assert payload["0,2;0,2;0,2"][0] == "1/3"
     payload["0,2;0,2;0,2"][0] = "1/7"

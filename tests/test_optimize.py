@@ -43,8 +43,8 @@ raises(ValueError, polar.ExactPolar.zero(3).pow, -1)
 raises(ValueError, polar.roots_of_unity_sum, 3, Fraction(1, 2))
 raises(ValueError, numfield.NumberField, [1, 0, 2])
 raises(ValueError, numfield.NumberField, [1, 2, 1])
-raises(ValueError, F3.elem, [1, 2, 3])
-raises(ValueError, F3.elem, F5.gen)
+raises(ValueError, F3.coerce, [1, 2, 3])
+raises(ValueError, F3.coerce, F5.gen)
 raises(ValueError, F3.gen.__mul__, F5.gen)
 raises(ValueError, F3.gen.rational_part)
 raises(ValueError, frobenius._f_power_coeff, 3, Fraction(1, 3), 0)

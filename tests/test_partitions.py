@@ -4,13 +4,135 @@ from hypermaps.partitions import (
     character,
     conjugate,
     contents,
-    hook_products,
     mult_vector,
     partitions,
-    schur_from_powersums,
     z_mu,
 )
 from hypermaps.rational import Q
+from hypermaps.series import EpsLaurent
+
+# Schur-function evaluators that the package does not need (it evaluates
+# s_lambda only at the special point, tau.schur_special); they cross-check
+# the character table against Jacobi-Trudi.
+
+
+def hook_products(lam):
+    """Product of hook lengths of lam."""
+    cols = conjugate(lam)
+    prod = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            prod *= (row - j) + (cols[j] - i) - 1
+    return prod
+
+
+def _newton_h(p, n):
+    """Complete homogeneous h_0..h_n from power sums p (dict k -> value,
+    values in any commutative Q-algebra) via Newton's identities."""
+    h = [EpsLaurent.const(1)]
+    for k in range(1, n + 1):
+        acc = EpsLaurent()
+        for i in range(1, k + 1):
+            pi = p.get(i)
+            if pi is None:
+                continue
+            acc = acc + pi * h[k - i]
+        h.append(acc * Q(1, k))
+    return h
+
+
+def schur_at(lam, p) -> EpsLaurent:
+    """s_lambda at a power-sum assignment (dict k -> EpsLaurent), by the
+    Jacobi-Trudi determinant det(h_{lam_i - i + j})."""
+    lam = tuple(lam)
+    if not lam:
+        return EpsLaurent.const(1)
+    L = len(lam)
+    h = _newton_h(p, lam[0] + L - 1)
+
+    def hax(m):
+        if m < 0:
+            return EpsLaurent()
+        return h[m]
+
+    # determinant by column-subset dynamic programming (division-free)
+    states = {frozenset(): EpsLaurent.const(1)}
+    for i in range(L):
+        new = {}
+        for used, val in states.items():
+            if not val:
+                continue
+            if len(used) != i:
+                continue
+            for j in range(L):
+                if j in used:
+                    continue
+                entry = hax(lam[i] - (i + 1) + (j + 1))
+                if not entry:
+                    continue
+                # sign of appending column j: parity of used columns > j
+                sgn = -1 if sum(1 for u in used if u > j) % 2 else 1
+                term = val * entry * Q(sgn)
+                key = used | {j}
+                new[key] = new.get(key, EpsLaurent()) + term
+        states = new
+    full = frozenset(range(L))
+    return states.get(full, EpsLaurent())
+
+
+def schur_at_mn(lam, p) -> EpsLaurent:
+    """Independent evaluation through the character expansion
+    s_lambda = sum_mu chi^lambda_mu p_mu / z_mu."""
+    lam = tuple(lam)
+    n = sum(lam)
+    if n == 0:
+        return EpsLaurent.const(1)
+    total = EpsLaurent()
+    for mu in partitions(n):
+        chi = character(lam, mu)
+        if chi == 0:
+            continue
+        pm = EpsLaurent.const(Q(chi, z_mu(mu)))
+        ok = True
+        for k in mu:
+            v = p.get(k)
+            if v is None or not v:
+                ok = False
+                break
+            pm = pm * v
+        if ok:
+            total = total + pm
+    return total
+
+
+def schur_from_powersums(lam, p):
+    """Schur polynomial s_lam evaluated at a power-sum assignment.
+
+    p maps k -> value of the k-th power sum (missing keys mean 0).
+    Computed by the character expansion s_lam = sum_mu chi^lam_mu p_mu / z_mu.
+    Cross-checked against Jacobi-Trudi below.
+    """
+    n = sum(lam)
+    if n == 0:
+        return Q(1)
+    total = Q(0)
+    for mu in partitions(n):
+        chi = character(lam, mu)
+        if chi == 0:
+            continue
+        pm = Q(1)
+        ok = True
+        for k in mu:
+            v = p.get(k)
+            if v is None or v == 0:
+                ok = False
+                break
+            pm = pm * v
+        if not ok:
+            continue
+        total += Q(chi) * pm / z_mu(mu)
+    return total
+
 
 
 def test_partition_counts():
@@ -74,8 +196,6 @@ def test_schur_from_powersums_matches_dimension():
 
 
 def test_schur_powersum_random_consistency():
-    from hypermaps.series import EpsLaurent
-    from hypermaps.tau import schur_at, schur_at_mn
     rng = random.Random(5)
     for _ in range(5):
         lam = rng.choice([(3, 1), (2, 2), (4,), (2, 1, 1), (3, 2, 1)])

@@ -9,10 +9,11 @@ from hypermaps.recursion import (
     Curve,
     Recursion,
     deck_series,
+    eta_coeff,
     rhm01_from_curve,
     rhm02_from_curve,
 )
-from hypermaps.series import UniSeries
+from hypermaps.series import UniSeries, lagrange_invert
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def test_deck_contracts():
         curve = Curve(N)
         for a_idx in range(N):
             s = deck_series(curve, a_idx, 12)
-            assert s.coeff(1) == curve.field.elem(-1)
+            assert s.coeff(1) == curve.ring.coerce(-1)
             # involution and x-invariance to working order
             t = UniSeries.monomial("t", curve.ring, 1, 1, 12)
             assert (s.compose(s) - t).is_zero()
@@ -131,6 +132,50 @@ def test_expansion_order_stability():
         if g <= 1 and len(degrees) <= 2:
             assert small.rhm_from_tr(g, degrees) == \
                 big.rhm_from_tr(g, degrees)
+    # one field object per N, so the tensors compare coefficientwise
+    assert small.omega(1, 1) == big.omega(1, 1)
+
+
+def eta_series_table(curve, max_exp, max_order):
+    """Reference for eta_coeff: the basis forms re-expanded at v = 0 by
+    series reversion, eta_{a,k}(X) = (v(X)-a)^(-k) v'(X)."""
+    ring, N = curve.ring, curve.N
+    trunc = max_exp + 2
+    # X = v / (1 + v^N/(N-1)), so v = X * phi(v), phi = 1 + v^N/(N-1)
+    phi = UniSeries("X", ring, {0: ring.one, N: ring.coerce(Q(1, N - 1))},
+                    None)
+    v = lagrange_invert(phi, trunc, out_var="X")
+    vp = v.deriv()
+    table = {}
+    for a_idx, a in enumerate(curve.ram):
+        shifted = v - UniSeries.monomial("X", ring, a, 0, v.trunc)
+        inv = shifted.inv(prec=trunc)
+        cur = UniSeries.monomial("X", ring, 1, 0, trunc)
+        for k in range(1, max_order + 1):
+            cur = (cur * inv).truncated(trunc)
+            series = (cur * vp).truncated(trunc)
+            table[(a_idx, k)] = [series.coeff(e) for e in range(max_exp + 1)]
+    return table
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_eta_closed_form(N):
+    curve = Curve(N)
+    table = eta_series_table(curve, 20, 10)
+    for (a_idx, k), coeffs in table.items():
+        a = curve.ram[a_idx]
+        for e, want in enumerate(coeffs):
+            got = a.pow(-k - e) * (Q((-1) ** k) * eta_coeff(N, k, e))
+            assert got == want, (a_idx, k, e)
+
+
+def test_tensor_cache_ignores_working_order(tmp_path):
+    a = Recursion(2, 1, 2, cache_dir=str(tmp_path))
+    t1 = a.omega(1, 1)
+    b = Recursion(2, 2, 3, cache_dir=str(tmp_path))
+    assert b.M != a.M
+    b._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
+    assert b.omega(1, 1) == t1
 
 
 def test_tensor_cache_round_trip(tmp_path):
