@@ -262,35 +262,6 @@ def s_matrix(N: int, m: int):
                  for a in range(1, N + 1))
 
 
-def symplectic_defect(N: int, k: int):
-    """Matrix of sum_m (-1)^m (S_m)^T eta S_{k-m} - delta_{k0} eta.
-
-    No check, report or CLI command reads it, and the tests check only
-    its shape: that it vanishes is the eta-symplecticity of the
-    calibration, a convention this package does not assert (the matrix is
-    zero for N = 2..5, k = 0..4).
-    """
-    et = eta(N)
-    out = []
-    for a in range(1, N + 1):
-        row = []
-        for b in range(1, N + 1):
-            total = QZERO
-            for m in range(k + 1):
-                for g in range(1, N + 1):
-                    for d in range(1, N + 1):
-                        v = et[g, d]
-                        if v == 0:
-                            continue
-                        total += ((-1) ** m * s_entry(N, m, g, a) * v
-                                  * s_entry(N, k - m, d, b))
-            if k == 0:
-                total -= et[a, b]
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the xi functions in the flat frame, and the residue reduction lemma
 

@@ -11,7 +11,7 @@ import math
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is normally installed
+except ImportError:  # gmpy2 is the optional extra "fast"
     from fractions import Fraction as Q
 
 QZERO = Q(0)

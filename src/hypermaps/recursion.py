@@ -430,17 +430,26 @@ class Recursion:
         path = self._cache_path(g, n)
         if path is None or not os.path.exists(path):
             return None
+        # anything but a dict of sorted n-tuples of slots (a, k), 0 <= a < N
+        # and k >= 2, to lists of deg rationals is a miss
+        ring = self.curve.ring
+        out = {}
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError):
+            if not isinstance(payload, dict):
+                return None
+            for skey, vec in payload.items():
+                key = tuple(tuple(int(x) for x in part.split(","))
+                            for part in skey.split(";")) if skey else ()
+                if (len(key) != n or list(key) != sorted(key)
+                        or any(len(p) != 2 or not 0 <= p[0] < self.N
+                               or p[1] < 2 for p in key)
+                        or not isinstance(vec, list)):
+                    return None
+                out[key] = ring.coerce([parse_rat(x) for x in vec])
+        except (OSError, ValueError, TypeError, ZeroDivisionError):
             return None
-        ring = self.curve.ring
-        out = {}
-        for skey, vec in payload.items():
-            key = tuple(tuple(int(x) for x in part.split(","))
-                        for part in skey.split(";")) if skey else ()
-            out[key] = ring.coerce([parse_rat(x) for x in vec])
         return out
 
     # -- extraction ---------------------------------------------------------

@@ -270,12 +270,7 @@ class UniSeries:
 
     def __mul__(self, other):
         if not isinstance(other, UniSeries):
-            if is_rational(other):
-                return self.scale(other)
-            try:
-                return self.scale(other)
-            except Exception:
-                return NotImplemented
+            return NotImplemented
         self._check(other)
         # truncation of the product: each factor's unknown tail enters at
         # its trunc shifted by the other factor's valuation
@@ -573,26 +568,6 @@ class MultiSeries:
             if k * w0 > self.cap:
                 break
             power = power * u
-        return acc
-
-    def exp(self):
-        """Formal exp; requires constant term 0."""
-        if () in self.c:
-            raise ValueError("exp requires constant term 0")
-        acc = MultiSeries.const(self.cap, 1)
-        if not self.c:
-            return acc
-        w0 = self.min_weight()
-        power = self
-        k = 1
-        fact = QONE
-        while k * w0 <= self.cap:
-            acc = acc + power.scale(QONE / fact)
-            k += 1
-            fact = fact * k
-            if k * w0 > self.cap:
-                break
-            power = power * self
         return acc
 
     def __eq__(self, other):

@@ -140,10 +140,3 @@ def osmh_from_tau(tau: TauTruncation, g: int, degrees):
         scale = scale / d
     # multiplying by eps^n moves the eps^(2g-2) part to eps^(2g-2+n)
     return coeff.coeff(2 * g - 2) * scale * _mult_correction(degrees)
-
-
-def eps_exponent_profile(tau: TauTruncation, degrees):
-    """Sorted eps-exponents present in the log-Z coefficient of the given
-    monomial; the genus grading predicts only values 2g-2 >= -2."""
-    return _log_coefficient(tau, tuple(degrees)).exponents()
-

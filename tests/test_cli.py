@@ -4,6 +4,7 @@ import pytest
 
 from hypermaps.cli import main
 from hypermaps.config import RunConfig, build_config, parse_config_file
+from hypermaps.recursion import Recursion
 from hypermaps.report import Report, emit
 
 
@@ -55,6 +56,28 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "ArithmeticError: field descent failure\n"
+
+
+@pytest.mark.parametrize("content", [
+    "[]",
+    '{"0,4": ["1/2", "3"]}',
+    '{"0,x": ["1/2"]}',
+    '{"0,4": ["1/0"]}',
+])
+def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
+                                       content):
+    argv = ["rhm", "--N", "2", "--genus", "1", "--degrees", "4",
+            "--engine", "tr", "--cache-dir", str(tmp_path)]
+    path = tmp_path / "tensor_N2_g1_n1_v1.json"
+    path.write_text(content)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 1
+    assert path.read_text() != content
+    # the rewritten file is a hit
+    monkeypatch.setattr(Recursion, "_compute",
+                        lambda *args: pytest.fail("recomputed"))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 1
 
 
 def test_smatrix_output(capsys):

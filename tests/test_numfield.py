@@ -1,0 +1,169 @@
+"""Q(zeta_n) arithmetic against an exact reference: rational coordinate
+lists in the power basis, reduced by the monic minimal polynomial, with
+the inverse solved by Gaussian elimination over Q."""
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from hypermaps.numfield import NumberField, cyclotomic
+from hypermaps.rational import Q
+
+PHI = {
+    1: [-1, 1],
+    2: [1, 1],
+    3: [1, 1, 1],
+    4: [1, 0, 1],
+    5: [1, 1, 1, 1, 1],
+    6: [1, -1, 1],
+    7: [1, 1, 1, 1, 1, 1, 1],
+    8: [1, 0, 0, 0, 1],
+    9: [1, 0, 0, 1, 0, 0, 1],
+    10: [1, -1, 1, -1, 1],
+    11: [1] * 11,
+    12: [1, 0, -1, 0, 1],
+}
+
+
+# -- the reference ------------------------------------------------------
+
+
+def ref_reduce(long_vec, minpoly):
+    """Remainder of a rational coefficient list mod a monic polynomial."""
+    d = len(minpoly) - 1
+    vec = [Fraction(c) for c in long_vec]
+    for i in range(len(vec) - 1, d - 1, -1):
+        c = vec[i]
+        if c:
+            for j, m in enumerate(minpoly):
+                vec[i - d + j] -= c * m
+    return (vec + [Fraction(0)] * d)[:d]
+
+
+def ref_mul(a, b, minpoly):
+    long_vec = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            long_vec[i + j] += x * y
+    return ref_reduce(long_vec, minpoly)
+
+
+def ref_inv(a, minpoly):
+    """Solve a * y = 1 by Gaussian elimination over Q."""
+    d = len(a)
+    unit = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
+    cols = [ref_mul(a, unit[j], minpoly) for j in range(d)]
+    rows = [[cols[j][i] for j in range(d)] + [unit[0][i]] for i in range(d)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [c / p for c in rows[col]]
+        for r in range(d):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [c - f * pc for c, pc in zip(rows[r], rows[col])]
+    return [row[d] for row in rows]
+
+
+def ref_pow(a, k, minpoly):
+    if k < 0:
+        a, k = ref_inv(a, minpoly), -k
+    acc = [Fraction(int(i == 0)) for i in range(len(a))]
+    for _ in range(k):
+        acc = ref_mul(acc, a, minpoly)
+    return acc
+
+
+def coords(x):
+    """Rational coordinates of a field element, as Fractions."""
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in x.v]
+
+
+def check_lowest(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+def random_coords(rng, d):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            if rng.random() < 0.8 else Fraction(0) for _ in range(d)]
+
+
+# -- the tests ------------------------------------------------------------
+
+
+def test_cyclotomic_polynomials():
+    for n, coeffs in PHI.items():
+        assert cyclotomic(n) == coeffs, n
+
+
+def test_field_needs_n_at_least_2():
+    with pytest.raises(ValueError):
+        NumberField(1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_generator_order(n):
+    field = NumberField.cyclotomic_field(n)
+    assert field.deg == len(PHI[n]) - 1
+    assert field.gen.pow(n) == field.one
+    for k in range(1, n):
+        assert field.gen.pow(k) != field.one
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_against_reference(n):
+    field = NumberField.cyclotomic_field(n)
+    mp = [Fraction(c) for c in PHI[n]]
+    d = field.deg
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = random_coords(rng, d), random_coords(rng, d)
+        x, y = field.coerce(a), field.coerce(b)
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert coords(x) == a and coords(y) == b
+        cases = [
+            (x + y, [s + t for s, t in zip(a, b)]),
+            (x - y, [s - t for s, t in zip(a, b)]),
+            (-x, [-s for s in a]),
+            (x * y, ref_mul(a, b, mp)),
+            (x + Q(q), [a[0] + q] + a[1:]),
+            (Q(q) * x, [q * s for s in a]),
+        ]
+        k = rng.randint(0, 4)
+        cases.append((x.pow(k), ref_pow(a, k, mp)))
+        if any(a):
+            cases.append((x.inv(), ref_inv(a, mp)))
+            cases.append((x.pow(-k), ref_pow(a, -k, mp)))
+        for got, want in cases:
+            check_lowest(got)
+            assert coords(got) == want
+        assert (x == y) == (a == b)
+        assert (x + y) - y == x
+        if any(a):
+            assert x * x.inv() == field.one
+        assert (x == field.coerce(Q(a[0]))) == (not any(a[1:]))
+        if not any(a[1:]):
+            assert x.rational_part() == Q(a[0])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rational_part(n):
+    field = NumberField.cyclotomic_field(n)
+    r = field.coerce(Q(-7, 6))
+    assert r.is_rational() and r.rational_part() == Q(-7, 6)
+    assert r == Q(-7, 6)
+    assert (field.gen * field.gen.inv()).rational_part() == 1
+    if field.deg > 1:
+        with pytest.raises(ValueError):
+            field.gen.rational_part()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_zero_has_no_inverse(n):
+    field = NumberField.cyclotomic_field(n)
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inv()
+    with pytest.raises(ZeroDivisionError):
+        (field.gen - field.gen).inv()

@@ -41,8 +41,6 @@ raises(ValueError, polar.ExactPolar(3, 1).__mul__, polar.ExactPolar(2, 1))
 raises(ValueError, polar.ExactPolar(3, 1).__add__, polar.ExactPolar(2, 1))
 raises(ValueError, polar.ExactPolar.zero(3).pow, -1)
 raises(ValueError, polar.roots_of_unity_sum, 3, Fraction(1, 2))
-raises(ValueError, numfield.NumberField, [1, 0, 2])
-raises(ValueError, numfield.NumberField, [1, 2, 1])
 raises(ValueError, F3.coerce, [1, 2, 3])
 raises(ValueError, F3.coerce, F5.gen)
 raises(ValueError, F3.gen.__mul__, F5.gen)
