@@ -39,18 +39,6 @@ def mult_vector(mu) -> dict:
     return m
 
 
-def z_mu(mu):
-    """Order of the centralizer of a permutation of cycle type mu:
-    prod k^{m_k} m_k!."""
-    z = 1
-    for k, m in mult_vector(mu).items():
-        f = 1
-        for i in range(2, m + 1):
-            f *= i
-        z *= (k ** m) * f
-    return z
-
-
 def contents(lam):
     """Multiset of cell contents j - i for the Young diagram of lam,
     rows and columns counted from 1."""
@@ -59,16 +47,6 @@ def contents(lam):
         for j in range(1, row + 1):
             out.append(j - i)
     return out
-
-
-def conjugate(lam):
-    """Conjugate partition."""
-    if not lam:
-        return ()
-    out = []
-    for j in range(lam[0]):
-        out.append(sum(1 for p in lam if p > j))
-    return tuple(out)
 
 
 def _beta_set(lam, length):

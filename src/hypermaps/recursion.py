@@ -22,7 +22,11 @@ polynomial P(v, w) = (xt(v) - xt(w))(N-1)vw/(v - w) near v = w = a.
 Correlators are stored as coefficient tensors in the global pole basis
 xi_{a,k}(v) = dv/(v-a)^k at the ramification points: the tensor maps a
 sorted n-tuple of (ramification index, pole order) pairs to the field
-coefficient of each distinct ordered monomial.
+coefficient of each distinct ordered monomial.  As xt(zeta v) =
+zeta^(-1) xt(v), v -> zeta v moves every index a to a+1 and multiplies a
+key's coefficient by zeta^(sum of (k-1)).  So each correlator takes
+residues at one ramification point, which gives the keys with a slot
+there, and the other keys follow by this rotation.
 
 A product term omega_{g1,1+j1}(z, I1) omega_{g2,1+j2}(sigma z, I2) of the
 recursion at a is a pair of legs, one per factor.  A leg is (slot role,
@@ -319,81 +323,84 @@ class Recursion:
                 legs.append(((side,) + p, tuple(rest), c))
         return legs
 
-    def _compute(self, g: int, n: int) -> dict:
+    def _rotate(self, K, r):
+        """Key K under v -> zeta^r v, which moves every ramification
+        index by r, and the factor zeta^(r sum(k-1)) its coefficient
+        gains."""
+        rot = tuple(sorted(((a + r) % self.N, k) for a, k in K))
+        p = r * sum(k - 1 for _, k in K)
+        return rot, self.curve.ram[(p - 1) % self.N]  # zeta^p
+
+    def _compute(self, g: int, n: int, a_idx: int = 0) -> dict:
+        """omega_{g,n} from residues at ramification point a_idx alone."""
         ring = self.curve.ring
         n_ext = n - 1
         bound = 6 * g - 4 + 2 * n
         j_max = bound - 1
         zero = ring.zero
 
-        # per ramification point: accumulate external-multiset -> vector
-        # over j of field coefficients
-        result = {}
-        for a_idx in range(self.N):
-            acc = {}
+        acc = {}  # external multiset -> vector over j of coefficients
 
-            def add(r, vec, scale=None):
-                cur = acc.get(r)
-                if cur is None:
-                    cur = [zero] * j_max
-                    acc[r] = cur
-                if scale is None:
-                    for i in range(j_max):
-                        cur[i] = cur[i] + vec[i]
-                else:
-                    for i in range(j_max):
-                        cur[i] = cur[i] + vec[i] * scale
+        def add(r, vec, scale):
+            cur = acc.setdefault(r, [zero] * j_max)
+            for i in range(j_max):
+                cur[i] = cur[i] + vec[i] * scale
 
-            # term omega_{g-1, n+1}(z, sigma z, externals)
-            if g >= 1:
-                if (g - 1, n + 1) == (0, 2):
-                    vec = self._res_vector(a_idx, ("B2",), None, j_max)
-                    add((), vec)
-                else:
-                    prev = self.omega(g - 1, n + 1)
-                    for K, c in prev.items():
-                        for p, q, rest in self._pair_submultisets(K):
-                            vz = self._res_vector(
-                                a_idx, ("z",) + p, ("s",) + q, j_max)
-                            if p != q:
-                                vs = self._res_vector(
-                                    a_idx, ("z",) + q, ("s",) + p, j_max)
-                                vz = tuple(x + y for x, y in zip(vz, vs))
-                            add(rest, vz, c)
+        # term omega_{g-1, n+1}(z, sigma z, externals)
+        if g >= 1:
+            if (g - 1, n + 1) == (0, 2):
+                add((), self._res_vector(a_idx, ("B2",), None, j_max), 1)
+            else:
+                prev = self.omega(g - 1, n + 1)
+                for K, c in prev.items():
+                    for p, q, rest in self._pair_submultisets(K):
+                        vz = self._res_vector(
+                            a_idx, ("z",) + p, ("s",) + q, j_max)
+                        if p != q:
+                            vs = self._res_vector(
+                                a_idx, ("z",) + q, ("s",) + p, j_max)
+                            vz = tuple(x + y for x, y in zip(vz, vs))
+                        add(rest, vz, c)
 
-            # product terms omega_{g1,1+j1}(z, ...) omega_{g2,1+j2}(sigma z,
-            # ...) over ordered splittings, one factor per leg
-            for g1 in range(g + 1):
-                for j1 in range(n_ext + 1):
-                    t1, t2 = (g1, 1 + j1), (g - g1, n - j1)
-                    if t1 == (0, 1) or t2 == (0, 1):
-                        continue
-                    s_legs = self._legs(a_idx, t2, "s", bound)
-                    for z_role, r1, c1 in self._legs(a_idx, t1, "z", bound):
-                        for s_role, r2, c2 in s_legs:
-                            r, cnt = self._merge_count(r1, r2)
-                            vec = self._res_vector(a_idx, z_role, s_role,
-                                                   j_max)
-                            add(r, vec, cnt * c1 * c2)
+        # product terms omega_{g1,1+j1}(z, ...) omega_{g2,1+j2}(sigma z,
+        # ...) over ordered splittings, one factor per leg
+        for g1 in range(g + 1):
+            for j1 in range(n_ext + 1):
+                t1, t2 = (g1, 1 + j1), (g - g1, n - j1)
+                if t1 == (0, 1) or t2 == (0, 1):
+                    continue
+                s_legs = self._legs(a_idx, t2, "s", bound)
+                for z_role, r1, c1 in self._legs(a_idx, t1, "z", bound):
+                    for s_role, r2, c2 in s_legs:
+                        r, cnt = self._merge_count(r1, r2)
+                        vec = self._res_vector(a_idx, z_role, s_role, j_max)
+                        add(r, vec, cnt * c1 * c2)
 
-            # fold the z0 pole basis in: slot (a_idx, j+1) with vec[j-1]
-            for r, vec in acc.items():
-                for j in range(1, j_max + 1):
-                    c = vec[j - 1]
-                    if c.is_zero():
-                        continue
-                    full = tuple(sorted(((a_idx, j + 1),) + r))
-                    prev = result.get(full)
-                    if prev is None:
-                        result[full] = c
-                    else:
-                        # the recursion computes the distinguished-slot
-                        # coefficient; symmetry of omega makes every slot
-                        # choice agree
-                        if prev != c:
-                            raise ArithmeticError(
-                                "correlator symmetry violated")
-        return {k: v for k, v in result.items() if not v.is_zero()}
+        # fold the z0 pole basis in: slot (a_idx, j+1) with vec[j-1]
+        direct = {}
+        for r, vec in acc.items():
+            for j in range(1, j_max + 1):
+                c = vec[j - 1]
+                if c.is_zero():
+                    continue
+                full = tuple(sorted(((a_idx, j + 1),) + r))
+                prev = direct.get(full)
+                if prev is None:
+                    direct[full] = c
+                elif prev != c:
+                    # symmetry of omega: every distinguished slot agrees
+                    raise ArithmeticError("correlator symmetry violated")
+        # the keys without a slot at a_idx follow by rotation; a rotated
+        # key with one was computed directly and must agree
+        result = dict(direct)
+        for K, c in direct.items():
+            for step in range(1, self.N):
+                rot, factor = self._rotate(K, step)
+                if all(b != a_idx for b, _ in rot):
+                    result[rot] = c * factor
+                elif direct.get(rot, zero) != c * factor:
+                    raise ArithmeticError("Z_N covariance violated")
+        return result
 
     # -- tensor cache ------------------------------------------------------
 
@@ -450,6 +457,9 @@ class Recursion:
                 out[key] = ring.coerce([parse_rat(x) for x in vec])
         except (OSError, ValueError, TypeError, ZeroDivisionError):
             return None
+        # so is one with a key whose Z_N rotation is missing
+        if any(self._rotate(K, 1)[0] not in out for K in out):
+            return None
         return out
 
     # -- extraction ---------------------------------------------------------
@@ -496,20 +506,14 @@ class Recursion:
         return int(value)
 
     def zn_covariance_defects(self, g: int, n: int):
-        """Check the Z_N tensor symmetry: rotating every ramification
-        index by one step multiplies the coefficient by the product of
-        zeta^(k-1) over the slots.  Returns the list of violated keys."""
-        tensor = self.omega(g, n)
-        zeta = self.curve.zeta
-        bad = []
-        for K, c in tensor.items():
-            rot = tuple(sorted(((a + 1) % self.N, k) for a, k in K))
-            factor = zeta.pow(sum(k - 1 for _, k in K))
-            expected = c * factor
-            got = tensor.get(rot, self.curve.ring.zero)
-            if got != expected:
-                bad.append(K)
-        return bad
+        """Keys on which omega_{g,n}, computed at ramification point 0,
+        differs from an independent computation at point 1.  Both are
+        completed by Z_N rotation, so they agree when the recursion is
+        Z_N-covariant.  Returns the sorted list of differing keys."""
+        ref, other = self.omega(g, n), self._compute(g, n, 1)
+        zero = self.curve.ring.zero
+        return sorted(K for K in ref.keys() | other.keys()
+                      if ref.get(K, zero) != other.get(K, zero))
 
 
 @lru_cache(maxsize=None)

@@ -63,6 +63,9 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
     '{"0,4": ["1/2", "3"]}',
     '{"0,x": ["1/2"]}',
     '{"0,4": ["1/0"]}',
+    # well-formed, but the rotation of "0,4" is missing
+    '{"0,2": ["1/32"], "0,3": ["1/16"], "0,4": ["-1/16"], '
+    '"1,2": ["-1/32"], "1,3": ["1/16"]}',
 ])
 def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
                                        content):

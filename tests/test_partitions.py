@@ -1,15 +1,33 @@
 import random
 
-from hypermaps.partitions import (
-    character,
-    conjugate,
-    contents,
-    mult_vector,
-    partitions,
-    z_mu,
-)
+from hypermaps.partitions import character, contents, mult_vector, partitions
 from hypermaps.rational import Q
 from hypermaps.series import EpsLaurent
+
+# Partition helpers that only the tests use.
+
+
+def z_mu(mu):
+    """Order of the centralizer of a permutation of cycle type mu:
+    prod k^{m_k} m_k!."""
+    z = 1
+    for k, m in mult_vector(mu).items():
+        f = 1
+        for i in range(2, m + 1):
+            f *= i
+        z *= (k ** m) * f
+    return z
+
+
+def conjugate(lam):
+    """Conjugate partition."""
+    if not lam:
+        return ()
+    out = []
+    for j in range(lam[0]):
+        out.append(sum(1 for p in lam if p > j))
+    return tuple(out)
+
 
 # Schur-function evaluators that the package does not need (it evaluates
 # s_lambda only at the special point, tau.schur_special); they cross-check

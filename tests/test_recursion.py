@@ -122,6 +122,102 @@ def test_zn_covariance(rec2, rec3):
             assert rec.zn_covariance_defects(g, n) == []
 
 
+def all_points_omega(rec, g, n):
+    """omega_{g,n} with the recursion run at every ramification point and
+    no rotation: the reference for Recursion._compute.  The lower
+    correlators come from rec.omega."""
+    zero = rec.curve.ring.zero
+    n_ext = n - 1
+    bound = 6 * g - 4 + 2 * n
+    j_max = bound - 1
+    result = {}
+    for a_idx in range(rec.N):
+        acc = {}
+
+        def add(r, vec, scale=None):
+            cur = acc.get(r)
+            if cur is None:
+                cur = [zero] * j_max
+                acc[r] = cur
+            if scale is None:
+                for i in range(j_max):
+                    cur[i] = cur[i] + vec[i]
+            else:
+                for i in range(j_max):
+                    cur[i] = cur[i] + vec[i] * scale
+
+        if g >= 1:
+            if (g - 1, n + 1) == (0, 2):
+                add((), rec._res_vector(a_idx, ("B2",), None, j_max))
+            else:
+                for K, c in rec.omega(g - 1, n + 1).items():
+                    for p, q, rest in rec._pair_submultisets(K):
+                        vz = rec._res_vector(
+                            a_idx, ("z",) + p, ("s",) + q, j_max)
+                        if p != q:
+                            vs = rec._res_vector(
+                                a_idx, ("z",) + q, ("s",) + p, j_max)
+                            vz = tuple(x + y for x, y in zip(vz, vs))
+                        add(rest, vz, c)
+        for g1 in range(g + 1):
+            for j1 in range(n_ext + 1):
+                t1, t2 = (g1, 1 + j1), (g - g1, n - j1)
+                if t1 == (0, 1) or t2 == (0, 1):
+                    continue
+                s_legs = rec._legs(a_idx, t2, "s", bound)
+                for z_role, r1, c1 in rec._legs(a_idx, t1, "z", bound):
+                    for s_role, r2, c2 in s_legs:
+                        r, cnt = rec._merge_count(r1, r2)
+                        vec = rec._res_vector(a_idx, z_role, s_role, j_max)
+                        add(r, vec, cnt * c1 * c2)
+        for r, vec in acc.items():
+            for j in range(1, j_max + 1):
+                c = vec[j - 1]
+                if c.is_zero():
+                    continue
+                full = tuple(sorted(((a_idx, j + 1),) + r))
+                assert result.setdefault(full, c) == c, full
+    return {k: v for k, v in result.items() if not v.is_zero()}
+
+
+def test_rotation_matches_all_points(rec2, rec3):
+    rec4 = Recursion(4, 1, 2)
+    cases = [(rec2, ((0, 3), (1, 1), (1, 2))),
+             (rec3, ((0, 3), (1, 1), (1, 2))),
+             (rec4, ((0, 3), (1, 1)))]
+    for rec, gns in cases:
+        for g, n in gns:
+            assert rec.omega(g, n) == all_points_omega(rec, g, n), \
+                (rec.N, g, n)
+
+
+# correlators with a key whose rotation has a slot at point 0 again, with
+# a factor zeta^(r sum(k-1)) != 1
+@pytest.mark.parametrize("N, g, n", [(3, 0, 4), (3, 1, 2), (4, 0, 4)])
+def test_wrong_rotation_factor_raises(monkeypatch, N, g, n):
+    rotate = Recursion._rotate
+    # the rotated key with factor 1
+    monkeypatch.setattr(Recursion, "_rotate", lambda self, K, r: (
+        rotate(self, K, r)[0], self.curve.ring.one))
+    rec = Recursion(N, 1, 2, cache_dir="")
+    with pytest.raises(ArithmeticError, match="Z_N covariance violated"):
+        rec.omega(g, n)
+
+
+@pytest.mark.parametrize("g, n", [(0, 3), (1, 1)])
+def test_zn_covariance_sees_base_point_1(g, n):
+    rec = Recursion(2, 1, 2, cache_dir="")
+    tensor = rec.omega(g, n)
+    res_vector = rec._res_vector
+
+    def doubled_at_1(a_idx, left, right, j_max):
+        vec = res_vector(a_idx, left, right, j_max)
+        return tuple(x * 2 for x in vec) if a_idx == 1 else vec
+
+    rec._res_vector = doubled_at_1
+    assert rec.zn_covariance_defects(g, n) == sorted(tensor)
+
+
 def test_expansion_order_stability():
     """The same count extracted from recursions configured with
     different working orders."""
