@@ -159,10 +159,9 @@ def _check_pluecker(report, N_list, W):
 def _check_curve_identities(report, N_list, recursions, cache_dir):
     for N in N_list:
         rec = recursions.get(N)
-        # omega_{0,3} lies within a Recursion's expansion order iff
-        # 3 g_max + n_max >= 3
-        if rec is None or 3 * rec.g_max + rec.n_max < 3:
-            rec = Recursion(N, 1, 2, cache_dir)
+        # omega_{0,3} has pole order 2
+        if rec is None or rec.M < 2:
+            rec = Recursion(N, 0, 3, cache_dir)
         curve = rec.curve
         frame = frobenius.canonical_frame(N)
         # x on the rescaled curve at the i-th ramification point equals

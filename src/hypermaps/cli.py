@@ -43,8 +43,7 @@ def _cmd_rhm(args):
                 print("use the oracle engine for unstable moments",
                       file=sys.stderr)
                 return 2
-            rec = Recursion(N, max(g, 1), max(n, 1),
-                            cache_dir=args.cache_dir)
+            rec = Recursion(N, g, n, cache_dir=args.cache_dir)
             value = rec.rhm_from_tr(g, degrees)
         else:  # tau
             weight = sum(degrees)
@@ -121,7 +120,7 @@ def _cmd_curve(args):
     if args.N < 2:
         print("need N >= 2", file=sys.stderr)
         return 2
-    rec = Recursion(args.N, 1, 2, cache_dir=args.cache_dir)
+    rec = Recursion(args.N, 0, 3, cache_dir=args.cache_dir)
     values = {"N": args.N,
               "rhm01": [rhm01_from_curve(args.N, k) for k in range(9)]}
     tensor = rec.omega(0, 3)

@@ -71,7 +71,6 @@ class CanonicalFrame:
     u: tuple          # canonical coordinates, ExactPolar
     delta_half: tuple  # square roots of the Hessian values, ExactPolar
     psi: tuple        # psi[i-1][a-1] = Psi^i_a, ExactPolar
-    unit_index: int   # flat index of the unit vector field
 
 
 def _psi_entry(N: int, i: int, a: int) -> ExactPolar:
@@ -94,7 +93,7 @@ def canonical_frame(N: int) -> CanonicalFrame:
                        for i in range(1, N + 1))
     psi = tuple(tuple(_psi_entry(N, i, a) for a in range(1, N + 1))
                 for i in range(1, N + 1))
-    return CanonicalFrame(N, c, u, delta_half, psi, unit_index=N - 1)
+    return CanonicalFrame(N, c, u, delta_half, psi)
 
 
 def x_at_polar(v: ExactPolar) -> ExactPolar:

@@ -71,13 +71,6 @@ class ExactPolar:
     def zero(cls, N):
         return cls(N, 0)
 
-    @classmethod
-    def one(cls, N):
-        return cls(N, 1)
-
-    def is_zero(self):
-        return self.q == 0
-
     def __mul__(self, other):
         if isinstance(other, ExactPolar):
             if other.N != self.N:
@@ -98,12 +91,6 @@ class ExactPolar:
             raise ZeroDivisionError("inverse of zero polar value")
         return ExactPolar(self.N, QONE / self.q, -self.e1, -self.e2,
                           -self.ang)
-
-    def __truediv__(self, other):
-        if isinstance(other, ExactPolar):
-            return self * other.inv()
-        return ExactPolar(self.N, self.q / Q(other), self.e1, self.e2,
-                          self.ang)
 
     def pow(self, e):
         """Raise to a rational power.
@@ -143,9 +130,6 @@ class ExactPolar:
                 return ExactPolar(self.N, self.q - other.q, self.e1,
                                   self.e2, self.ang)
         raise ValueError("sum leaves the exact polar class")
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, ExactPolar):

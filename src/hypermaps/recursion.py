@@ -15,6 +15,14 @@ expansion variable: dx/x^(d+1) = r^d dxt/xt^(d+1), so the extracted
 coefficient has to be multiplied by (N-1)^(D/N) with D the (necessarily
 divisible by N) total degree.
 
+omega_{g,n} has poles of order at most 6g - 4 + 2n at the ramification
+points (Eynard-Orantin), so a Recursion serving g <= g_max and
+n <= n_max builds every local series (deck, kernel, slot) modulo t^M,
+M = 6 g_max - 4 + 2 n_max, and no further.  A residue integrand not
+known up to its t^0 term raises ArithmeticError("insufficient local
+expansion order") rather than read a truncated series; at M - 1 it
+fires.
+
 The recursion kernel needs the local deck involution sigma at each
 ramification point a, with xt(sigma(v)) = xt(v): it is the root w of the
 polynomial P(v, w) = (xt(v) - xt(w))(N-1)vw/(v - w) near v = w = a.
@@ -140,12 +148,9 @@ class Recursion:
                  cache_dir=None):
         self.curve = Curve(N)
         self.N = N
-        self.g_max = g_max
-        self.n_max = n_max
-        # uniform local expansion order, covering the pole-order bound
-        # 6g - 4 + 2n with margin
-        self.M = 6 * g_max + 2 * n_max + 6
-        self.Mw = self.M + 10
+        # the expansion order of every local series: the largest pole
+        # order 6g - 4 + 2n of a correlator with g <= g_max, n <= n_max
+        self.M = 6 * g_max - 4 + 2 * n_max
         self.cache_dir = cache_dir if cache_dir is not None \
             else os.environ.get("HYPERMAPS_CACHE_DIR")
         self._memo = {}
@@ -159,7 +164,7 @@ class Recursion:
 
     def deck(self, a_idx: int) -> UniSeries:
         if a_idx not in self._decks:
-            self._decks[a_idx] = deck_series(self.curve, a_idx, self.Mw)
+            self._decks[a_idx] = deck_series(self.curve, a_idx, self.M)
         return self._decks[a_idx]
 
     def _kernel_U(self, a_idx: int, j: int) -> UniSeries:
@@ -168,9 +173,9 @@ class Recursion:
             return self._U[key]
         ring = self.curve.ring
         s = self.deck(a_idx)
-        t = UniSeries.monomial("t", ring, 1, 1, self.Mw)
+        t = UniSeries.monomial("t", ring, 1, 1, self.M)
         if a_idx not in self._xprime_inv:
-            xp = self.curve.x_series(a_idx, self.Mw + 1).deriv()
+            xp = self.curve.x_series(a_idx, self.M + 1).deriv()
             self._xprime_inv[a_idx] = ((s - t) * xp).scale(Q(2)).inv()
         num = t.pow(j) - s.pow(j)
         u = num * self._xprime_inv[a_idx]
@@ -200,11 +205,11 @@ class Recursion:
         if kind == "z":
             b_idx, k = role[1:]
             if a_idx == b_idx:
-                out = UniSeries.monomial("t", ring, 1, -k, self.Mw)
+                out = UniSeries.monomial("t", ring, 1, -k, self.M)
             else:
                 diff = self.curve.ram[a_idx] - self.curve.ram[b_idx]
                 base = UniSeries("t", ring, {0: diff, 1: ring.one}, None)
-                out = base.inv(prec=self.Mw).pow(k, prec=self.Mw)
+                out = base.inv(prec=self.M).pow(k, prec=self.M)
         elif kind == "s":
             b_idx, k = role[1:]
             s = self.deck(a_idx)
@@ -216,7 +221,7 @@ class Recursion:
                 out = s.deriv() * shifted.inv().pow(k, prec=s.trunc)
         elif kind == "zB":
             k = role[1]
-            out = UniSeries.monomial("t", ring, Q(k - 1), k - 2, self.Mw)
+            out = UniSeries.monomial("t", ring, Q(k - 1), k - 2, self.M)
         elif kind == "sB":
             k = role[1]
             s = self.deck(a_idx)
@@ -224,7 +229,7 @@ class Recursion:
                 if k > 2 else s.deriv().scale(Q(k - 1))
         elif kind == "B2":
             s = self.deck(a_idx)
-            t = UniSeries.monomial("t", ring, 1, 1, self.Mw)
+            t = UniSeries.monomial("t", ring, 1, 1, self.M)
             out = s.deriv() * (t - s).pow(2).inv()
         else:
             raise ValueError(f"unknown role {role!r}")
@@ -264,7 +269,7 @@ class Recursion:
         if 2 * g - 2 + n <= 0:
             raise ValueError("unstable moment handled by dedicated "
                              "operations")
-        if 6 * g - 4 + 2 * n > 6 * self.g_max - 4 + 2 * self.n_max:
+        if 6 * g - 4 + 2 * n > self.M:
             raise ValueError("requested correlator exceeds the configured "
                              "expansion order")
         key = (g, n)
@@ -457,9 +462,12 @@ class Recursion:
                 out[key] = ring.coerce([parse_rat(x) for x in vec])
         except (OSError, ValueError, TypeError, ZeroDivisionError):
             return None
-        # so is one with a key whose Z_N rotation is missing
-        if any(self._rotate(K, 1)[0] not in out for K in out):
-            return None
+        # so is one that is not Z_N-covariant: a key whose rotation is
+        # missing or has another coefficient than the rotation gives
+        for K, c in out.items():
+            rot, factor = self._rotate(K, 1)
+            if rot not in out or out[rot] != c * factor:
+                return None
         return out
 
     # -- extraction ---------------------------------------------------------

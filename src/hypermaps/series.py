@@ -84,9 +84,6 @@ class EpsLaurent:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if is_rational(other):
             if other == 0:
@@ -569,13 +566,6 @@ class MultiSeries:
                 break
             power = power * u
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return self.cap == other.cap and self.c == other.c
-
-    __hash__ = None
 
     def __repr__(self):
         return f"MultiSeries(cap={self.cap}, {len(self.c)} monomials)"

@@ -46,11 +46,13 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
             "--engine", "tr", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     capsys.readouterr()
-    # tamper with one cached omega_{0,3} coefficient
+    # tamper with one cached omega_{0,3} coefficient on its whole Z_N
+    # orbit (rotation factor 1), so the file still loads
     path = tmp_path / "tensor_N3_g0_n3_v1.json"
     payload = json.loads(path.read_text())
-    assert payload["0,2;0,2;0,2"][0] == "1/3"
-    payload["0,2;0,2;0,2"][0] = "1/7"
+    for key in ("0,2;0,2;0,2", "1,2;1,2;1,2", "2,2;2,2;2,2"):
+        assert payload[key][0] == "1/3"
+        payload[key][0] = "1/7"
     path.write_text(json.dumps(payload))
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -66,6 +68,9 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
     # well-formed, but the rotation of "0,4" is missing
     '{"0,2": ["1/32"], "0,3": ["1/16"], "0,4": ["-1/16"], '
     '"1,2": ["-1/32"], "1,3": ["1/16"]}',
+    # well-formed, but "1,4" is not the rotation of "0,4" (-1/16 times -1)
+    '{"0,2": ["1/32"], "0,3": ["1/16"], "0,4": ["-1/16"], '
+    '"1,2": ["-1/32"], "1,3": ["1/16"], "1,4": ["17/16"]}',
 ])
 def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
                                        content):

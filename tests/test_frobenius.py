@@ -168,7 +168,7 @@ def test_exact_polar_normalization():
     v = ExactPolar(3, -2, e1=Q(4, 3), ang=Q(7, 3))
     assert v.q == 4 and v.e1 == Q(1, 3)
     assert v.ang == Q(1, 3) + Q(1, 2)
-    assert v * v.inv() == ExactPolar.one(3)
+    assert v * v.inv() == ExactPolar(3, 1)
 
 
 def test_exact_polar_sum_guard():

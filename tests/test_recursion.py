@@ -220,16 +220,31 @@ def test_zn_covariance_sees_base_point_1(g, n):
 
 def test_expansion_order_stability():
     """The same count extracted from recursions configured with
-    different working orders."""
+    different expansion orders."""
+    exact = Recursion(2, 1, 1)
     small = Recursion(2, 1, 2)
     big = Recursion(2, 2, 3)
-    assert small.M < big.M
+    assert (exact.M, small.M, big.M) == (4, 6, 14)
     for g, degrees in ((1, (4,)), (1, (6,)), (0, (2, 1, 1))):
-        if g <= 1 and len(degrees) <= 2:
-            assert small.rhm_from_tr(g, degrees) == \
-                big.rhm_from_tr(g, degrees)
+        assert exact.rhm_from_tr(g, degrees) == \
+            small.rhm_from_tr(g, degrees) == big.rhm_from_tr(g, degrees)
     # one field object per N, so the tensors compare coefficientwise
-    assert small.omega(1, 1) == big.omega(1, 1)
+    assert exact.omega(1, 1) == small.omega(1, 1) == big.omega(1, 1)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("g, n", [(0, 4), (1, 2), (2, 1)])
+def test_expansion_order_is_exact(rec2, rec3, N, g, n):
+    """M = 6g - 4 + 2n, the pole order of omega_{g,n}, is the least
+    expansion order that reaches every residue of its recursion."""
+    exact = Recursion(N, g, n, cache_dir="")
+    assert exact.M == 6 * g - 4 + 2 * n
+    assert exact.omega(g, n) == (rec2 if N == 2 else rec3).omega(g, n)
+    short = Recursion(N, g, n, cache_dir="")
+    short.M -= 1
+    with pytest.raises(ArithmeticError,
+                       match="insufficient local expansion order"):
+        short._compute(g, n)
 
 
 def eta_series_table(curve, max_exp, max_order):
@@ -285,6 +300,16 @@ def test_tensor_cache_round_trip(tmp_path):
         assert t1[k].v == t2[k].v
 
 
+@pytest.mark.parametrize("g, n", [(0, 3), (1, 2)])
+def test_tensor_cache_round_trip_N3(tmp_path, rec3, g, n):
+    """The covariance check on load accepts a tensor whose rotation
+    factors are powers of zeta."""
+    Recursion(3, g, n, cache_dir=str(tmp_path)).omega(g, n)
+    b = Recursion(3, g, n, cache_dir=str(tmp_path))
+    b._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
+    assert b.omega(g, n) == rec3.omega(g, n)
+
+
 @pytest.mark.parametrize("exc", [OSError, RuntimeError])
 def test_tensor_cache_write_is_atomic(tmp_path, monkeypatch, exc):
     def failing_dump(obj, fh, **kwargs):
@@ -325,6 +350,14 @@ PINNED = {
         "49701167682ec44e4719103e4d7c661315af0fc5748251ebd812a5f192efbb42",
     (3, 1, 2):
         "8fb47c7b1f960321d30a4166489e037f90a648d08bbd6dc4bff12be42d9b731d",
+    (2, 2, 1):
+        "e7042cae3258ae7584650586c5ea1e778a091bfd5484dc1727cfe7d119840369",
+    (2, 2, 2):
+        "7506f37c2bb57d68b98c9174c2af725a13b630a83e11a696eb9a96fbb3e815fb",
+    (3, 1, 3):
+        "fedc021627153cc2bb33f3c3e36ff81e0c3c7a6b68ce264136d4872ffe7ab13d",
+    (3, 2, 1):
+        "67d65ba5f0c48d628736f27aa5b195e93eba909ed6114084090baa951c92d5e5",
 }
 
 
