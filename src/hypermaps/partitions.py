@@ -2,8 +2,10 @@
 
 Partitions are weakly decreasing tuples of positive integers; () is the
 empty partition.  Characters are computed by the Murnaghan-Nakayama rule
-on beta-numbers (first-column hook lengths), which keeps the border-strip
-removal a constant-time set operation.
+on beta-numbers (first-column hook lengths) held as the set bits of one
+int: removing a border strip of size k moves a bit from b down to b - k,
+its sign is the parity of the bits strictly between, and the recursion is
+memoized on (bits, remaining cycle type).
 """
 from __future__ import annotations
 
@@ -49,44 +51,37 @@ def contents(lam):
     return out
 
 
-def _beta_set(lam, length):
-    """Beta-numbers lam_i + (length - i) for i = 1..length (padding with
-    zero parts), as a frozenset of distinct nonnegative integers."""
-    padded = list(lam) + [0] * (length - len(lam))
-    return frozenset(padded[i] + (length - 1 - i) for i in range(length))
-
-
 @lru_cache(maxsize=None)
 def character(lam, mu) -> int:
-    """Irreducible character chi^lam evaluated on cycle type mu.
-
-    Murnaghan-Nakayama on beta-numbers: removing a border strip of size k
-    replaces a beta-number b by b - k (if b - k is not already present);
-    the sign is (-1)^(number of beta-numbers strictly between b-k and b).
-    """
+    """Irreducible character chi^lam evaluated on cycle type mu."""
     lam = tuple(lam)
     mu = tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError("character requires |lam| == |mu|")
-    if not mu:
-        return 1
-    length = max(len(lam), 1)
-    beta = _beta_set(lam, length)
-    return _mn(beta, mu)
+    length = len(lam)
+    mask = 0
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + length - 1 - i)
+    return _mn(mask, mu)
 
 
-def _mn(beta, mu) -> int:
+@lru_cache(maxsize=None)
+def _mn(mask: int, mu) -> int:
+    """Murnaghan-Nakayama on the beta-set whose elements are the set bits
+    of mask: a border strip of size k = mu[0] is a bit b with b - k clear;
+    removing it clears b and sets b - k, with sign (-1)^(number of set
+    bits strictly between b - k and b)."""
     if not mu:
         return 1
     k = mu[0]
     rest = mu[1:]
     total = 0
-    blist = sorted(beta)
-    for b in blist:
-        nb = b - k
-        if nb < 0 or nb in beta:
-            continue
-        between = sum(1 for x in blist if nb < x < b)
-        sign = -1 if between % 2 else 1
-        total += sign * _mn((beta - {b}) | {nb}, rest)
+    movable = mask & ~(mask << k) & ~((1 << k) - 1)
+    while movable:
+        top = movable & -movable
+        movable ^= top
+        low = top >> k
+        between = (mask & (top - 1)) >> (top.bit_length() - k)
+        value = _mn(mask ^ top ^ low, rest)
+        total += -value if between.bit_count() & 1 else value
     return total

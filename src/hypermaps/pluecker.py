@@ -18,6 +18,11 @@ as a window beta-set plus one extra universe element; relations that
 would involve a coefficient of weight above the window (other than the
 weights killed by the divisibility constraint, which vanish at every
 weight) are skipped as unknowable rather than assumed.
+
+Sets are carried as bitmasks with their sums.  An L-set B has weight
+sum(B) - L(L-1)/2, so every pair is screened by divisibility and every
+term by weight in integer arithmetic, and a coefficient is looked up only
+for a side that lies in the window.
 """
 from __future__ import annotations
 
@@ -49,6 +54,11 @@ def partition_of(beta):
     return tuple(p for p in lam if p > 0)
 
 
+def _mask(beta) -> int:
+    """The set of nonnegative integers beta as the set bits of an int."""
+    return sum(1 << b for b in beta)
+
+
 @dataclass
 class PlueckerReport:
     N: int
@@ -64,33 +74,31 @@ class PlueckerReport:
 
 def pluecker_check(N: int, W: int) -> PlueckerReport:
     """Check every window relation, with L = W rows (every window
-    partition fits); violations are recorded, not raised."""
+    partition fits); violations are recorded, not raised.
+
+    With c = L(L-1)/2 the two sides of the term of t weigh
+    sum(S) + t - c and sum(T) - t - c.  Unless N divides
+    sum(S) + sum(T) - 2c no term survives the divisibility constraint,
+    so such pairs are never visited; a side of weight > W is unknown.
+    """
     if W < 4:
         raise ValueError(f"Pluecker window needs a weight cap >= 4, got {W}")
     L = W
+    c = L * (L - 1) // 2
     report = PlueckerReport(N, W)
     betas = [frozenset(beta_set(lam, L)) for lam in partitions_upto(W)]
     universe = sorted({x for b in betas for x in b}
                       | set(range(W + L)))
 
-    _known = {}
-    _missing = object()
+    known = {}
 
-    def known_value(bset):
-        """A at the beta-set, or None when outside the window."""
-        cached = _known.get(bset, _missing)
-        if cached is not _missing:
-            return cached
-        lam = partition_of(bset)
-        w = sum(lam)
-        if w % N != 0:
-            out = EpsLaurent()
-        elif w > W:
-            out = None
-        else:
-            out = coefficient_A(N, lam)
-        _known[bset] = out
-        return out
+    def value(mask):
+        """A at the L-set whose elements are the set bits of mask."""
+        a = known.get(mask)
+        if a is None:
+            bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+            a = known[mask] = coefficient_A(N, partition_of(bits))
+        return a
 
     s_candidates = set()
     for b in betas:
@@ -101,19 +109,27 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
         for extra in universe:
             if extra not in b:
                 t_candidates.add(b | {extra})
+    # T grouped by sum(T) mod N, each group in set order, so that every
+    # S meets its T in the same order as a scan of all pairs
+    t_by_residue = [[] for _ in range(N)]
+    for T in t_candidates:
+        t_sorted = tuple(sorted(T, reverse=True))
+        t_by_residue[sum(T) % N].append((_mask(T), sum(T), t_sorted))
 
     for S in s_candidates:
-        for T in t_candidates:
-            t_sorted = sorted(T, reverse=True)
+        s_mask, s_sum = _mask(S), sum(S)
+        for t_mask, t_sum, t_sorted in t_by_residue[(2 * c - s_sum) % N]:
             terms = []
             unknown = False
             for j, t in enumerate(t_sorted):
-                if t in S:
+                if s_mask >> t & 1:
                     continue
-                left = S | {t}
-                right = T - {t}
-                a_left = known_value(left)
-                a_right = known_value(right)
+                w_left = s_sum + t - c
+                if w_left % N:
+                    continue
+                w_right = t_sum - t - c
+                a_left = value(s_mask | 1 << t) if w_left <= W else None
+                a_right = value(t_mask ^ 1 << t) if w_right <= W else None
                 if a_left is None or a_right is None:
                     # skip only when the term could actually contribute
                     if (a_left is None or a_left) and \
@@ -123,7 +139,7 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
                     continue
                 if not a_left or not a_right:
                     continue
-                ins = sum(1 for s in S if s > t)
+                ins = (s_mask >> (t + 1)).bit_count()
                 sgn = -1 if (j + ins) % 2 else 1
                 terms.append((sgn, a_left, a_right))
             if unknown:
@@ -138,5 +154,5 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
             report.relations_checked += 1
             if total:
                 report.violations.append(
-                    (tuple(sorted(S)), tuple(t_sorted), total.to_json()))
+                    (tuple(sorted(S)), t_sorted, total.to_json()))
     return report

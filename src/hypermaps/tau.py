@@ -6,26 +6,35 @@ The generating function of rooted hypermaps is the Schur-expanded sum
 
 restricted to p_i = i t_i / eps and pt_i = delta_{iN} / eps.  At the
 second specialization only the cycle types N^m survive, which leaves a
-character-weighted finite sum in every t-monomial weight.  Counts are
-read off from the eps-grading of log Z.
+character-weighted finite sum in every t-monomial weight.  ``tau_Z``
+forms that sum in integers, one row per lambda and one column sum per
+t-monomial, and divides once per monomial; ``coefficient_A`` gives the
+same Schur coefficients as eps-polynomials for the Pluecker check.
+Counts are read off from the eps-grading of log Z.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
-from .partitions import (character, contents, mult_vector, partitions,
-                         partitions_upto)
+from .partitions import character, contents, mult_vector, partitions
 from .rational import Q, QONE, QZERO, factorial_q
 from .series import EpsLaurent, MultiSeries
 
 
+def content_poly(lam) -> list:
+    """Integer coefficients, in increasing powers of eps, of
+    prod over cells of (1 + eps * content)."""
+    poly = [1]
+    for c in contents(lam):
+        poly = [a + c * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
 def content_product(lam) -> EpsLaurent:
     """prod over cells of (1 + eps * content)."""
-    out = EpsLaurent.const(1)
-    for c in contents(lam):
-        out = out * EpsLaurent({0: QONE, 1: Q(c)})
-    return out
+    return EpsLaurent(dict(enumerate(map(Q, content_poly(lam)))))
 
 
 @lru_cache(maxsize=None)
@@ -73,33 +82,42 @@ class TauTruncation:
 def tau_Z(N: int, W: int) -> TauTruncation:
     """Truncation of Z to total t-weight <= W.
 
-    Exact by weighted homogeneity: the coefficient of a weight-w
-    monomial only receives contributions from |lambda| = w.
+    Exact by weighted homogeneity: the coefficient of a weight-n monomial
+    t_mu only receives contributions from |lambda| = n = mN, namely
+
+        sum_lambda chi^lambda_mu chi^lambda_(N^m) prod(1 + eps c)
+        / (N^m m! prod_k m_k(mu)!) * eps^(-len(mu) - m).
+
+    Each weight is one integer pass: a row r_lambda = chi^lambda_(N^m)
+    times the content polynomial per lambda, then per mu the integer
+    column sum_lambda chi^lambda_mu r_lambda, divided once.
     """
     if W < N:
         raise ValueError(f"weight cap {W} is below N = {N}")
-    acc = MultiSeries.const(W, 1)
-    for lam in partitions_upto(W):
-        n = sum(lam)
-        if n == 0 or n % N != 0:
-            continue
-        a = coefficient_A(N, lam)
-        if not a:
-            continue
-        # s_lambda(p_i = i t_i/eps) = sum_mu chi^lambda_mu /prod m_k! *
-        # eps^(-len(mu)) t_mu
+    coeffs = {(): EpsLaurent.const(1)}
+    for m in range(1, W // N + 1):
+        n = m * N
+        rows = []
+        for lam in partitions(n):
+            chi = character(lam, (N,) * m)
+            if chi:
+                rows.append((lam, [chi * a for a in content_poly(lam)]))
+        base = N ** m * factorial(m)
         for mu in partitions(n):
-            chi = character(lam, mu)
-            if chi == 0:
-                continue
-            denom = 1
-            for m in mult_vector(mu).values():
-                for i in range(2, m + 1):
-                    denom *= i
-            coeff = EpsLaurent.term(Q(chi, denom), -len(mu)) * a
+            column = [0] * (n + 1)
+            for lam, row in rows:
+                chi = character(lam, mu)
+                if chi:
+                    column = [a + chi * b for a, b in zip(column, row)]
+            denom = base
+            for k in mult_vector(mu).values():
+                denom *= factorial(k)
+            shift = -len(mu) - m
+            coeff = EpsLaurent({e + shift: Q(a, denom)
+                                for e, a in enumerate(column) if a})
             if coeff:
-                acc = acc + MultiSeries(W, {tuple(mu): coeff})
-    return TauTruncation(N, W, acc)
+                coeffs[mu] = coeff
+    return TauTruncation(N, W, MultiSeries(W, coeffs))
 
 
 def _log_coefficient(tau: TauTruncation, degrees) -> EpsLaurent:

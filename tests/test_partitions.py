@@ -222,3 +222,39 @@ def test_schur_powersum_random_consistency():
         assert schur_at(lam, p) == schur_at_mn(lam, p)
         plain = {k: v.coeff(0) for k, v in p.items()}
         assert schur_from_powersums(lam, plain) == schur_at(lam, p).coeff(0)
+
+
+# The set-based Murnaghan-Nakayama recursion that `character` replaced,
+# kept as the reference for its bitmask memo.
+
+
+def frozenset_character(lam, mu):
+    """chi^lam_mu on a frozenset of beta-numbers, unmemoized."""
+    length = max(len(lam), 1)
+    padded = list(lam) + [0] * (length - len(lam))
+    beta = frozenset(padded[i] + (length - 1 - i) for i in range(length))
+    return _frozenset_mn(beta, tuple(mu))
+
+
+def _frozenset_mn(beta, mu):
+    if not mu:
+        return 1
+    k = mu[0]
+    total = 0
+    blist = sorted(beta)
+    for b in blist:
+        nb = b - k
+        if nb < 0 or nb in beta:
+            continue
+        between = sum(1 for x in blist if nb < x < b)
+        sign = -1 if between % 2 else 1
+        total += sign * _frozenset_mn((beta - {b}) | {nb}, mu[1:])
+    return total
+
+
+def test_character_matches_frozenset_recursion():
+    for n in range(11):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                assert character(lam, mu) == frozenset_character(lam, mu), \
+                    (lam, mu)

@@ -1,3 +1,9 @@
+from itertools import combinations
+
+import pytest
+
+from hypermaps import pluecker
+from hypermaps.partitions import partitions_upto
 from hypermaps.pluecker import beta_set, partition_of, pluecker_check
 from hypermaps.series import EpsLaurent
 from hypermaps.tau import coefficient_A
@@ -31,3 +37,101 @@ def test_window_passes():
 def test_violation_reporting_structure():
     rep = pluecker_check(2, 5)
     assert rep.ok and rep.violations == []
+
+
+def reference_scan(N, W, coefficient=coefficient_A):
+    """The scan pluecker_check replaced: every (S, T) pair and every term
+    through frozensets and a frozenset-keyed cache of A, no weight screen.
+    Returns (checked, skipped, violations)."""
+    L = W
+    checked = skipped = 0
+    violations = []
+    betas = [frozenset(beta_set(lam, L)) for lam in partitions_upto(W)]
+    universe = sorted({x for b in betas for x in b} | set(range(W + L)))
+    known = {}
+
+    def known_value(bset):
+        if bset not in known:
+            lam = partition_of(bset)
+            w = sum(lam)
+            if w % N != 0:
+                known[bset] = EpsLaurent()
+            elif w > W:
+                known[bset] = None
+            else:
+                known[bset] = coefficient(N, lam)
+        return known[bset]
+
+    s_candidates = set()
+    for b in betas:
+        for s in combinations(sorted(b), L - 1):
+            s_candidates.add(frozenset(s))
+    t_candidates = set()
+    for b in betas:
+        for extra in universe:
+            if extra not in b:
+                t_candidates.add(b | {extra})
+    for S in s_candidates:
+        for T in t_candidates:
+            t_sorted = sorted(T, reverse=True)
+            terms = []
+            unknown = False
+            for j, t in enumerate(t_sorted):
+                if t in S:
+                    continue
+                a_left = known_value(S | {t})
+                a_right = known_value(T - {t})
+                if a_left is None or a_right is None:
+                    if (a_left is None or a_left) and \
+                       (a_right is None or a_right):
+                        unknown = True
+                        break
+                    continue
+                if not a_left or not a_right:
+                    continue
+                ins = sum(1 for s in S if s > t)
+                sgn = -1 if (j + ins) % 2 else 1
+                terms.append((sgn, a_left, a_right))
+            if unknown:
+                skipped += 1
+                continue
+            if not terms:
+                continue
+            total = EpsLaurent()
+            for sgn, a, b in terms:
+                prod = a * b
+                total = total + (prod if sgn > 0 else -prod)
+            checked += 1
+            if total:
+                violations.append(
+                    (tuple(sorted(S)), tuple(t_sorted), total.to_json()))
+    return checked, skipped, violations
+
+
+@pytest.mark.parametrize("N, W", [(2, 6), (2, 7), (3, 8), (4, 8)])
+def test_screened_scan_matches_reference(N, W):
+    rep = pluecker_check(N, W)
+    assert (rep.relations_checked, rep.relations_skipped,
+            rep.violations) == reference_scan(N, W)
+
+
+@pytest.mark.parametrize("lam, expected", [
+    ((2, 2), 60), ((4, 2), 44), ((3, 3, 2), 26)])
+def test_screen_cannot_hide_a_violation(monkeypatch, lam, expected):
+    """Doubling one coefficient breaks the relations through it; the
+    weight screen must report every one, in the reference's order."""
+    def doubled(N, mu):
+        a = coefficient_A(N, mu)
+        return a * 2 if tuple(mu) == lam else a
+
+    monkeypatch.setattr(pluecker, "coefficient_A", doubled)
+    rep = pluecker_check(2, 8)
+    assert len(rep.violations) == expected
+    assert rep.violations == reference_scan(2, 8, doubled)[2]
+
+
+def test_wider_window_certified():
+    """A window beyond criterion 6's |lambda| <= 8."""
+    rep = pluecker_check(2, 10)
+    assert (rep.relations_checked, rep.relations_skipped,
+            len(rep.violations)) == (1346, 327402, 0)

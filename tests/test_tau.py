@@ -1,8 +1,10 @@
 import pytest
 
 from hypermaps import oracle as O
+from hypermaps.partitions import (character, mult_vector, partitions,
+                                  partitions_upto)
 from hypermaps.rational import Q
-from hypermaps.series import EpsLaurent
+from hypermaps.series import EpsLaurent, MultiSeries
 from hypermaps.tau import (
     _log_coefficient,
     coefficient_A,
@@ -118,3 +120,33 @@ def test_osmh_ratio(tz2, tz3):
             for d in degrees:
                 prod *= d
             assert osmh * prod == rhm, (N, g, degrees)
+
+
+def double_loop_tau_series(N, W):
+    """Z by the (lambda, mu) double loop over EpsLaurent products that
+    tau_Z replaced: the reference for its integer column sums."""
+    acc = MultiSeries.const(W, 1)
+    for lam in partitions_upto(W):
+        n = sum(lam)
+        if n == 0 or n % N != 0:
+            continue
+        a = coefficient_A(N, lam)
+        if not a:
+            continue
+        for mu in partitions(n):
+            chi = character(lam, mu)
+            if chi == 0:
+                continue
+            denom = 1
+            for m in mult_vector(mu).values():
+                for i in range(2, m + 1):
+                    denom *= i
+            coeff = EpsLaurent.term(Q(chi, denom), -len(mu)) * a
+            if coeff:
+                acc = acc + MultiSeries(W, {tuple(mu): coeff})
+    return acc
+
+
+@pytest.mark.parametrize("N, W", [(2, 10), (3, 9), (4, 8)])
+def test_tau_Z_matches_double_loop(N, W):
+    assert tau_Z(N, W).series.c == double_loop_tau_series(N, W).c
