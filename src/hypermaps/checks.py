@@ -62,16 +62,19 @@ def _check_frame(report):
         report.add("frame.delta_branch", {"N": N}, {}, ok)
 
 
-def _check_residue_lemma(report, k_max=8):
+RESIDUE_K_MAX = 8
+
+
+def _check_residue_lemma(report):
     for N in range(2, 5):
         ok = True
         for alpha in range(1, N + 1):
-            for k in range(k_max + 1):
+            for k in range(RESIDUE_K_MAX + 1):
                 for a in range(k + 1):
                     if not frobenius.s_column_residue_check(N, alpha, a, k):
                         ok = False
         report.add("frobenius.residue_lemma_sweep",
-                   {"N": N, "k_max": k_max}, {}, ok)
+                   {"N": N, "k_max": RESIDUE_K_MAX}, {}, ok)
 
 
 def _check_unstable(report, dart_cap):

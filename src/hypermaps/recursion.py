@@ -151,8 +151,7 @@ class Recursion:
         # the expansion order of every local series: the largest pole
         # order 6g - 4 + 2n of a correlator with g <= g_max, n <= n_max
         self.M = 6 * g_max - 4 + 2 * n_max
-        self.cache_dir = cache_dir if cache_dir is not None \
-            else os.environ.get("HYPERMAPS_CACHE_DIR")
+        self.cache_dir = cache_dir
         self._memo = {}
         self._decks = {}
         self._xprime_inv = {}
@@ -541,10 +540,10 @@ def rhm01_from_curve(N: int, k: int) -> int:
     """[X^(k+1)] z(X)^N with X = z/(1+z^N): genus 0, one boundary."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    trunc = k + 3
     phi = UniSeries("z", QRING, {0: QONE, N: QONE}, None)
-    z = lagrange_invert(phi, trunc, out_var="X")
-    value = z.pow(N, prec=trunc).c.get(k + 1, QZERO)
+    # the read [X^(k+1)] needs z^N, hence z, modulo X^(k+2)
+    z = lagrange_invert(phi, k + 2, out_var="X")
+    value = z.pow(N, prec=k + 2).coeff(k + 1)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"rhm01 is not a count: {value}")
     return int(value)

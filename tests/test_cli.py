@@ -4,6 +4,7 @@ import pytest
 
 from hypermaps.cli import main
 from hypermaps.config import RunConfig, build_config, parse_config_file
+from hypermaps.rational import parse_rat, rat_str
 from hypermaps.recursion import Recursion
 from hypermaps.report import Report, emit
 
@@ -86,6 +87,24 @@ def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
                         lambda *args: pytest.fail("recomputed"))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rhm"] == 1
+
+
+def test_cache_dir_only_from_the_request(tmp_path, capsys, monkeypatch):
+    """A run without --cache-dir reads no cache, whatever the environment
+    holds."""
+    argv = ["rhm", "--N", "3", "--genus", "0", "--degrees", "3,3,3",
+            "--engine", "tr"]
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 216
+    # a uniformly doubled tensor still loads from that directory
+    path = tmp_path / "tensor_N3_g0_n3_v1.json"
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({
+        key: [rat_str(2 * parse_rat(c)) for c in coords]
+        for key, coords in payload.items()}))
+    monkeypatch.setenv("HYPERMAPS_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 216
 
 
 def test_smatrix_output(capsys):

@@ -51,20 +51,32 @@ def test_tilde_xi_leading_terms():
     assert xi.coeff(2) == 2 and xi.coeff(5) == 4 and xi.coeff(8) == 8
 
 
-def test_residue_lemma_small():
-    for N in (2, 3):
-        for alpha in range(1, N + 1):
-            for k in range(5):
-                for a in range(k + 3):
-                    assert F.s_column_residue_check(N, alpha, a, k), \
-                        (N, alpha, a, k)
+RESIDUE_GRID = [(N, alpha, a, k)
+                for N in range(2, 7)
+                for alpha in range(1, N + 1)
+                for k in range(-1, 11)
+                for a in range(max(k, 0) + 3)]
 
 
-def test_residue_lemma_k_minus_one():
-    for N in (2, 3):
-        for alpha in range(1, N + 1):
-            for a in range(3):
-                assert F.s_column_residue_check(N, alpha, a, -1)
+def test_residue_lemma_grid():
+    # both sides of the lemma, a > k (right side 0) included
+    assert len(RESIDUE_GRID) == 1820
+    for case in RESIDUE_GRID:
+        assert F.s_column_residue_check(*case), case
+
+
+def test_residue_lemma_short_order_raises(monkeypatch):
+    """At one order below T = k + 2 the read [z^-1] is beyond the
+    truncation of the form and raises instead of comparing a wrong
+    left-hand side."""
+    tilde_xi = F.tilde_xi
+    monkeypatch.setattr(F, "tilde_xi",
+                        lambda N, alpha, trunc: tilde_xi(N, alpha, trunc - 1))
+    cases = [c for c in RESIDUE_GRID if c[2] == 0]
+    assert len(cases) == 240
+    for case in cases:
+        with pytest.raises(ValueError):
+            F.s_column_residue_check(*case)
 
 
 def test_psi_orthogonality():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from hypermaps import oracle as O
+from hypermaps import recursion as R
 from hypermaps.rational import Q, rat_str
 from hypermaps.recursion import (
     Curve,
@@ -199,14 +200,14 @@ def test_wrong_rotation_factor_raises(monkeypatch, N, g, n):
     # the rotated key with factor 1
     monkeypatch.setattr(Recursion, "_rotate", lambda self, K, r: (
         rotate(self, K, r)[0], self.curve.ring.one))
-    rec = Recursion(N, 1, 2, cache_dir="")
+    rec = Recursion(N, 1, 2)
     with pytest.raises(ArithmeticError, match="Z_N covariance violated"):
         rec.omega(g, n)
 
 
 @pytest.mark.parametrize("g, n", [(0, 3), (1, 1)])
 def test_zn_covariance_sees_base_point_1(g, n):
-    rec = Recursion(2, 1, 2, cache_dir="")
+    rec = Recursion(2, 1, 2)
     tensor = rec.omega(g, n)
     res_vector = rec._res_vector
 
@@ -237,10 +238,10 @@ def test_expansion_order_stability():
 def test_expansion_order_is_exact(rec2, rec3, N, g, n):
     """M = 6g - 4 + 2n, the pole order of omega_{g,n}, is the least
     expansion order that reaches every residue of its recursion."""
-    exact = Recursion(N, g, n, cache_dir="")
+    exact = Recursion(N, g, n)
     assert exact.M == 6 * g - 4 + 2 * n
     assert exact.omega(g, n) == (rec2 if N == 2 else rec3).omega(g, n)
-    short = Recursion(N, g, n, cache_dir="")
+    short = Recursion(N, g, n)
     short.M -= 1
     with pytest.raises(ArithmeticError,
                        match="insufficient local expansion order"):
@@ -380,6 +381,18 @@ def test_rhm01_from_curve_examples():
     for N in (2, 3, 4):
         for k in range(9):
             assert rhm01_from_curve(N, k) == O.rhm01_closed(N, k)
+
+
+def test_rhm01_from_curve_short_series_raises(monkeypatch):
+    """A Lagrange inversion that falls short makes the read raise
+    instead of returning 0."""
+    def short(phi, trunc, out_var="w"):
+        return lagrange_invert(phi, trunc, out_var).truncated(1)
+
+    monkeypatch.setattr(R, "lagrange_invert", short)
+    for k in (0, 1, 4):
+        with pytest.raises(ValueError):
+            rhm01_from_curve(3, k)
 
 
 def test_rhm02_from_curve_examples():
