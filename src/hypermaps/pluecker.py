@@ -20,18 +20,31 @@ weights killed by the divisibility constraint, which vanish at every
 weight) are skipped as unknowable rather than assumed.
 
 Sets are carried as bitmasks with their sums.  An L-set B has weight
-sum(B) - L(L-1)/2, so every pair is screened by divisibility and every
-term by weight in integer arithmetic, and a coefficient is looked up only
-for a side that lies in the window.
+sum(B) - L(L-1)/2, so pairs whose sums rule out every term are never
+visited.  Each side is classified once, not per pair: for S the
+positions t outside S whose side S + t survives divisibility form two
+masks, LU_S (weight above the window, unknown) and LN_S (in the window,
+A nonzero); RU_T and RN_T are the same for the sides T - t.  A pair is
+skipped iff some term has an unknown side and a side not known to be
+zero, i.e. LU_S & (RU_T | RN_T) or RU_T & LN_S is nonzero; otherwise it
+is checked iff LN_S & RN_T, its nonzero terms, is nonzero.
+
+A checked relation is summed in integers.  Every term has
+m_left + m_right = M = (sum(S) + sum(T) - 2c)/N, so with A_lambda =
+row / (N^m m!) eps^(-m) (``tau.coefficient_row``) the relation is
+sum sgn C(M, m_left) row_left row_right / (N^M M!) eps^(-M); only a
+nonzero sum is turned back into an eps-polynomial for the report.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb, factorial
 
 from .partitions import partitions_upto
+from .rational import Q
 from .series import EpsLaurent
-from .tau import coefficient_A
+from .tau import coefficient_row
 
 
 def beta_set(lam, L: int):
@@ -92,13 +105,32 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
 
     known = {}
 
-    def value(mask):
-        """A at the L-set whose elements are the set bits of mask."""
-        a = known.get(mask)
-        if a is None:
+    def form(mask):
+        """coefficient_row at the L-set whose elements are the set bits
+        of mask: (m, integer row), or None where A is zero."""
+        if mask not in known:
             bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
-            a = known[mask] = coefficient_A(N, partition_of(bits))
-        return a
+            known[mask] = coefficient_row(N, partition_of(bits))
+        return known[mask]
+
+    def status(mask, total, ts, sign):
+        """Masks of the t in ts whose side mask + sign * t, of weight
+        total + sign * t - c, survives divisibility: unknown (weight
+        > W) and known nonzero, with the forms of the latter."""
+        unknown = nonzero = 0
+        forms = {}
+        for t in ts:
+            w = total + sign * t - c
+            if w % N:
+                continue
+            if w > W:
+                unknown |= 1 << t
+            else:
+                f = form(mask ^ 1 << t)
+                if f:
+                    nonzero |= 1 << t
+                    forms[t] = f
+        return unknown, nonzero, forms
 
     s_candidates = set()
     for b in betas:
@@ -113,46 +145,46 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
     # S meets its T in the same order as a scan of all pairs
     t_by_residue = [[] for _ in range(N)]
     for T in t_candidates:
+        t_mask, t_sum = _mask(T), sum(T)
         t_sorted = tuple(sorted(T, reverse=True))
-        t_by_residue[sum(T) % N].append((_mask(T), sum(T), t_sorted))
+        ru, rn, r_forms = status(t_mask, t_sum, t_sorted, -1)
+        t_by_residue[t_sum % N].append(
+            (ru | rn, ru, rn, t_mask, t_sum, t_sorted, r_forms))
 
     for S in s_candidates:
         s_mask, s_sum = _mask(S), sum(S)
-        for t_mask, t_sum, t_sorted in t_by_residue[(2 * c - s_sum) % N]:
-            terms = []
-            unknown = False
-            for j, t in enumerate(t_sorted):
-                if s_mask >> t & 1:
-                    continue
-                w_left = s_sum + t - c
-                if w_left % N:
-                    continue
-                w_right = t_sum - t - c
-                a_left = value(s_mask | 1 << t) if w_left <= W else None
-                a_right = value(t_mask ^ 1 << t) if w_right <= W else None
-                if a_left is None or a_right is None:
-                    # skip only when the term could actually contribute
-                    if (a_left is None or a_left) and \
-                       (a_right is None or a_right):
-                        unknown = True
-                        break
-                    continue
-                if not a_left or not a_right:
-                    continue
-                ins = (s_mask >> (t + 1)).bit_count()
-                sgn = -1 if (j + ins) % 2 else 1
-                terms.append((sgn, a_left, a_right))
-            if unknown:
+        lu, ln, l_forms = status(
+            s_mask, s_sum, [t for t in universe if not s_mask >> t & 1], 1)
+        for rk, ru, rn, t_mask, t_sum, t_sorted, r_forms in \
+                t_by_residue[(2 * c - s_sum) % N]:
+            if lu & rk or ru & ln:
                 report.relations_skipped += 1
                 continue
-            if not terms:
+            both = ln & rn
+            if not both:
                 continue
-            total = EpsLaurent()
-            for sgn, a, b in terms:
-                prod = a * b
-                total = total + (prod if sgn > 0 else -prod)
+            # every term has m_left + m_right = M, so the relation is
+            # sum sgn C(M, m_left) row_left row_right / (N^M M!) eps^-M
+            M = (s_sum + t_sum - 2 * c) // N
+            total = [0] * (N * M + 1)
+            for j, t in enumerate(t_sorted):
+                if not both >> t & 1:
+                    continue
+                m_left, left = l_forms[t]
+                right = r_forms[t][1]
+                k = comb(M, m_left)
+                if (j + (s_mask >> (t + 1)).bit_count()) % 2:
+                    k = -k
+                for i, a in enumerate(left):
+                    if a:
+                        ka = k * a
+                        for e, b in enumerate(right, i):
+                            total[e] += ka * b
             report.relations_checked += 1
-            if total:
+            if any(total):
+                denom = N ** M * factorial(M)
+                violation = EpsLaurent({e - M: Q(a, denom)
+                                        for e, a in enumerate(total)})
                 report.violations.append(
-                    (tuple(sorted(S)), t_sorted, total.to_json()))
+                    (tuple(sorted(S)), t_sorted, violation.to_json()))
     return report

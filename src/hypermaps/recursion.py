@@ -549,24 +549,21 @@ def rhm01_from_curve(N: int, k: int) -> int:
     return int(value)
 
 
-def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
-    """Genus 0, two boundaries, from the bivariate residue of the
-    two-point function against x1^(k1+1) x2^(k2+1)."""
-    if k1 < 0 or k2 < 0:
-        raise ValueError(f"need k1, k2 >= 0, got {k1}, {k2}")
-    cap1 = k1 + 2 + N
-    cap2 = k2 + 2 + N
-    # m(z1,z2) = z1 z2 (z1^(N-1)-z2^(N-1))/(z1-z2), a polynomial
-    m = {}
-    for i in range(N - 1):
-        m[(i + 1, N - 1 - i)] = QONE
+def _two_point_series(N: int, p1: int, p2: int):
+    """d_{z1} d_{z2} log(1 - m) modulo z1^p1 and z2^p2, with m(z1,z2) =
+    z1 z2 (z1^(N-1) - z2^(N-1))/(z1 - z2), a polynomial.  Returns
+    ({(a, b): coefficient}, p1, p2): every coefficient with a < p1 and
+    b < p2 is exact, and none beyond is represented."""
+    m = {(i + 1, N - 1 - i): QONE for i in range(N - 1)}
 
+    # the derivative lowers each exponent by one, so log(1 - m) is
+    # needed through z1^p1 z2^p2; every exponent of m is positive
     def bmul(d1, d2):
         out = {}
         for (a1, b1), v1 in d1.items():
             for (a2, b2), v2 in d2.items():
                 a, b = a1 + a2, b1 + b2
-                if a > cap1 + 1 or b > cap2 + 1:
+                if a > p1 or b > p2:
                     continue
                 key = (a, b)
                 w = out.get(key, QZERO) + v1 * v2
@@ -578,7 +575,7 @@ def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
 
     # log(1 - m) = -sum m^j / j
     logv = {}
-    power = dict(m)
+    power = {(a, b): v for (a, b), v in m.items() if a <= p1 and b <= p2}
     j = 1
     while power:
         for key, v in power.items():
@@ -589,29 +586,38 @@ def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
                 logv[key] = w
         j += 1
         power = bmul(power, m)
-    # d_{z1} d_{z2} log(...)
-    dd = {}
-    for (a, b), v in logv.items():
-        if a >= 1 and b >= 1:
-            dd[(a - 1, b - 1)] = v * a * b
-    # x^(k+1) per variable: Laurent exponents (N-1)(k+1) - N j
+    dd = {(a - 1, b - 1): v * a * b for (a, b), v in logv.items()}
+    return dd, p1, p2
+
+
+def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
+    """Genus 0, two boundaries, from the bivariate residue of the
+    two-point function against x1^(k1+1) x2^(k2+1)."""
+    if k1 < 0 or k2 < 0:
+        raise ValueError(f"need k1, k2 >= 0, got {k1}, {k2}")
+
+    # x^(k+1) per variable: Laurent exponents (N-1)(k+1) - N j, the
+    # lowest -(k+1); [z^(-1-a)] of it reads the two-point series at a
     def xpow_coeffs(k):
         out = {}
         for j in range(k + 2):
             out[(N - 1) * (k + 1) - N * j] = Q(comb(k + 1, j))
         return out
 
-    x1 = xpow_coeffs(k1)
-    x2 = xpow_coeffs(k2)
+    dd, p1, p2 = _two_point_series(N, k1 + 1, k2 + 1)
     total = QZERO
-    for (a, b), v in dd.items():
-        c1 = x1.get(-1 - a)
-        if c1 is None:
-            continue
-        c2 = x2.get(-1 - b)
-        if c2 is None:
-            continue
-        total += v * c1 * c2
+    for e1, c1 in xpow_coeffs(k1).items():
+        for e2, c2 in xpow_coeffs(k2).items():
+            a, b = -1 - e1, -1 - e2
+            if a < 0 or b < 0:
+                continue
+            if a >= p1 or b >= p2:
+                raise ValueError(
+                    f"coefficient z1^{a} z2^{b} not represented "
+                    f"(truncated at z1^{p1}, z2^{p2})")
+            v = dd.get((a, b))
+            if v is not None:
+                total += v * c1 * c2
     total = -total
     if total.denominator != 1 or total < 0:
         raise ArithmeticError(f"rhm02 is not a count: {total}")

@@ -6,11 +6,14 @@ The generating function of rooted hypermaps is the Schur-expanded sum
 
 restricted to p_i = i t_i / eps and pt_i = delta_{iN} / eps.  At the
 second specialization only the cycle types N^m survive, which leaves a
-character-weighted finite sum in every t-monomial weight.  ``tau_Z``
-forms that sum in integers, one row per lambda and one column sum per
-t-monomial, and divides once per monomial; ``coefficient_A`` gives the
-same Schur coefficients as eps-polynomials for the Pluecker check.
-Counts are read off from the eps-grading of log Z.
+character-weighted finite sum in every t-monomial weight.  The Schur
+coefficient A_lambda has one integer form, ``coefficient_row``: a row
+chi^lambda_(N^m) times the content polynomial, with A_lambda =
+row / (N^m m!) * eps^(-m).  ``tau_Z`` sums those rows against
+characters, one column per t-monomial, and divides once per monomial;
+the Pluecker check sums products of rows.  ``coefficient_A`` is the
+same coefficient as an eps-polynomial, kept as the reference the tests
+compare with.  Counts are read off from the eps-grading of log Z.
 """
 from __future__ import annotations
 
@@ -35,6 +38,22 @@ def content_poly(lam) -> list:
 def content_product(lam) -> EpsLaurent:
     """prod over cells of (1 + eps * content)."""
     return EpsLaurent(dict(enumerate(map(Q, content_poly(lam)))))
+
+
+@lru_cache(maxsize=None)
+def coefficient_row(N: int, lam):
+    """A_lambda in integers: (m, row) with row = chi^lambda_(N^m) times
+    the content polynomial, so that A_lambda = row / (N^m m!) *
+    eps^(-m); None when A_lambda = 0 (N does not divide |lam|, or the
+    character vanishes)."""
+    n = sum(lam)
+    if n % N:
+        return None
+    m = n // N
+    chi = character(lam, (N,) * m)
+    if not chi:
+        return None
+    return m, tuple(chi * a for a in content_poly(lam))
 
 
 @lru_cache(maxsize=None)
@@ -88,9 +107,9 @@ def tau_Z(N: int, W: int) -> TauTruncation:
         sum_lambda chi^lambda_mu chi^lambda_(N^m) prod(1 + eps c)
         / (N^m m! prod_k m_k(mu)!) * eps^(-len(mu) - m).
 
-    Each weight is one integer pass: a row r_lambda = chi^lambda_(N^m)
-    times the content polynomial per lambda, then per mu the integer
-    column sum_lambda chi^lambda_mu r_lambda, divided once.
+    Each weight is one integer pass: the row r_lambda of
+    ``coefficient_row`` per lambda, then per mu the integer column
+    sum_lambda chi^lambda_mu r_lambda, divided once.
     """
     if W < N:
         raise ValueError(f"weight cap {W} is below N = {N}")
@@ -99,9 +118,9 @@ def tau_Z(N: int, W: int) -> TauTruncation:
         n = m * N
         rows = []
         for lam in partitions(n):
-            chi = character(lam, (N,) * m)
-            if chi:
-                rows.append((lam, [chi * a for a in content_poly(lam)]))
+            form = coefficient_row(N, lam)
+            if form:
+                rows.append((lam, form[1]))
         base = N ** m * factorial(m)
         for mu in partitions(n):
             column = [0] * (n + 1)

@@ -6,7 +6,7 @@ from hypermaps import pluecker
 from hypermaps.partitions import partitions_upto
 from hypermaps.pluecker import beta_set, partition_of, pluecker_check
 from hypermaps.series import EpsLaurent
-from hypermaps.tau import coefficient_A
+from hypermaps.tau import coefficient_A, coefficient_row
 
 
 def test_beta_set_round_trip():
@@ -119,12 +119,20 @@ def test_screened_scan_matches_reference(N, W):
     ((2, 2), 60), ((4, 2), 44), ((3, 3, 2), 26)])
 def test_screen_cannot_hide_a_violation(monkeypatch, lam, expected):
     """Doubling one coefficient breaks the relations through it; the
-    weight screen must report every one, in the reference's order."""
+    mask screen must report every one, in the reference's order, with
+    the reference's eps-form of every violated sum."""
+    def doubled_row(N, mu):
+        form = coefficient_row(N, mu)
+        if form and tuple(mu) == lam:
+            m, row = form
+            return m, [2 * a for a in row]
+        return form
+
     def doubled(N, mu):
         a = coefficient_A(N, mu)
         return a * 2 if tuple(mu) == lam else a
 
-    monkeypatch.setattr(pluecker, "coefficient_A", doubled)
+    monkeypatch.setattr(pluecker, "coefficient_row", doubled_row)
     rep = pluecker_check(2, 8)
     assert len(rep.violations) == expected
     assert rep.violations == reference_scan(2, 8, doubled)[2]
@@ -135,3 +143,13 @@ def test_wider_window_certified():
     rep = pluecker_check(2, 10)
     assert (rep.relations_checked, rep.relations_skipped,
             len(rep.violations)) == (1346, 327402, 0)
+
+
+@pytest.mark.parametrize("N, expected", [
+    (2, (4642, 1919172, 0)), (3, (2109, 1046031, 0))])
+def test_deep_window_certified(N, expected):
+    """Windows of weight 12; the counts were measured on the
+    term-by-term scan that the mask screen replaced."""
+    rep = pluecker_check(N, 12)
+    assert (rep.relations_checked, rep.relations_skipped,
+            len(rep.violations)) == expected

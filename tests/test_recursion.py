@@ -1,10 +1,12 @@
 import hashlib
 import json
+from math import factorial
 
 import pytest
 
 from hypermaps import oracle as O
 from hypermaps import recursion as R
+from hypermaps.frobenius import unstable02
 from hypermaps.rational import Q, rat_str
 from hypermaps.recursion import (
     Curve,
@@ -404,3 +406,31 @@ def test_rhm02_from_curve_examples():
                     continue
                 assert rhm02_from_curve(N, k1, k2) == O.enumerate_rhm(
                     O.Profile(N, 0, (k1 + 1, k2 + 1)))
+
+
+def test_rhm02_from_curve_matches_smatrix():
+    """The curve's two-point residue against the independent S-matrix
+    route, which gives the count over (k1+1)! (k2+1)!."""
+    for N in range(2, 6):
+        for k1 in range(7):
+            for k2 in range(7):
+                assert rhm02_from_curve(N, k1, k2) == (
+                    unstable02(N, k1, k2)
+                    * factorial(k1 + 1) * factorial(k2 + 1)), (N, k1, k2)
+
+
+@pytest.mark.parametrize("short", [(1, 0), (0, 1)])
+def test_rhm02_from_curve_short_series_raises(monkeypatch, short):
+    """A two-point series one order short in either variable makes the
+    read raise instead of returning a count."""
+    series = R._two_point_series
+
+    def one_short(N, p1, p2):
+        return series(N, p1 - short[0], p2 - short[1])
+
+    monkeypatch.setattr(R, "_two_point_series", one_short)
+    for N in (2, 3, 5):
+        for k1 in range(4):
+            for k2 in range(4):
+                with pytest.raises(ValueError):
+                    rhm02_from_curve(N, k1, k2)

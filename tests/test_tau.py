@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from hypermaps import oracle as O
@@ -8,6 +10,7 @@ from hypermaps.series import EpsLaurent, MultiSeries
 from hypermaps.tau import (
     _log_coefficient,
     coefficient_A,
+    coefficient_row,
     content_product,
     osmh_from_tau,
     rhm_from_tau,
@@ -48,6 +51,23 @@ def test_coefficient_A_nonzero_only_on_multiples(tz2):
     for lam in ((1,), (2, 1), (3, 1, 1)):
         assert not coefficient_A(2, lam)
     assert coefficient_A(2, (2,))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_coefficient_row_matches_eps_form(N):
+    """The integer form row / (N^m m!) * eps^(-m) is the eps-form A, and
+    is None exactly where A vanishes."""
+    for lam in partitions_upto(10):
+        form = coefficient_row(N, lam)
+        A = coefficient_A(N, lam)
+        if form is None:
+            assert not A, lam
+            continue
+        m, row = form
+        denom = N ** m * factorial(m)
+        assert A == EpsLaurent({e - m: Q(a, denom)
+                                for e, a in enumerate(row)}), lam
+        assert A, lam
 
 
 def test_tau_first_coefficient(tz2):
