@@ -58,7 +58,11 @@ def _cmd_rhm(args):
 
 
 def _cmd_crosscheck(args):
-    file_values = parse_config_file(args.config) if args.config else {}
+    try:
+        file_values = parse_config_file(args.config) if args.config else {}
+    except OSError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     overrides = {}
     if args.N:
         overrides["N"] = tuple(int(p) for p in args.N.split(","))
@@ -235,9 +239,6 @@ def main(argv=None):
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

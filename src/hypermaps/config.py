@@ -29,6 +29,8 @@ class RunConfig:
             raise ValueError("caps must be positive")
         if self.out not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.out!r}")
+        if not self.N or len(set(self.N)) < len(self.N):
+            raise ValueError(f"need distinct N values, got {list(self.N)}")
         if any(n < 2 for n in self.N):
             raise ValueError("N must be at least 2")
 

@@ -8,7 +8,8 @@ length N, runs along the black sides.  Rooting every white face and
 labeling them kills all automorphisms, so fixing phi_w is a normal form
 and counting phi_b counts rooted gluings.  The genus is read off from
 the Euler formula: V - E + F = 2 - 2g with E = d, F = n + d/N and V the
-number of cycles of phi_w o phi_b (phi_b applied first).
+number of cycles of phi_w o phi_b (phi_b applied first).  That is the
+one Euler accounting; `checks` derives a wrong one from its tables.
 """
 from __future__ import annotations
 
@@ -101,13 +102,12 @@ def _cycle_count(img):
     return count
 
 
-def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP, euler_variant="faces"):
+def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     """Counts by genus: dict g -> number of valid phi_b.
 
-    euler_variant selects how the Euler count is formed; anything other
-    than the correct "faces" accounting exists only so that the
-    calibration harness can demonstrate that a wrong convention is
-    caught by the closed-form anchors.
+    There is one Euler accounting, F = n + d/N.  The calibration check
+    derives a deliberately wrong accounting (black faces left out) from
+    this same table rather than enumerating it again.
     """
     degrees = tuple(degrees)
     d = sum(degrees)
@@ -115,7 +115,7 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP, euler_variant="faces"):
         raise ValueError("oracle cap exceeded")
     if d % N != 0:
         return {}
-    n = len(degrees)
+    faces = len(degrees) + d // N
     phi_w = _canonical_white(degrees)
     table = {}
     for phi_b in _all_n_cycle_perms(d, N):
@@ -132,14 +132,6 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP, euler_variant="faces"):
         # vertices: cycles of phi_w o phi_b, phi_b applied first
         prod = [phi_w[phi_b[i]] for i in range(d)]
         v = _cycle_count(prod)
-        if euler_variant == "faces":
-            faces = n + d // N
-        elif euler_variant == "noblack":
-            # deliberately wrong accounting (black faces forgotten);
-            # used by the negative calibration test
-            faces = n
-        else:
-            raise ValueError(f"unknown euler variant {euler_variant!r}")
         two_g = 2 - (v - d + faces)
         if two_g < 0 or two_g % 2:
             continue
@@ -148,10 +140,9 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP, euler_variant="faces"):
     return table
 
 
-def enumerate_rhm(profile: Profile, dart_cap=DEFAULT_DART_CAP,
-                  euler_variant="faces") -> int:
+def enumerate_rhm(profile: Profile, dart_cap=DEFAULT_DART_CAP) -> int:
     """Number of rooted hypermaps with the given profile."""
-    table = genus_table(profile.N, profile.degrees, dart_cap, euler_variant)
+    table = genus_table(profile.N, profile.degrees, dart_cap)
     return table.get(profile.g, 0)
 
 

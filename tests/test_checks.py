@@ -4,6 +4,7 @@ import pytest
 
 from hypermaps import checks
 from hypermaps.config import build_config
+from hypermaps.report import Report
 
 
 @pytest.fixture
@@ -45,3 +46,20 @@ def test_curve_check_fallback_recursion(builds, overrides, per_N):
     assert report.ok
     assert builds == {2: per_N, 3: per_N}
     assert _zn_covariance(report) == {2: "pass", 3: "pass"}
+
+
+def test_calibration_enumerates_each_table_once(monkeypatch):
+    """One genus table per calibration step serves both the right and the
+    deliberately wrong Euler accounting."""
+    calls = []
+    genus_table = checks.oracle.genus_table
+
+    def counting(*args):
+        calls.append(args)
+        return genus_table(*args)
+
+    monkeypatch.setattr(checks.oracle, "genus_table", counting)
+    report = Report({})
+    checks._check_oracle_calibration(report, 12)
+    assert len(calls) == 29
+    assert [r.verdict for r in report.records] == ["pass", "pass"]

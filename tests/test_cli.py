@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,9 @@ from hypermaps.config import RunConfig, build_config, parse_config_file
 from hypermaps.rational import parse_rat, rat_str
 from hypermaps.recursion import Recursion
 from hypermaps.report import Report, emit
+
+CROSSCHECK_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
+                        / "reference" / "crosscheck_cold.json")
 
 
 def test_rhm_oracle(capsys):
@@ -170,6 +175,43 @@ def test_config_validation():
         RunConfig(out="xml")
     with pytest.raises(ValueError, match="N must be at least 2"):
         RunConfig(N=(1,))
+    with pytest.raises(ValueError, match=r"need distinct N values, got \[\]"):
+        RunConfig(N=())
+    with pytest.raises(ValueError, match="need distinct N values"):
+        RunConfig(N=(2, 3, 2))
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--N", "2,2"], None),
+    ([], "N =\n"),
+])
+def test_crosscheck_bad_N_list_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(["crosscheck"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["a_directory", "missing.conf"])
+def test_crosscheck_unreadable_config_exits_2(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    assert main(["crosscheck", "--config", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_crosscheck_cold_report_bytes(capsysbinary):
+    """The benchmark's crosscheck request reproduces its reference
+    report byte for byte."""
+    ref = json.loads(CROSSCHECK_REFERENCE.read_text())
+    assert main(ref["args"] + ["--threads", "2"]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == ref["sha256"]
 
 
 def test_emit_determinism_and_formats():

@@ -1,5 +1,6 @@
 import pytest
 
+from hypermaps.checks import _noblack_table
 from hypermaps.oracle import (
     Profile,
     enumerate_rhm,
@@ -58,7 +59,8 @@ def test_indivisible_totals_vanish():
 def test_cap_error():
     with pytest.raises(ValueError, match="oracle cap exceeded"):
         enumerate_rhm(Profile(2, 0, (14,)))
-    assert enumerate_rhm(Profile(2, 0, (14,)), dart_cap=14) >= 0
+    assert enumerate_rhm(Profile(2, 0, (14,)), dart_cap=14) == \
+        rhm01_closed(2, 13) == 429
 
 
 def test_wrong_euler_accounting_is_caught():
@@ -68,13 +70,23 @@ def test_wrong_euler_accounting_is_caught():
     for N, cap in ((2, 12), (3, 9), (4, 8)):
         for k in range(cap):
             want = rhm01_closed(N, k)
-            got = enumerate_rhm(Profile(N, 0, (k + 1,)),
-                                euler_variant="noblack")
-            if got != want:
+            wrong = _noblack_table(genus_table(N, (k + 1,)), (k + 1) // N)
+            if wrong.get(0, 0) != want:
                 mismatches += 1
     assert mismatches > 0
 
 
-def test_unknown_variant_rejected():
-    with pytest.raises(ValueError, match="unknown euler variant"):
-        genus_table(2, (2,), euler_variant="mirror")
+@pytest.mark.parametrize("N, degrees, wrong", [
+    # enumerated directly with F = n in the Euler count
+    (2, (4,), {1: 2, 2: 1}),
+    (2, (2,), {}),
+    (2, (3, 1), {1: 3}),
+    (2, (2, 2, 2), {}),
+    (3, (6,), {1: 3, 2: 25, 3: 12}),
+    (3, (2, 2, 2), {1: 32, 2: 8}),
+    (4, (4,), {}),
+    (4, (4, 4), {1: 24, 2: 444, 3: 756}),
+])
+def test_noblack_table_pinned(N, degrees, wrong):
+    table = genus_table(N, degrees)
+    assert _noblack_table(table, sum(degrees) // N) == wrong
