@@ -191,19 +191,22 @@ def _check_curve_identities(report, N_list, recursions, cache_dir):
                    not bad)
 
 
-def _check_unstable_curve(report, N_list):
+def _check_unstable_curve(report, N_list, dart_cap):
     for N in N_list:
         ok = True
         for k in range(9):
             if rhm01_from_curve(N, k) != oracle.rhm01_closed(N, k):
                 ok = False
         for k1 in range(4):
-            for k2 in range(4):
-                if (k1 + k2 + 2) % N:
+            for k2 in range(k1, 4):
+                if (k1 + k2 + 2) % N or k1 + k2 + 2 > dart_cap:
                     continue
+                # a count does not depend on the order of the faces: one
+                # table per degree multiset serves both orders
                 want = oracle.enumerate_rhm(
-                    oracle.Profile(N, 0, (k1 + 1, k2 + 1)))
-                if rhm02_from_curve(N, k1, k2) != want:
+                    oracle.Profile(N, 0, (k1 + 1, k2 + 1)), dart_cap)
+                if rhm02_from_curve(N, k1, k2) != want \
+                        or rhm02_from_curve(N, k2, k1) != want:
                     ok = False
         report.add("curve.unstable_shortcuts", {"N": N}, {}, ok)
 
@@ -245,7 +248,7 @@ def run_crosscheck(config: RunConfig) -> Report:
     try:
         _check_curve_identities(report, config.N, recursions,
                                 config.cache_dir)
-        _check_unstable_curve(report, config.N)
+        _check_unstable_curve(report, config.N, config.dart_cap)
     except Exception as exc:  # noqa: BLE001
         report.add_error("curve.identities", {}, exc)
     return report

@@ -173,7 +173,8 @@ def build_parser():
                    help="comma separated positive face degrees")
     p.add_argument("--engine", choices=("oracle", "tr", "tau"),
                    default="oracle")
-    p.add_argument("--dart-cap", type=int, default=12)
+    p.add_argument("--dart-cap", type=int,
+                   default=oracle.DEFAULT_DART_CAP)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_rhm)
 

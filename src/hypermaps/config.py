@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .oracle import DEFAULT_DART_CAP
+
 VALID_ENGINES = ("oracle", "tr", "tau")
 
 
@@ -12,7 +14,7 @@ class RunConfig:
     g_max: int = 2
     n_max: int = 3
     weight_cap: int = 10
-    dart_cap: int = 12
+    dart_cap: int = DEFAULT_DART_CAP
     engines: tuple = VALID_ENGINES
     out: str = "json"
     cache_dir: str = None

@@ -10,10 +10,18 @@ and counting phi_b counts rooted gluings.  The genus is read off from
 the Euler formula: V - E + F = 2 - 2g with E = d, F = n + d/N and V the
 number of cycles of phi_w o phi_b (phi_b applied first).  That is the
 one Euler accounting; `checks` derives a wrong one from its tables.
+
+`genus_table` never builds a whole phi_b.  It grows phi_b one black
+cycle at a time and keeps two counts as it grows: V, from the open paths
+of phi_w o phi_b that the placed arcs form, and transitivity, from the
+white faces the black cycles have linked so far (bitmask components).
+The transparent build-and-scan enumeration stays in the tests as the
+reference it must equal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import comb
 
 DEFAULT_DART_CAP = 12
@@ -45,65 +53,21 @@ def _canonical_white(degrees):
     return img
 
 
-def _all_n_cycle_perms(d, N):
-    """Every permutation of {0..d-1} whose cycles all have length N,
-    each produced once: the first cycle starts at the smallest unplaced
-    dart, continues with any (N-1)-arrangement of the rest, recurse."""
-    from itertools import permutations
-
-    def rec(remaining):
-        if not remaining:
-            yield {}
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        for body in permutations(rest, N - 1):
-            cycle = (first,) + body
-            used = set(cycle)
-            tail = [x for x in rest if x not in used]
-            for sub in rec(tail):
-                m = dict(sub)
-                for i in range(N):
-                    m[cycle[i]] = cycle[(i + 1) % N]
-                yield m
-    yield from rec(list(range(d)))
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[ra] = rb
-            return True
-        return False
-
-
-def _cycle_count(img):
-    seen = [False] * len(img)
-    count = 0
-    for i in range(len(img)):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = img[j]
-    return count
-
-
 def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     """Counts by genus: dict g -> number of valid phi_b.
+
+    phi_b grows one black cycle at a time, each starting at the smallest
+    unplaced dart and continuing with any (N-1)-arrangement of the rest,
+    so every phi_b is reached once.  The arcs u -> phi_w(phi_b(u)) placed
+    so far form open paths of phi_w o phi_b: `head[t]` is the first dart
+    of the path that ends at t, `tail[h]` the last dart of the path that
+    starts at h.  A new arc from a tail u to a head w closes its own path
+    (one vertex more) when w = head[u], and joins two paths otherwise.
+    The white faces linked so far are bitmask components, and each black
+    cycle merges those its darts lie on.  Joins are undone on backtrack.
+    The last cycle closes every open path at once: its vertices are the
+    cycles of the permutation it induces on those paths, and it is tried
+    only when it links every component, so a leaf costs O(N).
 
     There is one Euler accounting, F = n + d/N.  The calibration check
     derives a deliberately wrong accounting (black faces left out) from
@@ -117,26 +81,70 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
         return {}
     faces = len(degrees) + d // N
     phi_w = _canonical_white(degrees)
+    face = [1 << f for f, side in enumerate(degrees) for _ in range(side)]
+    head = list(range(d))
+    tail = list(range(d))
+    by_v = [0] * (d + 1)
+
+    def grow(remaining, comps, v):
+        first, rest = remaining[0], remaining[1:]
+        if len(rest) == N - 1:
+            mask = face[first]
+            for x in rest:
+                mask |= face[x]
+            if not all(c & mask for c in comps):
+                return
+            # the open path ending at u continues, through the arc
+            # u -> phi_w(phi_b(u)), into the path ending at ends[phi_b(u)]
+            ends = {x: tail[phi_w[x]] for x in remaining}
+            for body in permutations(rest):
+                cycle = (first,) + body
+                nxt = dict(zip(cycle, body + (first,)))
+                cycles = 0
+                for u in cycle:
+                    if u in nxt:
+                        cycles += 1
+                        while u in nxt:
+                            u = ends[nxt.pop(u)]
+                by_v[v + cycles] += 1
+            return
+        for body in permutations(rest, N - 1):
+            mask = face[first]
+            for x in body:
+                mask |= face[x]
+            merged, apart = mask, []
+            for c in comps:
+                if c & mask:
+                    merged |= c
+                else:
+                    apart.append(c)
+            closed = 0
+            joins = []
+            u = body[-1]
+            for x in (first,) + body:
+                # phi_b(u) = x, so the arc u -> phi_w(x)
+                w = phi_w[x]
+                a = head[u]
+                if a == w:
+                    closed += 1
+                else:
+                    b = tail[w]
+                    tail[a] = b
+                    head[b] = a
+                    joins.append((a, b, u, w))
+                u = x
+            grow([x for x in rest if x not in body], apart + [merged],
+                 v + closed)
+            for a, b, u, w in reversed(joins):
+                tail[a] = u
+                head[b] = w
+
+    grow(list(range(d)), [], 0)
     table = {}
-    for phi_b in _all_n_cycle_perms(d, N):
-        # transitivity of <phi_w, phi_b>
-        uf = _UnionFind(d)
-        comps = d
-        for i in range(d):
-            if uf.union(i, phi_w[i]):
-                comps -= 1
-            if uf.union(i, phi_b[i]):
-                comps -= 1
-        if comps != 1:
-            continue
-        # vertices: cycles of phi_w o phi_b, phi_b applied first
-        prod = [phi_w[phi_b[i]] for i in range(d)]
-        v = _cycle_count(prod)
+    for v in range(d, 0, -1):
         two_g = 2 - (v - d + faces)
-        if two_g < 0 or two_g % 2:
-            continue
-        g = two_g // 2
-        table[g] = table.get(g, 0) + 1
+        if by_v[v] and two_g >= 0 and two_g % 2 == 0:
+            table[two_g // 2] = by_v[v]
     return table
 
 

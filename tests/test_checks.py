@@ -48,9 +48,8 @@ def test_curve_check_fallback_recursion(builds, overrides, per_N):
     assert _zn_covariance(report) == {2: "pass", 3: "pass"}
 
 
-def test_calibration_enumerates_each_table_once(monkeypatch):
-    """One genus table per calibration step serves both the right and the
-    deliberately wrong Euler accounting."""
+def _counting_genus_table(monkeypatch):
+    """Record the arguments of every oracle table the checks enumerate."""
     calls = []
     genus_table = checks.oracle.genus_table
 
@@ -59,7 +58,36 @@ def test_calibration_enumerates_each_table_once(monkeypatch):
         return genus_table(*args)
 
     monkeypatch.setattr(checks.oracle, "genus_table", counting)
+    return calls
+
+
+def test_calibration_enumerates_each_table_once(monkeypatch):
+    """One genus table per calibration step serves both the right and the
+    deliberately wrong Euler accounting."""
+    calls = _counting_genus_table(monkeypatch)
     report = Report({})
     checks._check_oracle_calibration(report, 12)
     assert len(calls) == 29
+    assert [r.verdict for r in report.records] == ["pass", "pass"]
+
+
+def test_crosscheck_keeps_the_dart_cap(monkeypatch):
+    """No oracle table of a crosscheck is larger than the run's cap."""
+    calls = _counting_genus_table(monkeypatch)
+    cfg = build_config({}, N=(3,), g_max=0, n_max=1, dart_cap=3,
+                       engines=("tau",))
+    report = checks.run_crosscheck(cfg)
+    assert report.ok
+    assert calls
+    assert max(sum(degrees) for _, degrees, *_ in calls) <= 3
+
+
+def test_unstable_curve_enumerates_each_multiset_once(monkeypatch):
+    """One genus table per degree multiset serves both orders."""
+    calls = _counting_genus_table(monkeypatch)
+    report = Report({})
+    checks._check_unstable_curve(report, (2, 3), 12)
+    assert [(N, tuple(degrees)) for N, degrees, _ in calls] == [
+        (2, (1, 1)), (2, (1, 3)), (2, (2, 2)), (2, (2, 4)), (2, (3, 3)),
+        (2, (4, 4)), (3, (1, 2)), (3, (2, 4)), (3, (3, 3))]
     assert [r.verdict for r in report.records] == ["pass", "pass"]

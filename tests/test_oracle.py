@@ -1,4 +1,5 @@
 import pytest
+from oracle_reference import reference_genus_table
 
 from hypermaps.checks import _noblack_table
 from hypermaps.oracle import (
@@ -7,6 +8,31 @@ from hypermaps.oracle import (
     genus_table,
     rhm01_closed,
 )
+from hypermaps.partitions import partitions
+
+
+def _reference_grid():
+    """Every weakly decreasing degree tuple with at most 4 faces and at
+    most d_max darts, N | d, and the reversed order of each multi-face
+    tuple."""
+    for N, d_max in ((2, 10), (3, 9), (4, 8), (5, 5)):
+        for d in range(N, d_max + 1, N):
+            for degrees in partitions(d):
+                if len(degrees) > 4:
+                    continue
+                yield N, degrees
+                if len(set(degrees)) > 1:
+                    yield N, degrees[::-1]
+
+
+def test_genus_table_equals_reference():
+    """The incremental enumeration gives the tables of building and
+    scanning every phi_b."""
+    grid = list(_reference_grid())
+    assert len(grid) == 193
+    for N, degrees in grid:
+        assert genus_table(N, degrees) == \
+            reference_genus_table(N, degrees), (N, degrees)
 
 
 def test_anchor_values():
