@@ -70,14 +70,25 @@ def _check_residue_lemma(report):
         ok = True
         for alpha in range(1, N + 1):
             for k in range(RESIDUE_K_MAX + 1):
-                for a in range(k + 1):
-                    if not frobenius.s_column_residue_check(N, alpha, a, k):
-                        ok = False
+                if not all(frobenius.residue_lemma_column(N, alpha, k)):
+                    ok = False
         report.add("frobenius.residue_lemma_sweep",
                    {"N": N, "k_max": RESIDUE_K_MAX}, {}, ok)
 
 
-def _check_unstable(report, dart_cap):
+def _table(tables, N, degrees, dart_cap):
+    """The oracle's genus table for (N, degrees), enumerated once per
+    degree multiset in `tables`, which lives as long as one request.  A
+    count does not depend on the order of the faces."""
+    key = (N, tuple(sorted(degrees)))
+    table = tables.get(key)
+    if table is None:
+        # positional: perfbench's tracer reads N and degrees from args
+        table = tables[key] = oracle.genus_table(N, degrees, dart_cap)
+    return table
+
+
+def _check_unstable(report, dart_cap, tables):
     from math import factorial
     for N in (2, 3, 4):
         ok01 = True
@@ -85,8 +96,7 @@ def _check_unstable(report, dart_cap):
             if k + 1 > dart_cap:
                 break
             lhs = frobenius.unstable01(N, k) * factorial(k + 1)
-            rhs = oracle.enumerate_rhm(oracle.Profile(N, 0, (k + 1,)),
-                                       dart_cap)
+            rhs = _table(tables, N, (k + 1,), dart_cap).get(0, 0)
             if lhs != rhs:
                 ok01 = False
         report.add("frobenius.unstable01_vs_oracle", {"N": N}, {}, ok01)
@@ -97,8 +107,7 @@ def _check_unstable(report, dart_cap):
                     continue
                 lhs = (frobenius.unstable02(N, k1, k2)
                        * factorial(k1 + 1) * factorial(k2 + 1))
-                rhs = oracle.enumerate_rhm(
-                    oracle.Profile(N, 0, (k1 + 1, k2 + 1)), dart_cap)
+                rhs = _table(tables, N, (k1 + 1, k2 + 1), dart_cap).get(0, 0)
                 if lhs != rhs:
                     ok02 = False
         report.add("frobenius.unstable02_vs_oracle", {"N": N}, {}, ok02)
@@ -112,17 +121,16 @@ def _noblack_table(table, black_faces):
     return {g + black_faces // 2: count for g, count in table.items()}
 
 
-def _check_oracle_calibration(report, dart_cap):
+def _check_oracle_calibration(report, dart_cap, tables):
     """The orientation convention is pinned by the closed form; the same
     sweep read with a deliberately wrong Euler accounting must fail."""
     good, bad_detected = True, False
     for N, d_cap in ((2, 12), (3, 9), (4, 8)):
         for k in range(min(dart_cap, d_cap)):
-            if (k + 1) % N and oracle.rhm01_closed(N, k) != 0:
-                good = False
             expect = oracle.rhm01_closed(N, k)
-            # positional: perfbench's tracer reads N and degrees from args
-            table = oracle.genus_table(N, (k + 1,), dart_cap)
+            if (k + 1) % N and expect != 0:
+                good = False
+            table = _table(tables, N, (k + 1,), dart_cap)
             if table.get(0, 0) != expect:
                 good = False
             if _noblack_table(table, (k + 1) // N).get(0, 0) != expect:
@@ -132,7 +140,7 @@ def _check_oracle_calibration(report, dart_cap):
                {"variant": "noblack"}, {}, bad_detected)
 
 
-def _three_way_for_N(N, cfg: RunConfig):
+def _three_way_for_N(N, cfg: RunConfig, tables):
     """All engine comparisons for a single N; returns the rows and the
     Recursion the tr engine used (None when it did not run)."""
     rows = []
@@ -143,8 +151,8 @@ def _three_way_for_N(N, cfg: RunConfig):
                                       cfg.weight_cap):
         values = {}
         if "oracle" in cfg.engines and sum(degrees) <= cfg.dart_cap:
-            values["oracle"] = oracle.enumerate_rhm(
-                oracle.Profile(N, g, degrees), cfg.dart_cap)
+            values["oracle"] = _table(tables, N, degrees,
+                                      cfg.dart_cap).get(g, 0)
         if rec is not None:
             values["tr"] = rec.rhm_from_tr(g, degrees)
         if tz is not None:
@@ -191,7 +199,7 @@ def _check_curve_identities(report, N_list, recursions, cache_dir):
                    not bad)
 
 
-def _check_unstable_curve(report, N_list, dart_cap):
+def _check_unstable_curve(report, N_list, dart_cap, tables):
     for N in N_list:
         ok = True
         for k in range(9):
@@ -201,10 +209,9 @@ def _check_unstable_curve(report, N_list, dart_cap):
             for k2 in range(k1, 4):
                 if (k1 + k2 + 2) % N or k1 + k2 + 2 > dart_cap:
                     continue
-                # a count does not depend on the order of the faces: one
-                # table per degree multiset serves both orders
-                want = oracle.enumerate_rhm(
-                    oracle.Profile(N, 0, (k1 + 1, k2 + 1)), dart_cap)
+                # one table per degree multiset serves both orders
+                want = _table(tables, N, (k1 + 1, k2 + 1),
+                              dart_cap).get(0, 0)
                 if rhm02_from_curve(N, k1, k2) != want \
                         or rhm02_from_curve(N, k2, k1) != want:
                     ok = False
@@ -213,19 +220,22 @@ def _check_unstable_curve(report, N_list, dart_cap):
 
 def run_crosscheck(config: RunConfig) -> Report:
     report = Report(config.echo())
+    # oracle tables by (N, sorted degrees), for this request only: every
+    # table in it was enumerated under this request's dart cap
+    tables = {}
     try:
         _check_smatrix_gates(report)
         _check_frame(report)
         _check_residue_lemma(report)
-        _check_unstable(report, config.dart_cap)
-        _check_oracle_calibration(report, config.dart_cap)
+        _check_unstable(report, config.dart_cap, tables)
+        _check_oracle_calibration(report, config.dart_cap, tables)
     except Exception as exc:  # noqa: BLE001 - must become a record
         report.add_error("frobenius.gates", {}, exc)
 
     recursions = {}
     for N in config.N:
         try:
-            rows, rec = _three_way_for_N(N, config)
+            rows, rec = _three_way_for_N(N, config, tables)
         except Exception as exc:  # noqa: BLE001
             report.add_error("rhm.three_way", {"N": N}, exc)
             continue
@@ -248,7 +258,7 @@ def run_crosscheck(config: RunConfig) -> Report:
     try:
         _check_curve_identities(report, config.N, recursions,
                                 config.cache_dir)
-        _check_unstable_curve(report, config.N, config.dart_cap)
+        _check_unstable_curve(report, config.N, config.dart_cap, tables)
     except Exception as exc:  # noqa: BLE001
         report.add_error("curve.identities", {}, exc)
     return report

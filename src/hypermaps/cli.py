@@ -27,6 +27,13 @@ def _parse_degrees(text):
     return degrees
 
 
+def _parse_orders(text):
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError("--N must be comma separated integers")
+
+
 def _cmd_rhm(args):
     degrees = _parse_degrees(args.degrees)
     N, g = args.N, args.genus
@@ -64,8 +71,8 @@ def _cmd_crosscheck(args):
         print(str(exc), file=sys.stderr)
         return 2
     overrides = {}
-    if args.N:
-        overrides["N"] = tuple(int(p) for p in args.N.split(","))
+    if args.N is not None:
+        overrides["N"] = _parse_orders(args.N)
     for name in ("g_max", "n_max", "weight_cap", "dart_cap", "threads"):
         v = getattr(args, name)
         if v is not None:

@@ -286,6 +286,30 @@ def tilde_xi(N: int, alpha: int, trunc: int) -> UniSeries:
     return UniSeries("z", QRING, c, trunc)
 
 
+def _residue_lhs(N: int, alpha: int, k: int, a_max: int):
+    """Left-hand sides [z^-1] x^(k+1)/(k+1)! g_a' for a = 0..a_max, from
+    one derivative chain g_0 = tilde_xi^alpha, g_(a+1) = -g_a'/x'.
+
+    Every series is known modulo z^T, T = k + 2: for the power series
+    g_a, [z^-1] x^(k+1) g_a' needs no more.  1/x' starts at z^2 and is
+    inverted to T + 2.  A shortfall raises ValueError.
+    """
+    T = k + 2
+    # the simple pole of x sits at z = 0; everything expands in z there
+    x = UniSeries("z", QRING, {-1: QONE, N - 1: QONE}, None)
+    xprime = UniSeries("z", QRING, {-2: -QONE, N - 2: Q(N - 1)}, None)
+    xprime_inv = xprime.inv(prec=T + 2)
+    x_power = x.pow(k + 1, prec=T)
+    scale = factorial_q(k + 1)
+    g = tilde_xi(N, alpha, T)
+    out = []
+    for a in range(a_max + 1):
+        if a:
+            g = (-(g.deriv() * xprime_inv)).truncated(T)
+        out.append((x_power * g.deriv()).coeff(-1) / scale)
+    return out
+
+
 def s_column_residue_check(N: int, alpha: int, a: int, k: int) -> bool:
     """Check the residue of x^(k+1)/(k+1)! d(-d/dx)^a tilde_xi^alpha at
     the simple pole of x against 0 (a > k >= -1) or (S_{k-a})^alpha_1
@@ -296,24 +320,20 @@ def s_column_residue_check(N: int, alpha: int, a: int, k: int) -> bool:
     so the identity pins the whole first S column either way; we keep
     the chart where the reduction to the S-column integrals is a direct
     integration by parts.
-
-    Every series is known modulo z^T, T = k + 2: for the power series
-    g = (-d/dx)^a tilde_xi, [z^-1] x^(k+1) g' needs no more.  1/x'
-    starts at z^2 and is inverted to T + 2.  A shortfall raises ValueError.
     """
     if a < 0 or k < -1:
         raise ValueError("need a >= 0 and k >= -1")
-    T = k + 2
-    # the simple pole of x sits at z = 0; everything expands in z there
-    x = UniSeries("z", QRING, {-1: QONE, N - 1: QONE}, None)
-    xprime = UniSeries("z", QRING, {-2: -QONE, N - 2: Q(N - 1)}, None)
-    xprime_inv = xprime.inv(prec=T + 2)
-    g = tilde_xi(N, alpha, T)
-    for _ in range(a):
-        g = (-(g.deriv() * xprime_inv)).truncated(T)
-    form = x.pow(k + 1, prec=T) * g.deriv()
-    lhs = form.coeff(-1) / factorial_q(k + 1)
+    lhs = _residue_lhs(N, alpha, k, a)[a]
     return lhs == (QZERO if a > k else s_entry(N, k - a, alpha, 1))
+
+
+def residue_lemma_column(N: int, alpha: int, k: int) -> tuple:
+    """`s_column_residue_check(N, alpha, a, k)` for a = 0..k, every
+    left-hand side read from one derivative chain."""
+    if k < 0:
+        raise ValueError("need k >= 0")
+    return tuple(lhs == s_entry(N, k - a, alpha, 1)
+                 for a, lhs in enumerate(_residue_lhs(N, alpha, k, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +349,13 @@ def unstable01(N: int, k: int):
     return Q(1, N - 1) * s_entry(N, k + 2, 2, 1)
 
 
-def unstable02(N: int, k1: int, k2: int):
-    """(g,n) = (0,2) value: coefficient of w1^k1 w2^k2 in the double
-    S-column kernel divided by w1 + w2; equals the two-boundary count
-    divided by (k1+1)!(k2+1)!."""
-    if k1 < 0 or k2 < 0:
-        raise ValueError("orders must be nonnegative")
+@lru_cache(maxsize=None)
+def _unstable02_window(N: int, deg: int):
+    """Quotient by w1 + w2 of the double S-column kernel's numerator at
+    total degree <= deg, read on its top degree: entry k1 is the
+    coefficient of w1^k1 w2^(deg-1-k1).  Raises when the numerator
+    window is not divisible."""
     et = eta(N)
-    deg = k1 + k2 + 1
     # numerator h at total degree <= deg; only the antidiagonal of eta
     # contributes
     col = {n: [s_entry(N, n, a, 1) for a in range(1, N + 1)]
@@ -363,4 +382,14 @@ def unstable02(N: int, k1: int, k2: int):
         up = q.get((i, j - 1), QZERO)
         if left + up != v:
             raise ArithmeticError("numerator not divisible by w1+w2")
-    return q[k1, k2]
+    return tuple(q[i, deg - 1 - i] for i in range(deg))
+
+
+def unstable02(N: int, k1: int, k2: int):
+    """(g,n) = (0,2) value: coefficient of w1^k1 w2^k2 in the double
+    S-column kernel divided by w1 + w2; equals the two-boundary count
+    divided by (k1+1)!(k2+1)!.  One quotient window per total degree
+    serves every (k1, k2) on it."""
+    if k1 < 0 or k2 < 0:
+        raise ValueError("orders must be nonnegative")
+    return _unstable02_window(N, k1 + k2 + 1)[k1]

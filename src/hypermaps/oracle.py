@@ -21,6 +21,7 @@ reference it must equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
@@ -53,6 +54,33 @@ def _canonical_white(degrees):
     return img
 
 
+@lru_cache(maxsize=None)
+def _closings(N, cycle_type):
+    """Histogram ((cycles, count), ...) of the cycle counts of pi o gamma
+    over the (N-1)! N-cycles gamma, for any pi of the given cycle type.
+
+    Conjugating pi by s conjugates every pi o gamma and permutes the
+    N-cycles, so the histogram depends only on (N, cycle type): a few
+    entries per N, whatever the tables asked.
+    """
+    pi = []
+    for n in cycle_type:
+        start = len(pi)
+        pi.extend(range(start + 1, start + n))
+        pi.append(start)
+    counts = {}
+    for body in permutations(range(1, N)):
+        gamma = dict(zip((0,) + body, body + (0,)))
+        cycles = 0
+        for u in range(N):
+            if u in gamma:
+                cycles += 1
+                while u in gamma:
+                    u = pi[gamma.pop(u)]
+        counts[cycles] = counts.get(cycles, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     """Counts by genus: dict g -> number of valid phi_b.
 
@@ -66,8 +94,10 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     The white faces linked so far are bitmask components, and each black
     cycle merges those its darts lie on.  Joins are undone on backtrack.
     The last cycle closes every open path at once: its vertices are the
-    cycles of the permutation it induces on those paths, and it is tried
-    only when it links every component, so a leaf costs O(N).
+    cycles of the permutation it induces on those paths, and their count
+    over all closing cycles depends only on the cycle type of the way
+    the open paths chain (`_closings`).  It is tried only when it links
+    every component, so a leaf costs O(N).
 
     There is one Euler accounting, F = n + d/N.  The calibration check
     derives a deliberately wrong accounting (black faces left out) from
@@ -95,18 +125,20 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
             if not all(c & mask for c in comps):
                 return
             # the open path ending at u continues, through the arc
-            # u -> phi_w(phi_b(u)), into the path ending at ends[phi_b(u)]
-            ends = {x: tail[phi_w[x]] for x in remaining}
-            for body in permutations(rest):
-                cycle = (first,) + body
-                nxt = dict(zip(cycle, body + (first,)))
-                cycles = 0
-                for u in cycle:
-                    if u in nxt:
-                        cycles += 1
-                        while u in nxt:
-                            u = ends[nxt.pop(u)]
-                by_v[v + cycles] += 1
+            # u -> phi_w(phi_b(u)), into the path ending at pi(phi_b(u)),
+            # pi(x) = tail[phi_w(x)]; only the cycle type of pi matters
+            lengths = []
+            seen = set()
+            for x in remaining:
+                if x not in seen:
+                    n = 0
+                    while x not in seen:
+                        seen.add(x)
+                        x = tail[phi_w[x]]
+                        n += 1
+                    lengths.append(n)
+            for cycles, count in _closings(N, tuple(sorted(lengths))):
+                by_v[v + cycles] += count
             return
         for body in permutations(rest, N - 1):
             mask = face[first]

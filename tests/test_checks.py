@@ -66,7 +66,7 @@ def test_calibration_enumerates_each_table_once(monkeypatch):
     deliberately wrong Euler accounting."""
     calls = _counting_genus_table(monkeypatch)
     report = Report({})
-    checks._check_oracle_calibration(report, 12)
+    checks._check_oracle_calibration(report, 12, {})
     assert len(calls) == 29
     assert [r.verdict for r in report.records] == ["pass", "pass"]
 
@@ -86,8 +86,36 @@ def test_unstable_curve_enumerates_each_multiset_once(monkeypatch):
     """One genus table per degree multiset serves both orders."""
     calls = _counting_genus_table(monkeypatch)
     report = Report({})
-    checks._check_unstable_curve(report, (2, 3), 12)
+    checks._check_unstable_curve(report, (2, 3), 12, {})
     assert [(N, tuple(degrees)) for N, degrees, _ in calls] == [
         (2, (1, 1)), (2, (1, 3)), (2, (2, 2)), (2, (2, 4)), (2, (3, 3)),
         (2, (4, 4)), (3, (1, 2)), (3, (2, 4)), (3, (3, 3))]
     assert [r.verdict for r in report.records] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("options", [
+    # the benchmark's crosscheck request
+    dict(N=(2, 3), g_max=1, n_max=1),
+    # the three-way check asks for (5, 1), (4, 2) and (3, 3), which the
+    # unstable check has enumerated in ascending order
+    dict(N=(3,), g_max=1, n_max=2, weight_cap=6, engines=("oracle",)),
+])
+def test_crosscheck_enumerates_each_multiset_once(monkeypatch, options):
+    """A crosscheck enumerates one oracle table per (N, sorted degrees)."""
+    calls = _counting_genus_table(monkeypatch)
+    report = checks.run_crosscheck(build_config({}, **options))
+    assert report.ok
+    multisets = {(N, tuple(sorted(degrees))) for N, degrees, _ in calls}
+    assert len(calls) == len(multisets) == 105
+
+
+def test_tables_do_not_outlive_the_request(monkeypatch):
+    """A small-cap crosscheck after a default-cap one in the same process
+    enumerates its own tables under its own cap."""
+    options = dict(N=(3,), g_max=0, n_max=1, engines=("tau",))
+    assert checks.run_crosscheck(build_config({}, **options)).ok
+    calls = _counting_genus_table(monkeypatch)
+    report = checks.run_crosscheck(build_config({}, dart_cap=3, **options))
+    assert report.ok
+    assert calls
+    assert max(sum(degrees) for _, degrees, _ in calls) <= 3

@@ -196,6 +196,15 @@ def test_crosscheck_bad_N_list_exits_2(tmp_path, capsys, argv, config):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("orders", [",", "2,x", "2,", ""])
+def test_crosscheck_malformed_N_exits_2(capsys, orders):
+    assert main(["crosscheck", "--N", orders]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "--N must be comma separated integers"]
+
+
 @pytest.mark.parametrize("name", ["a_directory", "missing.conf"])
 def test_crosscheck_unreadable_config_exits_2(tmp_path, capsys, name):
     (tmp_path / "a_directory").mkdir()

@@ -79,6 +79,30 @@ def test_residue_lemma_short_order_raises(monkeypatch):
             F.s_column_residue_check(*case)
 
 
+SWEEP = [(N, alpha, k) for N in range(2, 5) for alpha in range(1, N + 1)
+         for k in range(9)]
+
+
+def test_residue_lemma_column_equals_per_case_checks():
+    """The crosscheck's sweep reads every a <= k from one chain; each
+    entry is the per-case check, and every one holds."""
+    assert len(SWEEP) == 81
+    for N, alpha, k in SWEEP:
+        column = F.residue_lemma_column(N, alpha, k)
+        assert column == tuple(F.s_column_residue_check(N, alpha, a, k)
+                               for a in range(k + 1)), (N, alpha, k)
+        assert all(column), (N, alpha, k)
+
+
+def test_residue_lemma_column_short_order_raises(monkeypatch):
+    tilde_xi = F.tilde_xi
+    monkeypatch.setattr(F, "tilde_xi",
+                        lambda N, alpha, trunc: tilde_xi(N, alpha, trunc - 1))
+    for case in SWEEP:
+        with pytest.raises(ValueError):
+            F.residue_lemma_column(*case)
+
+
 def test_psi_orthogonality():
     for N in range(2, 7):
         assert all(ok for _, _, ok in F.psi_orthogonality_defect(N))
@@ -138,6 +162,57 @@ def test_unstable02_vs_oracle():
                     * factorial(k1 + 1) * factorial(k2 + 1)
                 assert lhs == O.enumerate_rhm(
                     O.Profile(N, 0, (k1 + 1, k2 + 1))), (N, k1, k2)
+
+
+def reference_unstable02(N: int, k1: int, k2: int):
+    """unstable02 one pair at a time: the numerator window at total
+    degree k1 + k2 + 1 built, divided by w1 + w2 and checked for this
+    pair alone."""
+    et = F.eta(N)
+    deg = k1 + k2 + 1
+    col = {n: [F.s_entry(N, n, a, 1) for a in range(1, N + 1)]
+           for n in range(deg + 1)}
+    h = {}
+    for i in range(deg + 1):
+        for j in range(deg + 1 - i):
+            v = QZERO
+            for a in range(1, N + 1):
+                b = N + 1 - a
+                v += et[a, b] * col[i][a - 1] * col[j][b - 1]
+            h[i, j] = v
+    h[0, 0] -= et[1, 1]
+    q = {}
+    for j in range(deg):
+        for i in range(deg - j):
+            q[i, j] = h[i + 1, j] - (q[i + 1, j - 1] if j >= 1 else QZERO)
+    for (i, j), v in h.items():
+        left = q.get((i - 1, j), QZERO)
+        up = q.get((i, j - 1), QZERO)
+        if left + up != v:
+            raise ArithmeticError("numerator not divisible by w1+w2")
+    return q[k1, k2]
+
+
+def test_unstable02_equals_reference():
+    pairs = [(N, k1, k2) for N in range(2, 6) for k1 in range(11)
+             for k2 in range(11 - k1)]
+    assert len(pairs) == 264
+    for N, k1, k2 in pairs:
+        assert F.unstable02(N, k1, k2) == \
+            reference_unstable02(N, k1, k2), (N, k1, k2)
+
+
+def test_unstable02_window_checks_divisibility(monkeypatch):
+    """A numerator that w1 + w2 does not divide raises, however few of
+    the window's entries are read."""
+    s_entry = F.s_entry
+
+    def perturbed(N, m, a, b):
+        return s_entry(N, m, a, b) + (1 if (m, a) == (0, 2) else 0)
+
+    monkeypatch.setattr(F, "s_entry", perturbed)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        F._unstable02_window.__wrapped__(2, 1)
 
 
 def symplectic_defect(N: int, k: int):

@@ -15,7 +15,7 @@ def _reference_grid():
     """Every weakly decreasing degree tuple with at most 4 faces and at
     most d_max darts, N | d, and the reversed order of each multi-face
     tuple."""
-    for N, d_max in ((2, 10), (3, 9), (4, 8), (5, 5)):
+    for N, d_max in ((2, 10), (3, 9), (4, 8), (5, 5), (6, 6)):
         for d in range(N, d_max + 1, N):
             for degrees in partitions(d):
                 if len(degrees) > 4:
@@ -29,7 +29,7 @@ def test_genus_table_equals_reference():
     """The incremental enumeration gives the tables of building and
     scanning every phi_b."""
     grid = list(_reference_grid())
-    assert len(grid) == 193
+    assert len(grid) == 208
     for N, degrees in grid:
         assert genus_table(N, degrees) == \
             reference_genus_table(N, degrees), (N, degrees)
