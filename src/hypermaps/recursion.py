@@ -36,14 +36,18 @@ key's coefficient by zeta^(sum of (k-1)).  So each correlator takes
 residues at one ramification point, which gives the keys with a slot
 there, and the other keys follow by this rotation.
 
-A product term omega_{g1,1+j1}(z, I1) omega_{g2,1+j2}(sigma z, I2) of the
-recursion at a is a pair of legs, one per factor.  A leg is (slot role,
-remaining externals, coefficient): the omega_{0,2} bridge to an external
-xi_{a,k} gives role ("zB"|"sB", k), externals ((a, k),) and coefficient
-1; a stable omega_{g,n} gives role ("z"|"s", b, k) once per distinct
-slot (b, k) of each tensor key, with the rest of the key as externals and
-the key's coefficient.  The residue of a pair of legs depends only on the
-two roles and is memoized.
+Every term of the recursion at a is a pair of slot roles, one at z and
+one at sigma(z), with the externals that remain and a scalar.  A role
+comes from a leg (slot role, remaining externals, coefficient): the
+omega_{0,2} bridge to an external xi_{a,k} gives role ("zB"|"sB", k),
+externals ((a, k),) and coefficient 1; a stable omega_{g,n} gives role
+("z"|"s", b, k) once per distinct slot (b, k) of each tensor key, with
+the rest of the key as externals and the key's coefficient.  A product
+term omega_{g1,1+j1}(z, I1) omega_{g2,1+j2}(sigma z, I2) is one leg per
+factor; omega_{g-1,n+1}(z, sigma z, J) is a z leg and then each distinct
+slot it leaves at sigma(z), and omega_{0,2}(z, sigma z) the role ("B2",).
+The scalars are summed per (externals, z role, sigma(z) role), and each
+sum scales the memoized residue of its role pair once.
 
 Counts are the correlators' coefficients at the pole of x, in X = 1/xt =
 v/(1 + v^N/(N-1)).  By Lagrange-Buermann and a^N = 1, a basis form at the
@@ -283,25 +287,6 @@ class Recursion:
         self._store_cached(g, n, tensor)
         return tensor
 
-    def _pair_submultisets(self, K):
-        """Distinct unordered 2-submultisets {p, q} of the multiset K,
-        with their remainders."""
-        vals = sorted(set(K))
-        out = []
-        for i, p in enumerate(vals):
-            cp = K.count(p)
-            if cp >= 2:
-                rest = list(K)
-                rest.remove(p)
-                rest.remove(p)
-                out.append((p, p, tuple(rest)))
-            for q in vals[i + 1:]:
-                rest = list(K)
-                rest.remove(p)
-                rest.remove(q)
-                out.append((p, q, tuple(rest)))
-        return out
-
     @staticmethod
     def _merge_count(r1, r2):
         """Merged sorted externals and the number of labeled splits that
@@ -313,9 +298,10 @@ class Recursion:
         return merged, count
 
     def _legs(self, a_idx, t, side, bound):
-        """Legs (slot role, remaining externals, coefficient) of the
-        factor omega_t at the z (side "z") or sigma(z) (side "s") slot of
-        a product term at a_idx; see the module docstring."""
+        """Legs (slot role, remaining externals, coefficient) of
+        omega_t at the z (side "z") or sigma(z) (side "s") slot of a term
+        at a_idx: a factor of a product term, or the z slot of the
+        omega_{g-1,n+1}(z, sigma z) term; see the module docstring."""
         if t == (0, 2):
             return [((side + "B", k), ((a_idx, k),), 1)
                     for k in range(2, bound + 1)]
@@ -343,28 +329,25 @@ class Recursion:
         j_max = bound - 1
         zero = ring.zero
 
-        acc = {}  # external multiset -> vector over j of coefficients
+        # every term as (externals, z role, sigma(z) role): its scalar
+        terms = {}
 
-        def add(r, vec, scale):
-            cur = acc.setdefault(r, [zero] * j_max)
-            for i in range(j_max):
-                cur[i] = cur[i] + vec[i] * scale
+        def term(r, z_role, s_role, c):
+            key = (r, z_role, s_role)
+            terms[key] = terms[key] + c if key in terms else c
 
-        # term omega_{g-1, n+1}(z, sigma z, externals)
+        # omega_{g-1,n+1}(z, sigma z, externals): each ordered pair of slot
+        # values, the z leg's slot then a slot of what it leaves
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                add((), self._res_vector(a_idx, ("B2",), None, j_max), 1)
+                term((), ("B2",), None, 1)
             else:
-                prev = self.omega(g - 1, n + 1)
-                for K, c in prev.items():
-                    for p, q, rest in self._pair_submultisets(K):
-                        vz = self._res_vector(
-                            a_idx, ("z",) + p, ("s",) + q, j_max)
-                        if p != q:
-                            vs = self._res_vector(
-                                a_idx, ("z",) + q, ("s",) + p, j_max)
-                            vz = tuple(x + y for x, y in zip(vz, vs))
-                        add(rest, vz, c)
+                for z_role, rest, c in self._legs(a_idx, (g - 1, n + 1),
+                                                  "z", bound):
+                    for q in sorted(set(rest)):
+                        r = list(rest)
+                        r.remove(q)
+                        term(tuple(r), z_role, ("s",) + q, c)
 
         # product terms omega_{g1,1+j1}(z, ...) omega_{g2,1+j2}(sigma z,
         # ...) over ordered splittings, one factor per leg
@@ -377,8 +360,17 @@ class Recursion:
                 for z_role, r1, c1 in self._legs(a_idx, t1, "z", bound):
                     for s_role, r2, c2 in s_legs:
                         r, cnt = self._merge_count(r1, r2)
-                        vec = self._res_vector(a_idx, z_role, s_role, j_max)
-                        add(r, vec, cnt * c1 * c2)
+                        term(r, z_role, s_role, cnt * c1 * c2)
+
+        # contract each summed scalar with its residue vector, every one
+        # formed even where the scalar cancels, so that each integrand
+        # passes the expansion-order check
+        acc = {}  # external multiset -> vector over j of coefficients
+        for (r, z_role, s_role), c in terms.items():
+            vec = self._res_vector(a_idx, z_role, s_role, j_max)
+            cur = acc.setdefault(r, [zero] * j_max)
+            for i in range(j_max):
+                cur[i] = cur[i] + vec[i] * c
 
         # fold the z0 pole basis in: slot (a_idx, j+1) with vec[j-1]
         direct = {}

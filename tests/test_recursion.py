@@ -29,6 +29,11 @@ def rec3():
     return Recursion(3, 2, 3)
 
 
+@pytest.fixture(scope="module")
+def rec4():
+    return Recursion(4, 1, 2)
+
+
 def test_curve_ram_points():
     for N in (2, 3, 4):
         curve = Curve(N)
@@ -125,10 +130,32 @@ def test_zn_covariance(rec2, rec3):
             assert rec.zn_covariance_defects(g, n) == []
 
 
+def pair_submultisets(K):
+    """Distinct unordered 2-submultisets {p, q} of the multiset K, with
+    their remainders."""
+    vals = sorted(set(K))
+    out = []
+    for i, p in enumerate(vals):
+        cp = K.count(p)
+        if cp >= 2:
+            rest = list(K)
+            rest.remove(p)
+            rest.remove(p)
+            out.append((p, p, tuple(rest)))
+        for q in vals[i + 1:]:
+            rest = list(K)
+            rest.remove(p)
+            rest.remove(q)
+            out.append((p, q, tuple(rest)))
+    return out
+
+
 def all_points_omega(rec, g, n):
     """omega_{g,n} with the recursion run at every ramification point and
     no rotation: the reference for Recursion._compute.  The lower
-    correlators come from rec.omega."""
+    correlators come from rec.omega.  The term omega_{g-1,n+1}(z, sigma z)
+    runs over unordered slot pairs, with the residue vectors of both
+    orders of a pair summed, and every term scales its own vector."""
     zero = rec.curve.ring.zero
     n_ext = n - 1
     bound = 6 * g - 4 + 2 * n
@@ -154,7 +181,7 @@ def all_points_omega(rec, g, n):
                 add((), rec._res_vector(a_idx, ("B2",), None, j_max))
             else:
                 for K, c in rec.omega(g - 1, n + 1).items():
-                    for p, q, rest in rec._pair_submultisets(K):
+                    for p, q, rest in pair_submultisets(K):
                         vz = rec._res_vector(
                             a_idx, ("z",) + p, ("s",) + q, j_max)
                         if p != q:
@@ -183,9 +210,10 @@ def all_points_omega(rec, g, n):
     return {k: v for k, v in result.items() if not v.is_zero()}
 
 
-def test_rotation_matches_all_points(rec2, rec3):
-    rec4 = Recursion(4, 1, 2)
-    cases = [(rec2, ((0, 3), (1, 1), (1, 2))),
+def test_rotation_matches_all_points(rec2, rec3, rec4):
+    # (1, 3) and (2, 1) of N = 2 take their omega_{g-1,n+1}(z, sigma z)
+    # term from a stable correlator with repeated slot values
+    cases = [(rec2, ((0, 3), (1, 1), (1, 2), (1, 3), (2, 1))),
              (rec3, ((0, 3), (1, 1), (1, 2))),
              (rec4, ((0, 3), (1, 1)))]
     for rec, gns in cases:
@@ -361,12 +389,21 @@ PINNED = {
         "fedc021627153cc2bb33f3c3e36ff81e0c3c7a6b68ce264136d4872ffe7ab13d",
     (3, 2, 1):
         "67d65ba5f0c48d628736f27aa5b195e93eba909ed6114084090baa951c92d5e5",
+    (4, 0, 3):
+        "04af808dfaaae67cd0ecb39c30f6b8a1cfaaccfdc8b336df1e61312f25838edc",
+    (4, 1, 1):
+        "3044ffe42af22f462830e15719814a7efaccb138ed1f92777d5522a22249f0e6",
+    (4, 0, 4):
+        "843bc8ba3c70a61b0be24c0fc13a39de9057a0ef65e87dd1633eb7568ab4e74d",
+    (4, 1, 2):
+        "50301a2f868b26b060853f5a9b0a504a38fd3310498fa529932ea76f547fe783",
 }
 
 
-def test_omega_tensors_pinned(rec2, rec3):
+def test_omega_tensors_pinned(rec2, rec3, rec4):
+    recs = {2: rec2, 3: rec3, 4: rec4}
     for (N, g, n), digest in PINNED.items():
-        tensor = (rec2 if N == 2 else rec3).omega(g, n)
+        tensor = recs[N].omega(g, n)
         payload = {";".join(f"{a},{k}" for a, k in key):
                    [rat_str(c) for c in val.v]
                    for key, val in tensor.items()}
