@@ -181,16 +181,14 @@ def _check_curve_identities(report, N_list, recursions, cache_dir):
         curve = rec.curve
         frame = frobenius.canonical_frame(N)
         # x on the rescaled curve at the i-th ramification point equals
-        # u^i scaled by (N-1)^(-1/N): both are (N/(N-1)) zeta^(-i), which
-        # on the polar side is an exact angle statement
+        # u^i scaled by (N-1)^(-1/N); a polar value q e(p/N) with no
+        # radical part is q zeta^p in Q(zeta_N)
         ok = True
-        for i, a in enumerate(curve.ram, start=1):
-            xa = curve.x_at(a)
-            expected = curve.zeta.pow(-i) * Q(N, N - 1)
-            if xa != expected:
-                ok = False
-            scaled = frame.u[i - 1] * ExactPolar(N, 1, e1=Q(-1, N))
-            if scaled != ExactPolar(N, Q(N, N - 1), ang=Q(-i, N)):
+        for a, u in zip(curve.ram, frame.u):
+            scaled = u * ExactPolar(N, 1, e1=Q(-1, N))
+            p = scaled.ang * N
+            if scaled.e1 or scaled.e2 or p.denominator != 1 \
+                    or curve.x_at(a) != curve.zeta.pow(int(p)) * scaled.q:
                 ok = False
         report.add("curve.ram_values_match_frame", {"N": N}, {}, ok)
         bad = rec.zn_covariance_defects(0, 3)

@@ -19,12 +19,9 @@ from .report import emit
 
 def _parse_degrees(text):
     try:
-        degrees = tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ValueError("degrees must be positive integers")
-    if not degrees or any(d < 1 for d in degrees):
-        raise ValueError("degrees must be positive integers")
-    return degrees
+        raise ValueError("degrees must be comma separated integers")
 
 
 def _parse_orders(text):
@@ -35,31 +32,16 @@ def _parse_orders(text):
 
 
 def _cmd_rhm(args):
-    degrees = _parse_degrees(args.degrees)
-    N, g = args.N, args.genus
-    if N < 2 or g < 0:
-        print("need N >= 2 and genus >= 0", file=sys.stderr)
-        return 2
-    try:
-        if args.engine == "oracle":
-            value = oracle.enumerate_rhm(oracle.Profile(N, g, degrees),
-                                         args.dart_cap)
-        elif args.engine == "tr":
-            n = len(degrees)
-            if 2 * g - 2 + n <= 0:
-                print("use the oracle engine for unstable moments",
-                      file=sys.stderr)
-                return 2
-            rec = Recursion(N, g, n, cache_dir=args.cache_dir)
-            value = rec.rhm_from_tr(g, degrees)
-        else:  # tau
-            weight = sum(degrees)
-            tz = tau.tau_Z(N, weight)
-            value = tau.rhm_from_tau(tz, g, degrees)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(json.dumps({"N": N, "g": g, "degrees": list(degrees),
+    p = oracle.Profile(args.N, args.genus, _parse_degrees(args.degrees))
+    if args.engine == "oracle":
+        value = oracle.enumerate_rhm(p, args.dart_cap)
+    elif args.engine == "tr":
+        rec = Recursion(p.N, p.g, len(p.degrees), cache_dir=args.cache_dir)
+        value = rec.rhm_from_tr(p.g, p.degrees)
+    else:  # tau
+        value = tau.rhm_from_tau(tau.tau_Z(p.N, sum(p.degrees)), p.g,
+                                 p.degrees)
+    print(json.dumps({"N": p.N, "g": p.g, "degrees": list(p.degrees),
                       "rhm": value}))
     return 0
 
@@ -70,32 +52,20 @@ def _cmd_crosscheck(args):
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    overrides = {}
+    overrides = {name: getattr(args, name) for name in (
+        "g_max", "n_max", "weight_cap", "dart_cap", "threads", "engines",
+        "out", "cache_dir")}
     if args.N is not None:
         overrides["N"] = _parse_orders(args.N)
-    for name in ("g_max", "n_max", "weight_cap", "dart_cap", "threads"):
-        v = getattr(args, name)
-        if v is not None:
-            overrides[name] = v
-    if args.engine:
-        overrides["engines"] = tuple(args.engine.split(","))
-    if args.out:
-        overrides["out"] = args.out
-    if args.cache_dir:
-        overrides["cache_dir"] = args.cache_dir
-    try:
-        cfg = build_config(file_values, **overrides)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    cfg = build_config(file_values, **overrides)
     report = run_crosscheck(cfg)
     sys.stdout.buffer.write(emit(report, cfg.out))
     return 0 if report.ok else 1
 
 
 def _cmd_smatrix(args):
-    if args.N < 2 or args.m_max < 0:
-        print("need N >= 2 and m-max >= 0", file=sys.stderr)
+    if args.m_max < 0:
+        print("need m-max >= 0", file=sys.stderr)
         return 2
     out = {}
     for m in range(args.m_max + 1):
@@ -106,9 +76,6 @@ def _cmd_smatrix(args):
 
 
 def _cmd_tau(args):
-    if args.N < 2 or args.weight_cap < 1:
-        print("need N >= 2 and a positive weight cap", file=sys.stderr)
-        return 2
     if args.emit == "pluecker":
         rep = pluecker.pluecker_check(args.N, args.weight_cap)
         print(json.dumps({
@@ -128,9 +95,6 @@ def _cmd_tau(args):
 
 
 def _cmd_curve(args):
-    if args.N < 2:
-        print("need N >= 2", file=sys.stderr)
-        return 2
     rec = Recursion(args.N, 0, 3, cache_dir=args.cache_dir)
     values = {"N": args.N,
               "rhm01": [rhm01_from_curve(args.N, k) for k in range(9)]}
@@ -143,9 +107,6 @@ def _cmd_curve(args):
 
 
 def _cmd_frobenius(args):
-    if args.N < 2:
-        print("need N >= 2", file=sys.stderr)
-        return 2
     N = args.N
     frame = frobenius.canonical_frame(N)
     mu, d = frobenius.mu_charge(N)
@@ -194,7 +155,7 @@ def build_parser():
     p.add_argument("--weight-cap", dest="weight_cap", type=int,
                    default=None)
     p.add_argument("--dart-cap", dest="dart_cap", type=int, default=None)
-    p.add_argument("--engine", default=None,
+    p.add_argument("--engine", dest="engines", default=None,
                    help="comma separated subset of oracle,tr,tau")
     p.add_argument("--out", choices=("json", "csv"), default=None)
     p.add_argument("--threads", type=int, default=None,
@@ -228,14 +189,9 @@ def build_parser():
     p = sub.add_parser("pluecker", help="bilinear relation window")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--weight-cap", dest="weight_cap", type=int, default=8)
-    p.set_defaults(func=_cmd_pluecker_alias)
+    p.set_defaults(func=_cmd_tau, emit="pluecker")
 
     return parser
-
-
-def _cmd_pluecker_alias(args):
-    args.emit = "pluecker"
-    return _cmd_tau(args)
 
 
 def main(argv=None):

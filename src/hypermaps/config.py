@@ -55,7 +55,18 @@ class RunConfig:
 
 
 def _parse_int_list(s):
-    return tuple(int(x) for x in str(s).replace(",", " ").split())
+    try:
+        return tuple(int(x) for x in str(s).replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"N must be comma separated integers, got {s!r}") \
+            from None
+
+
+def _parse_int(key, s):
+    try:
+        return int(s)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {s!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -85,7 +96,7 @@ def build_config(file_values=None, **overrides) -> RunConfig:
             kwargs["engines"] = tuple(str(value).replace(",", " ").split()) \
                 if not isinstance(value, tuple) else value
         elif key in ("g_max", "n_max", "weight_cap", "dart_cap", "threads"):
-            kwargs[key] = int(value)
+            kwargs[key] = _parse_int(key, value)
         elif key == "out":
             kwargs["out"] = str(value)
         elif key == "cache_dir":

@@ -183,6 +183,8 @@ def _f_int_power_items(N: int, m: int):
 @lru_cache(maxsize=None)
 def s_entry(N: int, m: int, alpha: int, beta: int):
     """(S_m)^alpha_beta at the special point, exact rational."""
+    if N < 2:
+        raise ValueError("N must be at least 2")
     if not (1 <= alpha <= N and 1 <= beta <= N):
         raise ValueError("matrix indices out of range")
     if m < 0:
@@ -258,6 +260,9 @@ def _s_entry_last_column(N: int, m: int, alpha: int):
 
 def s_matrix(N: int, m: int):
     """Full matrix (S_m)^alpha_beta as a tuple of rows indexed by alpha."""
+    # checked here too: at N <= 0 no entry is evaluated
+    if N < 2:
+        raise ValueError("N must be at least 2")
     return tuple(tuple(s_entry(N, m, a, b) for b in range(1, N + 1))
                  for a in range(1, N + 1))
 
@@ -346,7 +351,8 @@ def unstable01(N: int, k: int):
     (k+1)!."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return Q(1, N - 1) * s_entry(N, k + 2, 2, 1)
+    # s_entry first: it rejects N < 2 before 1/(N-1) is formed
+    return s_entry(N, k + 2, 2, 1) * Q(1, N - 1)
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,9 @@ DEFAULT_DART_CAP = 12
 
 @dataclass(frozen=True)
 class Profile:
+    """A count request (N, genus, face degrees) for every engine; it
+    rejects N < 2, a negative genus and empty or non-positive degrees."""
+
     N: int
     g: int
     degrees: tuple
@@ -103,6 +106,8 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     derives a deliberately wrong accounting (black faces left out) from
     this same table rather than enumerating it again.
     """
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
     degrees = tuple(degrees)
     d = sum(degrees)
     if d > dart_cap:

@@ -94,6 +94,8 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
     sum(S) + sum(T) - 2c no term survives the divisibility constraint,
     so such pairs are never visited; a side of weight > W is unknown.
     """
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
     if W < 4:
         raise ValueError(f"Pluecker window needs a weight cap >= 4, got {W}")
     L = W

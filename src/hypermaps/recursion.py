@@ -161,7 +161,7 @@ class Recursion:
         self._xprime_inv = {}
         self._U = {}        # (a_idx, j) -> UniSeries
         self._slots = {}    # (a_idx, slot role) -> UniSeries
-        self._resvec = {}   # (a_idx, left key, right key) -> tuple
+        self._resvec = {}   # (a_idx, left key, right key, j_max) -> tuple
 
     # -- local series ----------------------------------------------------
 
@@ -469,8 +469,8 @@ class Recursion:
         degrees = tuple(degrees)
         n = len(degrees)
         if 2 * g - 2 + n <= 0:
-            raise ValueError("unstable moment handled by dedicated "
-                             "operations")
+            raise ValueError("unstable moment: count it with the oracle "
+                             "engine")
         total = sum(degrees)
         if total % self.N != 0:
             return 0

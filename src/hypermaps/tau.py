@@ -111,6 +111,8 @@ def tau_Z(N: int, W: int) -> TauTruncation:
     ``coefficient_row`` per lambda, then per mu the integer column
     sum_lambda chi^lambda_mu r_lambda, divided once.
     """
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
     if W < N:
         raise ValueError(f"weight cap {W} is below N = {N}")
     coeffs = {(): EpsLaurent.const(1)}
