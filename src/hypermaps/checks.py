@@ -140,15 +140,14 @@ def _check_oracle_calibration(report, dart_cap, tables):
                {"variant": "noblack"}, {}, bad_detected)
 
 
-def _three_way_for_N(N, cfg: RunConfig, tables):
-    """All engine comparisons for a single N; returns the rows and the
-    Recursion the tr engine used (None when it did not run)."""
+def _three_way_for_N(N, cfg: RunConfig, tables, profiles):
+    """All engine comparisons for a single N over its profiles; returns
+    the rows and the Recursion the tr engine used (None if it did not)."""
     rows = []
     rec = Recursion(N, cfg.g_max, cfg.n_max, cfg.cache_dir) \
         if "tr" in cfg.engines else None
     tz = tau.tau_Z(N, cfg.weight_cap) if "tau" in cfg.engines else None
-    for g, degrees in stable_profiles(N, cfg.g_max, cfg.n_max,
-                                      cfg.weight_cap):
+    for g, degrees in profiles:
         values = {}
         if "oracle" in cfg.engines and sum(degrees) <= cfg.dart_cap:
             values["oracle"] = _table(tables, N, degrees,
@@ -174,10 +173,8 @@ def _check_pluecker(report, N_list, W):
 
 def _check_curve_identities(report, N_list, recursions, cache_dir):
     for N in N_list:
-        rec = recursions.get(N)
-        # omega_{0,3} has pole order 2
-        if rec is None or rec.M < 2:
-            rec = Recursion(N, 0, 3, cache_dir)
+        # one that ran served a stable profile, so it reaches omega_{0,3}
+        rec = recursions.get(N) or Recursion(N, 0, 3, cache_dir)
         curve = rec.curve
         frame = frobenius.canonical_frame(N)
         # x on the rescaled curve at the i-th ramification point equals
@@ -217,6 +214,14 @@ def _check_unstable_curve(report, N_list, dart_cap, tables):
 
 
 def run_crosscheck(config: RunConfig) -> Report:
+    grids = {N: stable_profiles(N, config.g_max, config.n_max,
+                                config.weight_cap) for N in config.N}
+    for N, profiles in grids.items():
+        if not profiles:
+            raise ValueError(
+                f"no stable profile for N = {N} within g_max = "
+                f"{config.g_max}, n_max = {config.n_max}, weight_cap = "
+                f"{config.weight_cap}")
     report = Report(config.echo())
     # oracle tables by (N, sorted degrees), for this request only: every
     # table in it was enumerated under this request's dart cap
@@ -233,7 +238,7 @@ def run_crosscheck(config: RunConfig) -> Report:
     recursions = {}
     for N in config.N:
         try:
-            rows, rec = _three_way_for_N(N, config, tables)
+            rows, rec = _three_way_for_N(N, config, tables, grids[N])
         except Exception as exc:  # noqa: BLE001
             report.add_error("rhm.three_way", {"N": N}, exc)
             continue

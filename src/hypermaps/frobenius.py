@@ -105,22 +105,23 @@ def x_at_polar(v: ExactPolar) -> ExactPolar:
 def psi_orthogonality_defect(N: int):
     """List of (a, b, ok) for the pairing sum_i Psi^i_a Psi^i_b = eta_{ab}.
 
-    The sum over i only touches the angle through an arithmetic
-    progression of N-th roots of unity, so it collapses exactly.
+    Column a of `canonical_frame(N).psi` is read as Psi^i_a = K_a e(i s_a),
+    with K_a = Psi^0_a and s_a the angle of Psi^1_a, and a pair fails
+    unless both its columns are that progression.  The sum over i then
+    only touches the angle through an arithmetic progression of N-th
+    roots of unity, so it collapses exactly.
     """
-    et = eta(N)
-    out = []
+    et, psi = eta(N), canonical_frame(N).psi
+    cols = []
     for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            # Psi^i_a = K_a * e(i * s_a) with K carrying no angle
-            ka = _psi_entry(N, 0, a)
-            kb = _psi_entry(N, 0, b)
-            sa = Q(-1, 2 * N) if a == 1 else Q(2 * N + 1 - 2 * a, 2 * N)
-            sb = Q(-1, 2 * N) if b == 1 else Q(2 * N + 1 - 2 * b, 2 * N)
-            total = ka * kb * roots_of_unity_sum(N, sa + sb)
-            expected = ExactPolar(N, et[a, b])
-            out.append((a, b, total == expected))
-    return out
+        ka, sa = _psi_entry(N, 0, a), _psi_entry(N, 1, a).ang
+        ok = all(row[a - 1] == ka * ExactPolar(N, 1, ang=i * sa)
+                 for i, row in enumerate(psi, 1))
+        cols.append((ka, sa, ok))
+    return [(a, b, oka and okb and ka * kb * roots_of_unity_sum(N, sa + sb)
+             == ExactPolar(N, et[a, b]))
+            for a, (ka, sa, oka) in enumerate(cols, 1)
+            for b, (kb, sb, okb) in enumerate(cols, 1)]
 
 
 # ---------------------------------------------------------------------------

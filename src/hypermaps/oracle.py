@@ -30,8 +30,9 @@ DEFAULT_DART_CAP = 12
 
 @dataclass(frozen=True)
 class Profile:
-    """A count request (N, genus, face degrees) for every engine; it
-    rejects N < 2, a negative genus and empty or non-positive degrees."""
+    """A count request (N, genus, face degrees), which every count function
+    builds from its own arguments: it rejects N < 2, a negative genus and
+    empty or non-positive degrees, and holds the degrees as a tuple."""
 
     N: int
     g: int
@@ -41,8 +42,10 @@ class Profile:
         if self.N < 2 or self.g < 0:
             raise ValueError(f"need N >= 2 and g >= 0, got {self.N}, "
                              f"{self.g}")
-        if not self.degrees or any(d < 1 for d in self.degrees):
-            raise ValueError(f"need degrees >= 1, got {self.degrees}")
+        degrees = tuple(self.degrees)
+        if not degrees or any(d < 1 for d in degrees):
+            raise ValueError(f"need degrees >= 1, got {degrees}")
+        object.__setattr__(self, "degrees", degrees)
 
 
 def _canonical_white(degrees):
@@ -106,9 +109,7 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     derives a deliberately wrong accounting (black faces left out) from
     this same table rather than enumerating it again.
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    degrees = tuple(degrees)
+    degrees = Profile(N, 0, degrees).degrees  # a table answers every g
     d = sum(degrees)
     if d > dart_cap:
         raise ValueError("oracle cap exceeded")
@@ -194,8 +195,7 @@ def enumerate_rhm(profile: Profile, dart_cap=DEFAULT_DART_CAP) -> int:
 def rhm01_closed(N: int, k: int) -> int:
     """Genus-zero one-boundary count at side count k+1, closed form:
     the p^(-1) coefficient of (p^(N-1)+1/p)^(k+2) divided by k+2."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    Profile(N, 0, (k + 1,))
     # [p^-1] of sum_j C(k+2,j) p^{(N-1)(k+2)-Nj}: j = ((N-1)(k+2)+1)/N
     num = (N - 1) * (k + 2) + 1
     if num % N != 0:

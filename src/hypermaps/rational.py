@@ -1,27 +1,29 @@
 """Exact rational scalars and small arithmetic helpers.
 
-Everything exact in this package is built on one rational type ``Q``:
-gmpy2.mpq when available (fast), fractions.Fraction otherwise.  Both
-support the same operator surface and print as "n/d" (or "n" when the
-denominator is 1), which is also the serialization format.
+Everything exact in this package is built on one rational type ``Q``,
+the standard library's fractions.Fraction.  It prints as "n/d" (or "n"
+when the denominator is 1), which is also the serialization format.
+``as_count`` is the one place where an exact rational becomes a count.
 """
 from __future__ import annotations
 
 import math
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 is the optional extra "fast"
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 QZERO = Q(0)
 QONE = Q(1)
 
-_RAT_TYPE = type(QONE)
-
 
 def is_rational(x) -> bool:
-    return isinstance(x, (_RAT_TYPE, int))
+    return isinstance(x, (Q, int))
+
+
+def as_count(value, what: str) -> int:
+    """The count an exact rational stands for; ArithmeticError(what)
+    unless it is a non-negative integer."""
+    if value.denominator != 1 or value < 0:
+        raise ArithmeticError(what)
+    return int(value)
 
 
 def rat_str(q) -> str:

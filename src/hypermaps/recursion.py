@@ -68,7 +68,8 @@ from itertools import permutations
 from math import comb
 
 from .numfield import NumberField
-from .rational import Q, QONE, QZERO, rat_str, parse_rat
+from .oracle import Profile
+from .rational import Q, QONE, QZERO, as_count, parse_rat, rat_str
 from .series import QRING, UniSeries, lagrange_invert
 
 TENSOR_CACHE_VERSION = 1
@@ -466,7 +467,7 @@ class Recursion:
     def rhm_from_tr(self, g: int, degrees) -> int:
         """Hypermap count from the correlator expansion; degrees are the
         side counts d_i = k_i + 1 >= 1."""
-        degrees = tuple(degrees)
+        degrees = Profile(self.N, g, degrees).degrees
         n = len(degrees)
         if 2 * g - 2 + n <= 0:
             raise ValueError("unstable moment: count it with the oracle "
@@ -500,9 +501,7 @@ class Recursion:
         if not acc.is_rational():
             raise ArithmeticError("field descent failure")
         value = acc.rational_part() * Q(self.N - 1) ** (total // self.N)
-        if value.denominator != 1 or value < 0:
-            raise ArithmeticError("field descent failure")
-        return int(value)
+        return as_count(value, "field descent failure")
 
     def zn_covariance_defects(self, g: int, n: int):
         """Keys on which omega_{g,n}, computed at ramification point 0,
@@ -530,15 +529,12 @@ def eta_coeff(N: int, k: int, e: int):
 
 def rhm01_from_curve(N: int, k: int) -> int:
     """[X^(k+1)] z(X)^N with X = z/(1+z^N): genus 0, one boundary."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    Profile(N, 0, (k + 1,))
     phi = UniSeries("z", QRING, {0: QONE, N: QONE}, None)
     # the read [X^(k+1)] needs z^N, hence z, modulo X^(k+2)
     z = lagrange_invert(phi, k + 2, out_var="X")
-    value = z.pow(N, prec=k + 2).coeff(k + 1)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"rhm01 is not a count: {value}")
-    return int(value)
+    return as_count(z.pow(N, prec=k + 2).coeff(k + 1),
+                    "rhm01 is not a count")
 
 
 def _two_point_series(N: int, p1: int, p2: int):
@@ -585,8 +581,7 @@ def _two_point_series(N: int, p1: int, p2: int):
 def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
     """Genus 0, two boundaries, from the bivariate residue of the
     two-point function against x1^(k1+1) x2^(k2+1)."""
-    if k1 < 0 or k2 < 0:
-        raise ValueError(f"need k1, k2 >= 0, got {k1}, {k2}")
+    Profile(N, 0, (k1 + 1, k2 + 1))
 
     # x^(k+1) per variable: Laurent exponents (N-1)(k+1) - N j, the
     # lowest -(k+1); [z^(-1-a)] of it reads the two-point series at a
@@ -610,7 +605,4 @@ def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
             v = dd.get((a, b))
             if v is not None:
                 total += v * c1 * c2
-    total = -total
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError(f"rhm02 is not a count: {total}")
-    return int(total)
+    return as_count(-total, "rhm02 is not a count")

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+from .oracle import Profile
 from .partitions import character, contents, mult_vector, partitions
-from .rational import Q, QONE, QZERO, factorial_q
+from .rational import Q, QONE, QZERO, as_count, factorial_q
 from .series import EpsLaurent, MultiSeries
 
 
@@ -157,20 +158,18 @@ def _mult_correction(degrees) -> Q:
 
 def rhm_from_tau(tau: TauTruncation, g: int, degrees) -> int:
     """Count at genus g and side counts `degrees` from log Z."""
-    degrees = tuple(degrees)
+    degrees = Profile(tau.N, g, degrees).degrees
     if sum(degrees) % tau.N != 0:
         return 0
     coeff = _log_coefficient(tau, degrees)
-    value = coeff.coeff(2 * g - 2) * _mult_correction(degrees)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"tau count is not a count: {value}")
-    return int(value)
+    return as_count(coeff.coeff(2 * g - 2) * _mult_correction(degrees),
+                    "tau count is not a count")
 
 
 def osmh_from_tau(tau: TauTruncation, g: int, degrees):
     """Hurwitz-side normalization: log Z re-expanded in the p-variables
     (t_k = eps p_k / k), read at eps^(2g-2+n).  Exact rational."""
-    degrees = tuple(degrees)
+    degrees = Profile(tau.N, g, degrees).degrees
     if sum(degrees) % tau.N != 0:
         return QZERO
     coeff = _log_coefficient(tau, degrees)

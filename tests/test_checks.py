@@ -37,8 +37,6 @@ def test_crosscheck_builds_one_recursion_per_N(builds):
 @pytest.mark.parametrize("overrides, per_N", [
     # no tr engine: the curve check builds the only Recursion
     ({"engines": ("oracle", "tau"), "g_max": 1, "n_max": 1}, 1),
-    # expansion order below omega_{0,3}: the curve check builds its own
-    ({"g_max": 0, "n_max": 1}, 2),
 ])
 def test_curve_check_fallback_recursion(builds, overrides, per_N):
     cfg = build_config({}, N=(2, 3), weight_cap=6, **overrides)
@@ -74,7 +72,7 @@ def test_calibration_enumerates_each_table_once(monkeypatch):
 def test_crosscheck_keeps_the_dart_cap(monkeypatch):
     """No oracle table of a crosscheck is larger than the run's cap."""
     calls = _counting_genus_table(monkeypatch)
-    cfg = build_config({}, N=(3,), g_max=0, n_max=1, dart_cap=3,
+    cfg = build_config({}, N=(3,), g_max=1, n_max=1, dart_cap=3,
                        engines=("tau",))
     report = checks.run_crosscheck(cfg)
     assert report.ok
@@ -112,7 +110,7 @@ def test_crosscheck_enumerates_each_multiset_once(monkeypatch, options):
 def test_tables_do_not_outlive_the_request(monkeypatch):
     """A small-cap crosscheck after a default-cap one in the same process
     enumerates its own tables under its own cap."""
-    options = dict(N=(3,), g_max=0, n_max=1, engines=("tau",))
+    options = dict(N=(3,), g_max=1, n_max=1, engines=("tau",))
     assert checks.run_crosscheck(build_config({}, **options)).ok
     calls = _counting_genus_table(monkeypatch)
     report = checks.run_crosscheck(build_config({}, dart_cap=3, **options))

@@ -236,6 +236,18 @@ def test_crosscheck_malformed_N_exits_2(capsys, orders):
         "--N must be comma separated integers"]
 
 
+def test_crosscheck_empty_grid_exits_2(capsys):
+    """A grid with no stable profile would check nothing: g_max = 0 and
+    n_max = 2 give 2g - 2 + n <= 0 everywhere."""
+    assert main(["crosscheck", "--N", "2", "--g-max", "0", "--n-max", "2",
+                 "--engine", "oracle,tau"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "no stable profile for N = 2 within g_max = 0, n_max = 2, "
+        "weight_cap = 10"]
+
+
 @pytest.mark.parametrize("name", ["a_directory", "missing.conf"])
 def test_crosscheck_unreadable_config_exits_2(tmp_path, capsys, name):
     (tmp_path / "a_directory").mkdir()

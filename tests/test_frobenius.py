@@ -2,10 +2,12 @@ from math import factorial
 
 import pytest
 
+from hypermaps import checks
 from hypermaps import frobenius as F
 from hypermaps import oracle as O
 from hypermaps.polar import ExactPolar
 from hypermaps.rational import Q, QZERO
+from hypermaps.report import Report
 
 
 def test_eta_n3():
@@ -106,6 +108,41 @@ def test_residue_lemma_column_short_order_raises(monkeypatch):
 def test_psi_orthogonality():
     for N in range(2, 7):
         assert all(ok for _, _, ok in F.psi_orthogonality_defect(N))
+
+
+def _psi_verdicts():
+    report = Report({})
+    checks._check_frame(report)
+    return {r.inputs["N"]: r.verdict for r in report.records
+            if r.check_id == "frame.psi_orthogonality"}
+
+
+def test_psi_orthogonality_reads_the_frame(monkeypatch):
+    """Multiplying Psi^i_2 by zeta^i leaves Psi^0_2 alone but breaks the
+    pairing, and the check must see it through the frame's entries."""
+    assert set(_psi_verdicts().values()) == {"pass"}
+    psi_entry = F._psi_entry
+
+    def perturbed(N, i, a):
+        entry = psi_entry(N, i, a)
+        return entry * ExactPolar(N, 1, ang=Q(i, N)) if a == 2 else entry
+
+    monkeypatch.setattr(F, "_psi_entry", perturbed)
+    assert _psi_verdicts() == {N: "fail" for N in range(2, 7)}
+
+
+def test_psi_orthogonality_checks_every_frame_entry(monkeypatch):
+    """A frame entry off the progression K_a e(i s_a) fails its pair even
+    where the pairing would still hold."""
+    frame = F.canonical_frame
+
+    def negated_last_row(N):
+        out = frame(N)
+        psi = out.psi[:-1] + (tuple(-e for e in out.psi[-1]),)
+        return F.CanonicalFrame(N, out.c, out.u, out.delta_half, psi)
+
+    monkeypatch.setattr(F, "canonical_frame", negated_last_row)
+    assert not any(ok for _, _, ok in F.psi_orthogonality_defect(3))
 
 
 def test_frame_u_equals_x_of_c():

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from hypermaps import frobenius, numfield, oracle, partitions, pluecker
-from hypermaps import polar, tau
+from hypermaps import polar, recursion, tau
 
 
 def raises(exc, fn, *args):
@@ -51,6 +51,14 @@ raises(ValueError, frobenius.s_matrix, 0, 0)
 raises(ValueError, frobenius.s_matrix, 1, 0)
 raises(ValueError, frobenius.unstable01, 1, 0)
 raises(ValueError, oracle.genus_table, 1, (2,))
+raises(ValueError, oracle.genus_table, 2, (0, 2))
+raises(ValueError, oracle.genus_table, 2, ())
+raises(ValueError, oracle.rhm01_closed, 1, 0)
+raises(ValueError, oracle.rhm01_closed, 0, 3)
+raises(ValueError, recursion.rhm01_from_curve, 1, 0)
+raises(ValueError, tau.rhm_from_tau, tau.tau_Z(2, 6), -1, (2,))
+raises(ValueError, tau.rhm_from_tau, tau.tau_Z(2, 6), 0, (0, 2))
+raises(ValueError, recursion.Recursion(2, 0, 3).rhm_from_tr, 0, (0, 1, 1))
 # a failed verification: a count that is not an integer
 tau._mult_correction = lambda degrees: Fraction(1, 7)
 raises(ArithmeticError, tau.rhm_from_tau, tau.tau_Z(2, 4), 0, (2,))

@@ -14,3 +14,23 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_one_rational_backend():
+    """Only rational.py imports a rational type; every other module takes
+    Q from it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rational.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("fractions", "gmpy2")
+                   for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
