@@ -222,6 +222,11 @@ def run_crosscheck(config: RunConfig) -> Report:
                 f"no stable profile for N = {N} within g_max = "
                 f"{config.g_max}, n_max = {config.n_max}, weight_cap = "
                 f"{config.weight_cap}")
+    pluecker_N = [N for N in config.N if N in (2, 3)]
+    if pluecker_N and config.weight_cap < pluecker.MIN_WEIGHT_CAP:
+        raise ValueError(
+            f"the Pluecker window for N = {pluecker_N[0]} needs weight_cap "
+            f">= {pluecker.MIN_WEIGHT_CAP}, got {config.weight_cap}")
     report = Report(config.echo())
     # oracle tables by (N, sorted degrees), for this request only: every
     # table in it was enumerated under this request's dart cap
@@ -254,8 +259,7 @@ def run_crosscheck(config: RunConfig) -> Report:
                    {"disagreements": sample[:10]}, ok_all)
 
     try:
-        _check_pluecker(report, [n for n in config.N if n in (2, 3)],
-                        min(config.weight_cap, 8))
+        _check_pluecker(report, pluecker_N, min(config.weight_cap, 8))
     except Exception as exc:  # noqa: BLE001
         report.add_error("pluecker.window", {}, exc)
     try:

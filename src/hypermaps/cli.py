@@ -38,9 +38,9 @@ def _cmd_rhm(args):
     elif args.engine == "tr":
         rec = Recursion(p.N, p.g, len(p.degrees), cache_dir=args.cache_dir)
         value = rec.rhm_from_tr(p.g, p.degrees)
-    else:  # tau
-        value = tau.rhm_from_tau(tau.tau_Z(p.N, sum(p.degrees)), p.g,
-                                 p.degrees)
+    else:  # tau, truncated at no less than the N that tau_Z needs
+        tz = tau.tau_Z(p.N, max(p.N, sum(p.degrees)))
+        value = tau.rhm_from_tau(tz, p.g, p.degrees)
     print(json.dumps({"N": p.N, "g": p.g, "degrees": list(p.degrees),
                       "rhm": value}))
     return 0

@@ -46,6 +46,9 @@ from .rational import Q
 from .series import EpsLaurent
 from .tau import coefficient_row
 
+# the smallest window that holds a relation: A_{} A_{(2,2)} - ... = 0
+MIN_WEIGHT_CAP = 4
+
 
 def beta_set(lam, L: int):
     """Beta-numbers of lam padded to L rows, as a sorted-descending tuple."""
@@ -96,8 +99,9 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    if W < 4:
-        raise ValueError(f"Pluecker window needs a weight cap >= 4, got {W}")
+    if W < MIN_WEIGHT_CAP:
+        raise ValueError(f"Pluecker window needs a weight cap >= "
+                         f"{MIN_WEIGHT_CAP}, got {W}")
     L = W
     c = L * (L - 1) // 2
     report = PlueckerReport(N, W)

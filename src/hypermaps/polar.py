@@ -153,11 +153,13 @@ class ExactPolar:
 
 
 def roots_of_unity_sum(N: int, step, extra_ang=0):
-    """sum_{i=1..N} exp(2 pi i * (i*step + extra_ang)) as an ExactPolar.
+    """sum_{i=1..N} e(i*step + extra_ang) as an ExactPolar, with
+    e(t) = exp(2 pi i t).
 
-    Equals N * exp(2 pi i * extra_ang) * exp(2 pi i * step * ?) collapsed:
-    the arithmetic-progression sum vanishes unless step is an integer,
-    in which case every term equals exp(2 pi i * extra_ang).
+    It is N e(extra_ang) when step is an integer (every term equals
+    e(extra_ang)), and 0 when N*step is an integer but step is not (a
+    full turn of a nontrivial N-th root of unity); any other step raises
+    ValueError.
     """
     step = Q(step)
     if step.denominator == 1:

@@ -424,6 +424,13 @@ class Recursion:
             with open(tmp, "w") as fh:
                 json.dump(payload, fh, sort_keys=True)
             os.replace(tmp, path)
+            # files named with the working order M, which left the key;
+            # nothing reads them
+            stale = f"tensor_N{self.N}_g{g}_n{n}_M"
+            for name in os.listdir(self.cache_dir):
+                if name.startswith(stale) and name.endswith(
+                        f"_v{TENSOR_CACHE_VERSION}.json"):
+                    os.remove(os.path.join(self.cache_dir, name))
         except OSError:
             pass
         finally:
@@ -537,72 +544,40 @@ def rhm01_from_curve(N: int, k: int) -> int:
                     "rhm01 is not a count")
 
 
-def _two_point_series(N: int, p1: int, p2: int):
-    """d_{z1} d_{z2} log(1 - m) modulo z1^p1 and z2^p2, with m(z1,z2) =
-    z1 z2 (z1^(N-1) - z2^(N-1))/(z1 - z2), a polynomial.  Returns
-    ({(a, b): coefficient}, p1, p2): every coefficient with a < p1 and
-    b < p2 is exact, and none beyond is represented."""
-    m = {(i + 1, N - 1 - i): QONE for i in range(N - 1)}
-
-    # the derivative lowers each exponent by one, so log(1 - m) is
-    # needed through z1^p1 z2^p2; every exponent of m is positive
-    def bmul(d1, d2):
-        out = {}
-        for (a1, b1), v1 in d1.items():
-            for (a2, b2), v2 in d2.items():
-                a, b = a1 + a2, b1 + b2
-                if a > p1 or b > p2:
-                    continue
-                key = (a, b)
-                w = out.get(key, QZERO) + v1 * v2
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-        return out
-
-    # log(1 - m) = -sum m^j / j
-    logv = {}
-    power = {(a, b): v for (a, b), v in m.items() if a <= p1 and b <= p2}
-    j = 1
-    while power:
-        for key, v in power.items():
-            w = logv.get(key, QZERO) - v / j
-            if w == 0:
-                logv.pop(key, None)
-            else:
-                logv[key] = w
-        j += 1
-        power = bmul(power, m)
-    dd = {(a - 1, b - 1): v * a * b for (a, b), v in logv.items()}
-    return dd, p1, p2
-
-
 def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
-    """Genus 0, two boundaries, from the bivariate residue of the
-    two-point function against x1^(k1+1) x2^(k2+1)."""
+    """Genus 0, two boundaries: minus the residue at z1 = z2 = 0 of
+    x1^(k1+1) x2^(k2+1) against the two-point function
+    d_{z1} d_{z2} log(1 - m), with m(z1, z2) = z1 z2 (z1^(N-1) -
+    z2^(N-1))/(z1 - z2) = z1 z2 h and h = sum_{i<N-1} z1^i z2^(N-2-i).
+
+    x^(k+1) = sum_j C(k+1, j) z^((N-1)(k+1) - Nj) and Res z^(-A) d(z^A)
+    = A, so with A = N j1 - (N-1)(k1+1) and B = N j2 - (N-1)(k2+1) the
+    count is
+
+        -sum_{A,B >= 1} C(k1+1, j1) C(k2+1, j2) A B [z1^A z2^B] log(1 - m)
+
+    log(1 - m) = -sum_J m^J / J and m^J is homogeneous of degree NJ, so
+    only J = (A + B)/N contributes (none unless N divides A + B), and
+
+        [z1^A z2^B] m^J = [u^(A-J)] (1 + u + ... + u^(N-2))^J
+            = sum_i (-1)^i C(J, i) C(A - 1 - i(N-1), J - 1)
+
+    by (1 - u^(N-1))^J (1 - u)^(-J), over i <= (A - 1)/(N - 1); a term
+    with A - 1 - i(N-1) < J - 1 is 0, so the sum is 0 for A < J."""
     Profile(N, 0, (k1 + 1, k2 + 1))
 
-    # x^(k+1) per variable: Laurent exponents (N-1)(k+1) - N j, the
-    # lowest -(k+1); [z^(-1-a)] of it reads the two-point series at a
-    def xpow_coeffs(k):
-        out = {}
-        for j in range(k + 2):
-            out[(N - 1) * (k + 1) - N * j] = Q(comb(k + 1, j))
-        return out
+    def exponents(k):  # (A, C(k+1, j)) over the poles of x^(k+1)
+        return [(N * j - (N - 1) * (k + 1), comb(k + 1, j))
+                for j in range(k + 2) if N * j > (N - 1) * (k + 1)]
 
-    dd, p1, p2 = _two_point_series(N, k1 + 1, k2 + 1)
     total = QZERO
-    for e1, c1 in xpow_coeffs(k1).items():
-        for e2, c2 in xpow_coeffs(k2).items():
-            a, b = -1 - e1, -1 - e2
-            if a < 0 or b < 0:
+    for A, c1 in exponents(k1):
+        for B, c2 in exponents(k2):
+            J, r = divmod(A + B, N)
+            if r:
                 continue
-            if a >= p1 or b >= p2:
-                raise ValueError(
-                    f"coefficient z1^{a} z2^{b} not represented "
-                    f"(truncated at z1^{p1}, z2^{p2})")
-            v = dd.get((a, b))
-            if v is not None:
-                total += v * c1 * c2
-    return as_count(-total, "rhm02 is not a count")
+            coeff = sum((-1) ** i * comb(J, i)
+                        * comb(A - 1 - i * (N - 1), J - 1)
+                        for i in range((A - 1) // (N - 1) + 1))
+            total += Q(c1 * c2 * A * B * coeff, J)
+    return as_count(total, "rhm02 is not a count")

@@ -36,7 +36,8 @@ def test_rhm_invalid_inputs(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["rhm", "--N", "3", "--genus", "0", "--degrees", "1", "--engine", "tau"],
+    ["crosscheck", "--N", "3", "--g-max", "1", "--n-max", "1",
+     "--weight-cap", "3"],
     ["tau", "--N", "2", "--weight-cap", "1"],
     ["pluecker", "--N", "2", "--weight-cap", "3"],
     # the library functions that serve a request validate it
@@ -60,6 +61,16 @@ def test_weight_cap_too_small_exits_2(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
     if "1,1" in argv:  # an unstable moment for the tr engine
         assert "oracle" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["oracle", "tau"])
+def test_rhm_degree_below_N(capsys, engine):
+    """A valid profile whose total degree is below N has no hypermap, and
+    every engine answers it."""
+    assert main(["rhm", "--N", "3", "--genus", "0", "--degrees", "1",
+                 "--engine", engine]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "N": 3, "g": 0, "degrees": [1], "rhm": 0}
 
 
 def test_rhm_failed_verification_exits_1(tmp_path, capsys):
@@ -246,6 +257,17 @@ def test_crosscheck_empty_grid_exits_2(capsys):
     assert captured.err.strip().splitlines() == [
         "no stable profile for N = 2 within g_max = 0, n_max = 2, "
         "weight_cap = 10"]
+
+
+def test_crosscheck_small_weight_cap_exits_2(capsys):
+    """A weight cap below the smallest Pluecker window is an invalid
+    request, not a failed verification."""
+    assert main(["crosscheck", "--N", "2", "--g-max", "1", "--n-max", "1",
+                 "--weight-cap", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "the Pluecker window for N = 2 needs weight_cap >= 4, got 3"]
 
 
 @pytest.mark.parametrize("name", ["a_directory", "missing.conf"])

@@ -12,8 +12,8 @@ SCRIPT = r'''
 import sys
 from fractions import Fraction
 
-from hypermaps import frobenius, numfield, oracle, partitions, pluecker
-from hypermaps import polar, recursion, tau
+from hypermaps import checks, config, frobenius, numfield, oracle
+from hypermaps import partitions, pluecker, polar, recursion, tau
 
 
 def raises(exc, fn, *args):
@@ -56,6 +56,9 @@ raises(ValueError, oracle.genus_table, 2, ())
 raises(ValueError, oracle.rhm01_closed, 1, 0)
 raises(ValueError, oracle.rhm01_closed, 0, 3)
 raises(ValueError, recursion.rhm01_from_curve, 1, 0)
+raises(ValueError, recursion.rhm02_from_curve, 1, 0, 0)
+raises(ValueError, checks.run_crosscheck,
+       config.build_config({}, N=(2,), g_max=1, n_max=1, weight_cap=3))
 raises(ValueError, tau.rhm_from_tau, tau.tau_Z(2, 6), -1, (2,))
 raises(ValueError, tau.rhm_from_tau, tau.tau_Z(2, 6), 0, (0, 2))
 raises(ValueError, recursion.Recursion(2, 0, 3).rhm_from_tr, 0, (0, 1, 1))
