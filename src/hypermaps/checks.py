@@ -54,9 +54,7 @@ def _check_frame(report):
         # root of the Hessian
         ok = True
         for c, dh in zip(frame.c, frame.delta_half):
-            xs = c.inv().pow(3) * Q(2)
-            if N != 2:
-                xs = xs + c.pow(N - 3) * Q((N - 1) * (N - 2))
+            xs = c.inv().pow(3) * Q(2) + c.pow(N - 3) * Q((N - 1) * (N - 2))
             if xs != dh * dh:
                 ok = False
         report.add("frame.delta_branch", {"N": N}, {}, ok)

@@ -127,8 +127,16 @@ def _cmd_frobenius(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An invalid command line is one stderr line and exit status 2; the
+    subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypermaps",
         description="Exact rooted hypermap numbers, three independent "
                     "ways, plus the structures that tie them together.")

@@ -32,24 +32,20 @@ class EtaMetric:
         return self.entries[a - 1][b - 1]
 
 
+def _eta_pair(N: int, a: int):
+    """eta_{a, N+1-a}: 1 at a = 1 and a = N, 1/(N-1) in between."""
+    return QONE if a in (1, N) else Q(1, N - 1)
+
+
 def eta(N: int) -> EtaMetric:
     """Flat metric in the flat coordinates: eta_{ab} vanishes unless
-    a + b = N + 1, equals 1 on the (1, N) antidiagonal corners and
-    1/(N-1) in between."""
+    a + b = N + 1, where it is `_eta_pair(N, a)`."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    rows = []
-    for a in range(1, N + 1):
-        row = []
-        for b in range(1, N + 1):
-            if a + b != N + 1:
-                row.append(QZERO)
-            elif a in (1, N):
-                row.append(QONE)
-            else:
-                row.append(Q(1, N - 1))
-        rows.append(tuple(row))
-    return EtaMetric(N, tuple(rows))
+    return EtaMetric(N, tuple(
+        tuple(_eta_pair(N, a) if a + b == N + 1 else QZERO
+              for b in range(1, N + 1))
+        for a in range(1, N + 1)))
 
 
 def mu_charge(N: int):
@@ -141,11 +137,6 @@ def _f_power_coeff(N: int, s, target_exp: int):
     return binomial_q(s, int(j))
 
 
-def _res_inf_f_power(N: int, s, w: int):
-    """res_{p=inf} p^w F^s dp = -[p^(-1-w)] F^s."""
-    return -_f_power_coeff(N, s, -1 - w)
-
-
 def _g_coeff(N: int, m: int, e: int):
     """Coefficient of p^e in (N-1)/N * A + 1/N * B - h(m), the two-chart
     logarithm combination; A = log(1+p^N) ascending, B = log(1+p^(-N))
@@ -161,19 +152,12 @@ def _g_coeff(N: int, m: int, e: int):
     return Q(1, N) * Q((-1) ** (k + 1), k)
 
 
-def _cd_coeff(e: int, N: int, kind: str):
-    """Coefficient of p^e in C = (1+p^N)^(-1) (ascending) or
-    D = (1+p^(-N))^(-1) (descending)."""
-    if e % N != 0:
+def _c_coeff(N: int, e: int):
+    """Coefficient of p^e in C = (1+p^N)^(-1), ascending; D =
+    (1+p^(-N))^(-1), descending, has C's coefficient at -e."""
+    if e < 0 or e % N != 0:
         return QZERO
-    k = e // N
-    if kind == "C":
-        if k < 0:
-            return QZERO
-        return Q((-1) ** k)
-    if k > 0:
-        return QZERO
-    return Q((-1) ** (-k))
+    return Q((-1) ** (e // N))
 
 
 def _f_int_power_items(N: int, m: int):
@@ -204,17 +188,11 @@ def s_entry(N: int, m: int, alpha: int, beta: int):
         for k in range(m):
             denom *= Q(k) + Q(N - beta, N - 1)
 
-    if alpha == 1:
-        w = -1
-        pref = Q(-1) if beta == 1 else Q(-1, N - 1)
-    elif alpha == N:
-        w = -2
-        pref = Q(-1) if beta == 1 else Q(-1, N - 1)
-    else:
-        w = alpha - 2
-        pref = Q(-(N - 1)) if beta == 1 else Q(-1)
-
-    return pref / denom * _res_inf_f_power(N, s, w)
+    # -1/(eta_{alpha,N+1-alpha} (1 or N-1)) times res_{p=inf} p^w F^s dp
+    # = -[p^(-1-w)] F^s: the two signs cancel
+    w = -2 if alpha == N else alpha - 2
+    pref = 1 / (_eta_pair(N, alpha) * (1 if beta == 1 else N - 1))
+    return pref / denom * _f_power_coeff(N, s, -1 - w)
 
 
 def _s_entry_last_column(N: int, m: int, alpha: int):
@@ -233,30 +211,23 @@ def _s_entry_last_column(N: int, m: int, alpha: int):
     # first piece: m * F^(m-1) * p^w * (log combination)
     t1 = QZERO
     if m >= 1:
-        w = -1 if alpha == 1 else (-2 if alpha == N else alpha - 2)
+        w = -2 if alpha == N else alpha - 2
         items = [(e + w, c * m) for e, c in _f_int_power_items(N, m - 1)]
         t1 = res0_against(items, lambda e: _g_coeff(N, m, e))
 
     fm = _f_int_power_items(N, m)
-    if 2 <= alpha <= N - 1:
+    pref = Q(N, N - 1) / _eta_pair(N, alpha) / mfact
+    if alpha == N:
+        # the logarithmic direction
         def geom(e):
-            return (Q(N - 1, N) * _cd_coeff(e - (alpha - 1), N, "C")
-                    + Q(1, N) * _cd_coeff(e - (alpha - 1 - N), N, "D"))
-        t2 = res0_against(fm, geom)
-        return Q(N) / mfact * (t1 + t2)
-    if alpha == 1:
-        def geom(e):
-            return (Q(N - 1, N) * _cd_coeff(e, N, "C")
-                    + Q(1, N) * _cd_coeff(e + N, N, "D"))
-        t2 = res0_against(fm, geom)
-        return Q(N, N - 1) / mfact * (t1 + t2)
-    # alpha == N
+            return (-_c_coeff(N, e - (N - 1)) + _c_coeff(N, -e - 1)
+                    + Q(N, N - 1) * _c_coeff(N, -e - N - 1))
+        return pref * t1 + res0_against(fm, geom) / mfact
+
     def geom(e):
-        return (-_cd_coeff(e - (N - 1), N, "C")
-                + _cd_coeff(e + 1, N, "D")
-                + Q(N, N - 1) * _cd_coeff(e + N + 1, N, "D"))
-    t2 = res0_against(fm, geom)
-    return Q(N, N - 1) / mfact * t1 + t2 / mfact
+        return (Q(N - 1, N) * _c_coeff(N, e - (alpha - 1))
+                + Q(1, N) * _c_coeff(N, alpha - 1 - N - e))
+    return pref * (t1 + res0_against(fm, geom))
 
 
 def s_matrix(N: int, m: int):
@@ -274,16 +245,12 @@ def s_matrix(N: int, m: int):
 
 def tilde_xi(N: int, alpha: int, trunc: int) -> UniSeries:
     """Flat-frame xi function as an ascending series in z:
-    (N-1) z^alpha / (1-(N-1)z^N) for 2 <= alpha <= N-1, with the z^1 and
-    z^0 numerators (and no N-1 prefactor) at alpha = 1 and alpha = N."""
+    z^alpha / (eta_{alpha,N+1-alpha} (1-(N-1)z^N)), with numerator z^0
+    at alpha = N."""
     if not 1 <= alpha <= N:
         raise ValueError("alpha out of range")
-    if alpha == 1:
-        pref, shift = QONE, 1
-    elif alpha == N:
-        pref, shift = QONE, 0
-    else:
-        pref, shift = Q(N - 1), alpha
+    pref = 1 / _eta_pair(N, alpha)
+    shift = 0 if alpha == N else alpha
     c = {}
     k = 0
     while shift + N * k < trunc:

@@ -11,27 +11,9 @@ For N = 2 the base N-1 = 1 is degenerate and e1 is forced to 0.
 """
 from __future__ import annotations
 
+import math
+
 from .rational import Q, QONE, QZERO, rat_str
-
-
-def _floor_q(a):
-    a = Q(a)
-    return a.numerator // a.denominator
-
-
-def _split_exponent(base: int, e):
-    """Write base^e = q * base^f with f = e mod 1 in [0,1) and q a
-    positive rational."""
-    e = Q(e)
-    fl = int(_floor_q(e))
-    frac = e - fl
-    q = Q(base) ** fl
-    return q, frac
-
-
-def _mod1(a):
-    a = Q(a)
-    return a - _floor_q(a)
 
 
 class ExactPolar:
@@ -50,14 +32,15 @@ class ExactPolar:
             if q < 0:
                 q = -q
                 ang = ang + Q(1, 2)
+            # base^e = base^floor(e) * base^(e mod 1)
             if N == 2:
                 e1 = QZERO  # (N-1)^e1 = 1
             else:
-                f1, e1 = _split_exponent(N - 1, e1)
-                q = q * f1
-            f2, e2 = _split_exponent(N, e2)
-            q = q * f2
-            ang = _mod1(ang)
+                f1 = math.floor(e1)
+                q, e1 = q * Q(N - 1) ** f1, e1 - f1
+            f2 = math.floor(e2)
+            q, e2 = q * Q(N) ** f2, e2 - f2
+            ang = ang - math.floor(ang)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "e1", e1)
@@ -92,24 +75,17 @@ class ExactPolar:
         return ExactPolar(self.N, QONE / self.q, -self.e1, -self.e2,
                           -self.ang)
 
-    def pow(self, e):
-        """Raise to a rational power.
-
-        Only legitimate when the result stays single-valued in this
-        representation: the angle must scale to a rational, which it
-        always does, and we pick the principal branch ang -> e*ang.
-        """
-        e = Q(e)
+    def pow(self, e: int):
+        """Raise to an integer power; any other exponent raises
+        ValueError, and so does zero to a non-positive power."""
+        if not isinstance(e, int):
+            raise ValueError(f"only integer powers are exact, got {e!r}")
         if self.q == 0:
             if e <= 0:
                 raise ValueError("non-positive power of zero")
-            return ExactPolar.zero(self.N)
-        # q^e must itself be expressible; demand integer e unless q == 1
-        if e.denominator != 1 and self.q != 1:
-            raise ValueError("rational power of a non-unit modulus is not "
-                             "representable exactly")
-        qp = self.q ** int(e) if e.denominator == 1 else QONE
-        return ExactPolar(self.N, qp, self.e1 * e, self.e2 * e, self.ang * e)
+            return self
+        return ExactPolar(self.N, self.q ** e, self.e1 * e, self.e2 * e,
+                          self.ang * e)
 
     def __add__(self, other):
         """Addition only for values sharing (e1, e2, ang): the structured
@@ -126,7 +102,8 @@ class ExactPolar:
             if self.ang == other.ang:
                 return ExactPolar(self.N, self.q + other.q, self.e1,
                                   self.e2, self.ang)
-            if _mod1(self.ang - other.ang) == Q(1, 2):
+            # both angles lie in [0, 1)
+            if abs(self.ang - other.ang) == Q(1, 2):
                 return ExactPolar(self.N, self.q - other.q, self.e1,
                                   self.e2, self.ang)
         raise ValueError("sum leaves the exact polar class")
@@ -137,9 +114,6 @@ class ExactPolar:
         return (self.N == other.N and self.q == other.q
                 and self.e1 == other.e1 and self.e2 == other.e2
                 and self.ang == other.ang)
-
-    def __hash__(self):
-        return hash((self.N, self.q, self.e1, self.e2, self.ang))
 
     def __repr__(self):
         if self.q == 0:
@@ -152,18 +126,16 @@ class ExactPolar:
                 "e2": rat_str(self.e2), "ang": rat_str(self.ang)}
 
 
-def roots_of_unity_sum(N: int, step, extra_ang=0):
-    """sum_{i=1..N} e(i*step + extra_ang) as an ExactPolar, with
-    e(t) = exp(2 pi i t).
+def roots_of_unity_sum(N: int, step):
+    """sum_{i=1..N} e(i*step) as an ExactPolar, with e(t) = exp(2 pi i t).
 
-    It is N e(extra_ang) when step is an integer (every term equals
-    e(extra_ang)), and 0 when N*step is an integer but step is not (a
-    full turn of a nontrivial N-th root of unity); any other step raises
-    ValueError.
+    It is N when step is an integer (every term is 1), and 0 when N*step
+    is an integer but step is not (a full turn of a nontrivial N-th root
+    of unity); any other step raises ValueError.
     """
     step = Q(step)
     if step.denominator == 1:
-        return ExactPolar(N, N, 0, 0, extra_ang)
+        return ExactPolar(N, N)
     # geometric sum of a nontrivial N-th root of unity: zero provided
     # N*step is an integer (the progression closes up)
     if (Q(N) * step).denominator != 1:

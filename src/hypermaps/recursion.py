@@ -448,7 +448,8 @@ class Recursion:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-            if not isinstance(payload, dict):
+            # every stable omega_{g,n} has at least one key
+            if not isinstance(payload, dict) or not payload:
                 return None
             for skey, vec in payload.items():
                 key = tuple(tuple(int(x) for x in part.split(","))

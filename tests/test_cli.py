@@ -63,6 +63,28 @@ def test_weight_cap_too_small_exits_2(capsys, argv):
         assert "oracle" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--g-max", "x"],
+    ["rhm", "--N", "2", "--genus", "0"],
+    ["rhm", "--N", "2", "--genus", "0", "--degrees", "2", "--engine", "x"],
+    [],
+], ids=["bad-int", "missing-flag", "bad-choice", "no-subcommand"])
+def test_argument_error_is_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("hypermaps")
+    assert ": error: " in captured.err
+
+
+def test_help_keeps_the_usage(capsys):
+    assert main(["rhm", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hypermaps rhm")
+    assert "--engine {oracle,tr,tau}" in out
+
+
 @pytest.mark.parametrize("engine", ["oracle", "tau"])
 def test_rhm_degree_below_N(capsys, engine):
     """A valid profile whose total degree is below N has no hypermap, and
@@ -103,6 +125,8 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
     # well-formed, but "1,4" is not the rotation of "0,4" (-1/16 times -1)
     '{"0,2": ["1/32"], "0,3": ["1/16"], "0,4": ["-1/16"], '
     '"1,2": ["-1/32"], "1,3": ["1/16"], "1,4": ["17/16"]}',
+    # well-formed and trivially covariant, but a stable tensor has keys
+    "{}",
 ])
 def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
                                        content):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import factorial
 
 import pytest
@@ -23,6 +25,17 @@ def test_mu_and_charge():
     assert d == 0
     mu2, d2 = F.mu_charge(2)
     assert mu2 == [Q(1, 2), Q(-1, 2)] and d2 == -1
+
+
+def test_s_matrices_are_pinned():
+    """Every S_m for N = 2..9 and m <= 7, entry by entry, against the
+    values the per-case formulas gave."""
+    table = {f"{N},{m}": [[str(v) for v in row] for row in F.s_matrix(N, m)]
+             for N in range(2, 10) for m in range(8)}
+    digest = hashlib.sha256(
+        json.dumps(table, sort_keys=True).encode()).hexdigest()
+    assert digest == ("f181e117cc0e962797e7aea241c93c832dde69f2"
+                      "4f7ff0a246ee78b59be068f0")
 
 
 def test_s0_is_identity():
@@ -301,3 +314,18 @@ def test_exact_polar_sum_guard():
     with pytest.raises(ValueError, match="leaves the exact polar class"):
         a + b
     assert a + (-a) == ExactPolar.zero(3)
+
+
+def test_exact_polar_integer_powers_only():
+    v = ExactPolar(3, -2, e1=Q(4, 3), e2=Q(1, 2), ang=Q(1, 6))
+    acc = ExactPolar(3, 1)
+    for k in range(1, 6):
+        acc = acc * v
+        assert v.pow(k) == acc
+        assert v.pow(-k) == acc.inv()
+    assert v.pow(0) == ExactPolar(3, 1)
+    with pytest.raises(ValueError, match="integer"):
+        ExactPolar(3, 1).pow(Q(1, 2))
+    with pytest.raises(ValueError, match="non-positive power of zero"):
+        ExactPolar.zero(3).pow(0)
+    assert ExactPolar.zero(3).pow(2) == ExactPolar.zero(3)

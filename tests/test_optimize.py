@@ -39,6 +39,7 @@ raises(ValueError, polar.ExactPolar, 1, 1)
 raises(ValueError, polar.ExactPolar(3, 1).__mul__, polar.ExactPolar(2, 1))
 raises(ValueError, polar.ExactPolar(3, 1).__add__, polar.ExactPolar(2, 1))
 raises(ValueError, polar.ExactPolar.zero(3).pow, -1)
+raises(ValueError, polar.ExactPolar(3, 1).pow, Fraction(1, 2))
 raises(ValueError, polar.roots_of_unity_sum, 3, Fraction(1, 2))
 raises(ValueError, F3.coerce, [1, 2, 3])
 raises(ValueError, F3.coerce, F5.gen)
