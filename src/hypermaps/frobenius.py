@@ -259,6 +259,15 @@ def tilde_xi(N: int, alpha: int, trunc: int) -> UniSeries:
     return UniSeries("z", QRING, c, trunc)
 
 
+@lru_cache(maxsize=None)
+def _pole_chart(N: int, k: int):
+    """1/x' modulo z^(k+4) and x^(k+1) modulo z^(k+2), expanded in z at
+    the simple pole z = 0 of x; every alpha at this (N, k) reads them."""
+    x = UniSeries("z", QRING, {-1: QONE, N - 1: QONE}, None)
+    xprime = UniSeries("z", QRING, {-2: -QONE, N - 2: Q(N - 1)}, None)
+    return xprime.inv(prec=k + 4), x.pow(k + 1, prec=k + 2)
+
+
 def _residue_lhs(N: int, alpha: int, k: int, a_max: int):
     """Left-hand sides [z^-1] x^(k+1)/(k+1)! g_a' for a = 0..a_max, from
     one derivative chain g_0 = tilde_xi^alpha, g_(a+1) = -g_a'/x'.
@@ -268,11 +277,7 @@ def _residue_lhs(N: int, alpha: int, k: int, a_max: int):
     inverted to T + 2.  A shortfall raises ValueError.
     """
     T = k + 2
-    # the simple pole of x sits at z = 0; everything expands in z there
-    x = UniSeries("z", QRING, {-1: QONE, N - 1: QONE}, None)
-    xprime = UniSeries("z", QRING, {-2: -QONE, N - 2: Q(N - 1)}, None)
-    xprime_inv = xprime.inv(prec=T + 2)
-    x_power = x.pow(k + 1, prec=T)
+    xprime_inv, x_power = _pole_chart(N, k)
     scale = factorial_q(k + 1)
     g = tilde_xi(N, alpha, T)
     out = []

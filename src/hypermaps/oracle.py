@@ -15,8 +15,12 @@ one Euler accounting; `checks` derives a wrong one from its tables.
 cycle at a time and keeps two counts as it grows: V, from the open paths
 of phi_w o phi_b that the placed arcs form, and transitivity, from the
 white faces the black cycles have linked so far (bitmask components).
-The transparent build-and-scan enumeration stays in the tests as the
-reference it must equal.
+Once every white face is linked, transitivity holds for every way to
+place the rest, and what the rest adds to V depends only on the cycle
+type of the way the open paths chain: `_completions` holds that
+histogram per (N, cycle type), so the enumeration stops there.  The
+transparent build-and-scan enumeration and a build-every-completion
+histogram stay in the tests as the references they must equal.
 """
 from __future__ import annotations
 
@@ -60,30 +64,58 @@ def _canonical_white(degrees):
     return img
 
 
-@lru_cache(maxsize=None)
-def _closings(N, cycle_type):
-    """Histogram ((cycles, count), ...) of the cycle counts of pi o gamma
-    over the (N-1)! N-cycles gamma, for any pi of the given cycle type.
+def _cycle_type(perm, darts):
+    """Sorted cycle lengths of the permutation `perm` of `darts`."""
+    lengths = []
+    seen = set()
+    for x in darts:
+        if x not in seen:
+            n = 0
+            while x not in seen:
+                seen.add(x)
+                x = perm(x)
+                n += 1
+            lengths.append(n)
+    return tuple(sorted(lengths))
 
-    Conjugating pi by s conjugates every pi o gamma and permutes the
-    N-cycles, so the histogram depends only on (N, cycle type): a few
-    entries per N, whatever the tables asked.
+
+@lru_cache(maxsize=None)
+def _completions(N, cycle_type):
+    """Histogram ((cycles, count), ...) of the cycle counts of pi o sigma
+    over every sigma whose cycles all have length N on pi's darts, for
+    any pi of the given cycle type.
+
+    Conjugating pi by s conjugates every pi o sigma and permutes the
+    sigmas, so the histogram depends only on (N, cycle type): at most
+    one entry per partition of a multiple of N below the dart cap,
+    whatever the tables asked.  It recurses on the cycle gamma of sigma
+    through dart 0.  With rho = pi o gamma (gamma fixing the other
+    darts), the cycles of rho on gamma's darts alone are closed, and rho
+    read on the other darts (gamma's darts skipped) is the pi of the
+    rest.
     """
-    pi = []
-    for n in cycle_type:
-        start = len(pi)
-        pi.extend(range(start + 1, start + n))
-        pi.append(start)
+    pi = _canonical_white(cycle_type)
+    if not pi:
+        return ((0, 1),)
     counts = {}
-    for body in permutations(range(1, N)):
+    for body in permutations(range(1, len(pi)), N - 1):
         gamma = dict(zip((0,) + body, body + (0,)))
-        cycles = 0
-        for u in range(N):
-            if u in gamma:
-                cycles += 1
-                while u in gamma:
-                    u = pi[gamma.pop(u)]
-        counts[cycles] = counts.get(cycles, 0) + 1
+
+        def rho(x):
+            return pi[gamma.get(x, x)]
+
+        def skip(x):
+            x = rho(x)
+            while x in gamma:
+                x = rho(x)
+            return x
+
+        rest = [x for x in range(len(pi)) if x not in gamma]
+        rest_type = _cycle_type(skip, rest)
+        # every cycle of rho that meets the rest is one cycle of skip
+        closed = len(_cycle_type(rho, range(len(pi)))) - len(rest_type)
+        for cycles, count in _completions(N, rest_type):
+            counts[closed + cycles] = counts.get(closed + cycles, 0) + count
     return tuple(sorted(counts.items()))
 
 
@@ -99,11 +131,15 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     (one vertex more) when w = head[u], and joins two paths otherwise.
     The white faces linked so far are bitmask components, and each black
     cycle merges those its darts lie on.  Joins are undone on backtrack.
-    The last cycle closes every open path at once: its vertices are the
-    cycles of the permutation it induces on those paths, and their count
-    over all closing cycles depends only on the cycle type of the way
-    the open paths chain (`_closings`).  It is tried only when it links
-    every component, so a leaf costs O(N).
+
+    The enumeration stops as soon as every white face is linked, or
+    would be by the last cycle (tested once, as its darts are fixed).
+    From there every completion sigma of phi_b on the remaining darts
+    is transitive, and closes the open paths into the cycles of pi o
+    sigma, pi(x) = tail[phi_w(x)] the way the paths chain.  Conjugating
+    pi permutes the sigmas, so the vertex histogram over all of them is
+    exact from the cycle type of pi alone (`_completions`): a table at
+    12 darts enumerates little beyond its first black cycle.
 
     There is one Euler accounting, F = n + d/N.  The calibration check
     derives a deliberately wrong accounting (black faces left out) from
@@ -122,30 +158,27 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     tail = list(range(d))
     by_v = [0] * (d + 1)
 
+    linked = [(1 << len(degrees)) - 1]
+
     def grow(remaining, comps, v):
-        first, rest = remaining[0], remaining[1:]
-        if len(rest) == N - 1:
-            mask = face[first]
-            for x in rest:
-                mask |= face[x]
-            if not all(c & mask for c in comps):
-                return
-            # the open path ending at u continues, through the arc
-            # u -> phi_w(phi_b(u)), into the path ending at pi(phi_b(u)),
-            # pi(x) = tail[phi_w(x)]; only the cycle type of pi matters
-            lengths = []
-            seen = set()
-            for x in remaining:
-                if x not in seen:
-                    n = 0
-                    while x not in seen:
-                        seen.add(x)
-                        x = tail[phi_w[x]]
-                        n += 1
-                    lengths.append(n)
-            for cycles, count in _closings(N, tuple(sorted(lengths))):
+        last = len(remaining) == N
+        if last or comps == linked:
+            if last:
+                mask = 0
+                for x in remaining:
+                    mask |= face[x]
+                if not all(c & mask for c in comps):
+                    return
+            # every white face is linked, or is by the last cycle: the
+            # open path ending at u continues, through the arc u ->
+            # phi_w(phi_b(u)), into the path ending at pi(phi_b(u)),
+            # pi(x) = tail[phi_w(x)], and only the cycle type of pi
+            # matters
+            pi_type = _cycle_type(lambda x: tail[phi_w[x]], remaining)
+            for cycles, count in _completions(N, pi_type):
                 by_v[v + cycles] += count
             return
+        first, rest = remaining[0], remaining[1:]
         for body in permutations(rest, N - 1):
             mask = face[first]
             for x in body:

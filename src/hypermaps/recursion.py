@@ -279,13 +279,16 @@ class Recursion:
         key = (g, n)
         if key in self._memo:
             return self._memo[key]
-        cached = self._load_cached(g, n)
+        # omega_{0,3} is never cached: it takes milliseconds, and a
+        # uniformly rescaled copy would pass every load check
+        cached = None if key == (0, 3) else self._load_cached(g, n)
         if cached is not None:
             self._memo[key] = cached
             return cached
         tensor = self._compute(g, n)
         self._memo[key] = tensor
-        self._store_cached(g, n, tensor)
+        if key != (0, 3):
+            self._store_cached(g, n, tensor)
         return tensor
 
     @staticmethod

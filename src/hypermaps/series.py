@@ -475,9 +475,6 @@ class MultiSeries:
         key = tuple(sorted(key, reverse=True))
         return self.c.get(key, EpsLaurent())
 
-    def min_weight(self):
-        return min((sum(k) for k in self.c), default=None)
-
     def _new(self, c):
         out = MultiSeries.__new__(MultiSeries)
         out.cap = self.cap
@@ -549,23 +546,41 @@ class MultiSeries:
     __rmul__ = __mul__
 
     def log(self):
-        """Formal log; requires constant term exactly 1."""
+        """Formal log; requires constant term exactly 1.
+
+        Taken weight by weight: with E multiplying a weight-n monomial by
+        n, E(Z) = Z E(log Z), so the weight-n parts satisfy n L_n = n Z_n
+        - sum_{0<j<n} j L_j Z_(n-j), and each L_n costs products of
+        homogeneous parts only.  The sums run on the eps-coefficient
+        dicts, and L_n = (n L_n) / n becomes EpsLaurent once.
+        """
         if self.c.get((), EpsLaurent()) != EpsLaurent.const(1):
             raise ValueError("log requires constant term 1")
-        u = self - 1
-        if not u.c:
-            return self._new({})
-        w0 = u.min_weight()
-        acc = self._new({})
-        power = u
-        k = 1
-        while k * w0 <= self.cap:
-            acc = acc + power.scale(Q((-1) ** (k + 1), k))
-            k += 1
-            if k * w0 > self.cap:
-                break
-            power = power * u
-        return acc
+        parts = [[] for _ in range(self.cap + 1)]  # Z_n, n >= 1
+        for k, v in self.c.items():
+            if k:
+                parts[sum(k)].append((k, v.c))
+        weighted = [[]]  # j L_j
+        out = {}
+        for n in range(1, self.cap + 1):
+            acc = {k: {e: a * n for e, a in c.items()} for k, c in parts[n]}
+            for j in range(1, n):
+                for k1, c1 in weighted[j]:
+                    for k2, c2 in parts[n - j]:
+                        d = acc.setdefault(
+                            tuple(sorted(k1 + k2, reverse=True)), {})
+                        for e1, a in c1.items():
+                            for e2, b in c2.items():
+                                d[e1 + e2] = d.get(e1 + e2, QZERO) - a * b
+            row = []
+            inv_n = Q(1, n)
+            for k, d in acc.items():
+                d = {e: a for e, a in d.items() if a}
+                if d:
+                    row.append((k, d))
+                    out[k] = EpsLaurent({e: a * inv_n for e, a in d.items()})
+            weighted.append(row)
+        return self._new(out)
 
     def __repr__(self):
         return f"MultiSeries(cap={self.cap}, {len(self.c)} monomials)"

@@ -4,7 +4,8 @@ Every phi_b with all cycles of length N is built in full, then checked
 for transitivity of <phi_w, phi_b> by a union-find over the darts, and
 its genus read from the cycle count of phi_w o phi_b (phi_b applied
 first).  `oracle.genus_table` counts the same thing incrementally and
-must return the same table.
+must return the same table, and `oracle._completions` must return the
+histogram that building every completion gives.
 """
 from itertools import permutations
 
@@ -97,3 +98,16 @@ def reference_genus_table(N, degrees):
         g = two_g // 2
         table[g] = table.get(g, 0) + 1
     return table
+
+
+def reference_completions(N, cycle_type):
+    """Histogram ((cycles, count), ...) of the cycle counts of pi o sigma
+    over every sigma of pi's darts whose cycles all have length N, each
+    sigma built in full; pi has cycles (0..n_1-1)(n_1..)... of the given
+    lengths."""
+    pi = _canonical_white(cycle_type)
+    counts = {}
+    for sigma in _all_n_cycle_perms(len(pi), N):
+        v = _cycle_count([pi[sigma[i]] for i in range(len(pi))])
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(sorted(counts.items()))

@@ -96,22 +96,47 @@ def test_rhm_degree_below_N(capsys, engine):
 
 
 def test_rhm_failed_verification_exits_1(tmp_path, capsys):
-    argv = ["rhm", "--N", "3", "--genus", "0", "--degrees", "3,3,3",
+    argv = ["rhm", "--N", "2", "--genus", "0", "--degrees", "2,2,2,2",
             "--engine", "tr", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
-    capsys.readouterr()
-    # tamper with one cached omega_{0,3} coefficient on its whole Z_N
-    # orbit (rotation factor 1), so the file still loads
-    path = tmp_path / "tensor_N3_g0_n3_v1.json"
+    assert json.loads(capsys.readouterr().out)["rhm"] == 48
+    # delete one whole Z_N orbit of the cached omega_{0,4}, so the file
+    # still loads
+    path = tmp_path / "tensor_N2_g0_n4_v1.json"
     payload = json.loads(path.read_text())
-    for key in ("0,2;0,2;0,2", "1,2;1,2;1,2", "2,2;2,2;2,2"):
-        assert payload[key][0] == "1/3"
-        payload[key][0] = "1/7"
+    for key in ("0,2;0,2;0,2;0,4", "1,2;1,2;1,2;1,4"):
+        del payload[key]
     path.write_text(json.dumps(payload))
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "ArithmeticError: field descent failure\n"
+
+
+def test_rhm_omega_03_is_never_cached(tmp_path, capsys):
+    """omega_{0,3} is recomputed on every run: no cache file is written
+    for it, and none is read, even one that passes the load checks
+    (one coefficient tampered on its whole Z_N orbit, rotation factor 1,
+    or every coefficient doubled)."""
+    argv = ["rhm", "--N", "3", "--genus", "0", "--degrees", "3,3,3",
+            "--engine", "tr", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 216
+    path = tmp_path / "tensor_N3_g0_n3_v1.json"
+    assert not path.exists()
+    rec = Recursion(3, 0, 3, str(tmp_path))
+    rec._store_cached(0, 3, rec.omega(0, 3))
+    payload = json.loads(path.read_text())
+    tampered = dict(payload)
+    for key in ("0,2;0,2;0,2", "1,2;1,2;1,2", "2,2;2,2;2,2"):
+        assert payload[key] == ["1/3", "0"]
+        tampered[key] = ["1/7", "0"]
+    doubled = {key: [rat_str(2 * parse_rat(c)) for c in coords]
+               for key, coords in payload.items()}
+    for content in (tampered, doubled):
+        path.write_text(json.dumps(content))
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rhm"] == 216
 
 
 @pytest.mark.parametrize("content", [
@@ -147,19 +172,19 @@ def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
 def test_cache_dir_only_from_the_request(tmp_path, capsys, monkeypatch):
     """A run without --cache-dir reads no cache, whatever the environment
     holds."""
-    argv = ["rhm", "--N", "3", "--genus", "0", "--degrees", "3,3,3",
+    argv = ["rhm", "--N", "2", "--genus", "1", "--degrees", "4",
             "--engine", "tr"]
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
-    assert json.loads(capsys.readouterr().out)["rhm"] == 216
+    assert json.loads(capsys.readouterr().out)["rhm"] == 1
     # a uniformly doubled tensor still loads from that directory
-    path = tmp_path / "tensor_N3_g0_n3_v1.json"
+    path = tmp_path / "tensor_N2_g1_n1_v1.json"
     payload = json.loads(path.read_text())
     path.write_text(json.dumps({
         key: [rat_str(2 * parse_rat(c)) for c in coords]
         for key, coords in payload.items()}))
     monkeypatch.setenv("HYPERMAPS_CACHE_DIR", str(tmp_path))
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["rhm"] == 216
+    assert json.loads(capsys.readouterr().out)["rhm"] == 1
 
 
 def test_smatrix_output(capsys):

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from hypermaps import checks, config, frobenius, numfield, oracle
-from hypermaps import partitions, pluecker, polar, recursion, tau
+from hypermaps import partitions, pluecker, polar, recursion, series, tau
 
 
 def raises(exc, fn, *args):
@@ -47,6 +47,8 @@ raises(ValueError, F3.gen.__mul__, F5.gen)
 raises(ValueError, F3.gen.rational_part)
 raises(ValueError, frobenius._f_power_coeff, 3, Fraction(1, 3), 0)
 raises(ValueError, tau.tau_Z, 1, 6)
+raises(ValueError, series.MultiSeries(
+    2, {(1,): series.EpsLaurent.const(1)}).log)
 raises(ValueError, pluecker.pluecker_check, 1, 6)
 raises(ValueError, frobenius.s_matrix, 0, 0)
 raises(ValueError, frobenius.s_matrix, 1, 0)

@@ -1,14 +1,16 @@
 import pytest
-from oracle_reference import reference_genus_table
+from oracle_reference import reference_completions, reference_genus_table
 
-from hypermaps.checks import _noblack_table
+from hypermaps import oracle
+from hypermaps.checks import _noblack_table, run_crosscheck
+from hypermaps.config import build_config
 from hypermaps.oracle import (
     Profile,
     enumerate_rhm,
     genus_table,
     rhm01_closed,
 )
-from hypermaps.partitions import partitions
+from hypermaps.partitions import partitions, partitions_upto
 
 
 def _reference_grid():
@@ -23,16 +25,40 @@ def _reference_grid():
                 yield N, degrees
                 if len(set(degrees)) > 1:
                     yield N, degrees[::-1]
+    # one face, two faces of one degree and a degree-1 face at 12 darts,
+    # where the completion memo serves most of the table
+    yield from ((2, (12,)), (2, (6, 6)), (2, (11, 1)))
 
 
 def test_genus_table_equals_reference():
     """The incremental enumeration gives the tables of building and
     scanning every phi_b."""
     grid = list(_reference_grid())
-    assert len(grid) == 208
+    assert len(grid) == 211
     for N, degrees in grid:
         assert genus_table(N, degrees) == \
             reference_genus_table(N, degrees), (N, degrees)
+
+
+@pytest.mark.parametrize("N, max_darts", [(2, 8), (3, 9), (4, 8)])
+def test_completions_equal_reference(N, max_darts):
+    """The completion memo gives the histogram of building every sigma,
+    for every cycle type of pi up to max_darts darts."""
+    for cycle_type in partitions_upto(max_darts):
+        cycle_type = tuple(sorted(cycle_type))
+        assert oracle._completions(N, cycle_type) == \
+            reference_completions(N, cycle_type), (N, cycle_type)
+
+
+def test_completions_memo_is_bounded():
+    """A crosscheck at the default dart cap (the benchmark's request)
+    leaves at most one memo entry per partition of at most 12, however
+    many tables it reads."""
+    oracle._completions.cache_clear()
+    assert run_crosscheck(build_config({}, N=(2, 3), g_max=1, n_max=1)).ok
+    bound = len(list(partitions_upto(12)))
+    assert bound == 272
+    assert oracle._completions.cache_info().currsize <= bound
 
 
 def test_anchor_values():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from series_reference import mercator_log
 
 from hypermaps.numfield import NumberField
 from hypermaps.rational import Q, QONE
@@ -11,6 +12,7 @@ from hypermaps.series import (
     UniSeries,
     lagrange_invert,
 )
+from hypermaps.tau import tau_Z
 
 
 def S(coeffs, trunc=None, var="z"):
@@ -152,7 +154,7 @@ def multiseries_exp(m):
     acc = MultiSeries.const(m.cap, 1)
     if not m.c:
         return acc
-    w0 = m.min_weight()
+    w0 = min(sum(k) for k in m.c)
     power = m
     k = 1
     fact = QONE
@@ -173,6 +175,36 @@ def test_multiseries_log_exp():
     back = multiseries_exp(m.log())
     for key in m.c:
         assert back.coeff(key) == m.coeff(key)
+
+
+@pytest.mark.parametrize("N, W", [(2, 14), (3, 12), (4, 12), (5, 10)])
+def test_multiseries_log_equals_mercator_on_tau(N, W):
+    """The weight-by-weight log is the Mercator sum, coefficient for
+    coefficient, on tau truncations (lowest nonconstant weight N)."""
+    z = tau_Z(N, W).series
+    log = z.log()
+    assert log.cap == W and log.c
+    assert log.c == mercator_log(z).c
+
+
+def test_multiseries_log_equals_mercator_from_weight_1():
+    eps = EpsLaurent.term
+    m = MultiSeries(8, {(): EpsLaurent.const(1),
+                        (1,): eps(2, -1),
+                        (2, 1): eps(3, 0) + eps(Q(1, 3), -2),
+                        (3,): eps(Q(-1, 2), 1),
+                        (4, 4): eps(5, -3)})
+    log = m.log()
+    assert min(sum(k) for k in log.c) == 1
+    assert log.c == mercator_log(m).c
+
+
+@pytest.mark.parametrize("const", [0, 2])
+def test_multiseries_log_needs_constant_one(const):
+    m = MultiSeries(4, {(): EpsLaurent.const(const),
+                        (1,): EpsLaurent.const(1)})
+    with pytest.raises(ValueError, match="constant term 1"):
+        m.log()
 
 
 def test_multiseries_weight_cap():
