@@ -1,5 +1,12 @@
 """Cross-check orchestration: every verification the package can run,
-funnelled into one report."""
+funnelled into one report.
+
+Every check reads the oracle's tables through `oracle.genus_table(N,
+degrees, dart_cap)`, called positionally (perfbench's tracer reads N and
+the degrees from its arguments).  The oracle's memo serves each degree
+multiset once per process, and the cap is checked before it is read, so
+a small-cap request never sees a larger table.
+"""
 from __future__ import annotations
 
 from . import frobenius, oracle, pluecker, tau
@@ -74,19 +81,7 @@ def _check_residue_lemma(report):
                    {"N": N, "k_max": RESIDUE_K_MAX}, {}, ok)
 
 
-def _table(tables, N, degrees, dart_cap):
-    """The oracle's genus table for (N, degrees), enumerated once per
-    degree multiset in `tables`, which lives as long as one request.  A
-    count does not depend on the order of the faces."""
-    key = (N, tuple(sorted(degrees)))
-    table = tables.get(key)
-    if table is None:
-        # positional: perfbench's tracer reads N and degrees from args
-        table = tables[key] = oracle.genus_table(N, degrees, dart_cap)
-    return table
-
-
-def _check_unstable(report, dart_cap, tables):
+def _check_unstable(report, dart_cap):
     from math import factorial
     for N in (2, 3, 4):
         ok01 = True
@@ -94,7 +89,7 @@ def _check_unstable(report, dart_cap, tables):
             if k + 1 > dart_cap:
                 break
             lhs = frobenius.unstable01(N, k) * factorial(k + 1)
-            rhs = _table(tables, N, (k + 1,), dart_cap).get(0, 0)
+            rhs = oracle.genus_table(N, (k + 1,), dart_cap).get(0, 0)
             if lhs != rhs:
                 ok01 = False
         report.add("frobenius.unstable01_vs_oracle", {"N": N}, {}, ok01)
@@ -105,7 +100,8 @@ def _check_unstable(report, dart_cap, tables):
                     continue
                 lhs = (frobenius.unstable02(N, k1, k2)
                        * factorial(k1 + 1) * factorial(k2 + 1))
-                rhs = _table(tables, N, (k1 + 1, k2 + 1), dart_cap).get(0, 0)
+                rhs = oracle.genus_table(N, (k1 + 1, k2 + 1),
+                                         dart_cap).get(0, 0)
                 if lhs != rhs:
                     ok02 = False
         report.add("frobenius.unstable02_vs_oracle", {"N": N}, {}, ok02)
@@ -119,7 +115,7 @@ def _noblack_table(table, black_faces):
     return {g + black_faces // 2: count for g, count in table.items()}
 
 
-def _check_oracle_calibration(report, dart_cap, tables):
+def _check_oracle_calibration(report, dart_cap):
     """The orientation convention is pinned by the closed form; the same
     sweep read with a deliberately wrong Euler accounting must fail."""
     good, bad_detected = True, False
@@ -128,7 +124,7 @@ def _check_oracle_calibration(report, dart_cap, tables):
             expect = oracle.rhm01_closed(N, k)
             if (k + 1) % N and expect != 0:
                 good = False
-            table = _table(tables, N, (k + 1,), dart_cap)
+            table = oracle.genus_table(N, (k + 1,), dart_cap)
             if table.get(0, 0) != expect:
                 good = False
             if _noblack_table(table, (k + 1) // N).get(0, 0) != expect:
@@ -138,7 +134,7 @@ def _check_oracle_calibration(report, dart_cap, tables):
                {"variant": "noblack"}, {}, bad_detected)
 
 
-def _three_way_for_N(N, cfg: RunConfig, tables, profiles):
+def _three_way_for_N(N, cfg: RunConfig, profiles):
     """All engine comparisons for a single N over its profiles; returns
     the rows and the Recursion the tr engine used (None if it did not)."""
     rows = []
@@ -148,8 +144,8 @@ def _three_way_for_N(N, cfg: RunConfig, tables, profiles):
     for g, degrees in profiles:
         values = {}
         if "oracle" in cfg.engines and sum(degrees) <= cfg.dart_cap:
-            values["oracle"] = _table(tables, N, degrees,
-                                      cfg.dart_cap).get(g, 0)
+            values["oracle"] = oracle.genus_table(N, degrees,
+                                                  cfg.dart_cap).get(g, 0)
         if rec is not None:
             values["tr"] = rec.rhm_from_tr(g, degrees)
         if tz is not None:
@@ -192,7 +188,7 @@ def _check_curve_identities(report, N_list, recursions, cache_dir):
                    not bad)
 
 
-def _check_unstable_curve(report, N_list, dart_cap, tables):
+def _check_unstable_curve(report, N_list, dart_cap):
     for N in N_list:
         ok = True
         for k in range(9):
@@ -203,8 +199,8 @@ def _check_unstable_curve(report, N_list, dart_cap, tables):
                 if (k1 + k2 + 2) % N or k1 + k2 + 2 > dart_cap:
                     continue
                 # one table per degree multiset serves both orders
-                want = _table(tables, N, (k1 + 1, k2 + 1),
-                              dart_cap).get(0, 0)
+                want = oracle.genus_table(N, (k1 + 1, k2 + 1),
+                                          dart_cap).get(0, 0)
                 if rhm02_from_curve(N, k1, k2) != want \
                         or rhm02_from_curve(N, k2, k1) != want:
                     ok = False
@@ -226,22 +222,19 @@ def run_crosscheck(config: RunConfig) -> Report:
             f"the Pluecker window for N = {pluecker_N[0]} needs weight_cap "
             f">= {pluecker.MIN_WEIGHT_CAP}, got {config.weight_cap}")
     report = Report(config.echo())
-    # oracle tables by (N, sorted degrees), for this request only: every
-    # table in it was enumerated under this request's dart cap
-    tables = {}
     try:
         _check_smatrix_gates(report)
         _check_frame(report)
         _check_residue_lemma(report)
-        _check_unstable(report, config.dart_cap, tables)
-        _check_oracle_calibration(report, config.dart_cap, tables)
+        _check_unstable(report, config.dart_cap)
+        _check_oracle_calibration(report, config.dart_cap)
     except Exception as exc:  # noqa: BLE001 - must become a record
         report.add_error("frobenius.gates", {}, exc)
 
     recursions = {}
     for N in config.N:
         try:
-            rows, rec = _three_way_for_N(N, config, tables, grids[N])
+            rows, rec = _three_way_for_N(N, config, grids[N])
         except Exception as exc:  # noqa: BLE001
             report.add_error("rhm.three_way", {"N": N}, exc)
             continue
@@ -263,7 +256,7 @@ def run_crosscheck(config: RunConfig) -> Report:
     try:
         _check_curve_identities(report, config.N, recursions,
                                 config.cache_dir)
-        _check_unstable_curve(report, config.N, config.dart_cap, tables)
+        _check_unstable_curve(report, config.N, config.dart_cap)
     except Exception as exc:  # noqa: BLE001
         report.add_error("curve.identities", {}, exc)
     return report

@@ -24,13 +24,6 @@ def _parse_degrees(text):
         raise ValueError("degrees must be comma separated integers")
 
 
-def _parse_orders(text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError("--N must be comma separated integers")
-
-
 def _cmd_rhm(args):
     p = oracle.Profile(args.N, args.genus, _parse_degrees(args.degrees))
     if args.engine == "oracle":
@@ -53,10 +46,8 @@ def _cmd_crosscheck(args):
         print(str(exc), file=sys.stderr)
         return 2
     overrides = {name: getattr(args, name) for name in (
-        "g_max", "n_max", "weight_cap", "dart_cap", "threads", "engines",
-        "out", "cache_dir")}
-    if args.N is not None:
-        overrides["N"] = _parse_orders(args.N)
+        "N", "g_max", "n_max", "weight_cap", "dart_cap", "threads",
+        "engines", "out", "cache_dir")}
     cfg = build_config(file_values, **overrides)
     report = run_crosscheck(cfg)
     sys.stdout.buffer.write(emit(report, cfg.out))

@@ -55,11 +55,17 @@ class RunConfig:
 
 
 def _parse_int_list(s):
+    """Integers separated by commas or blanks: `--N` and the config key
+    `N` share this one grammar, and an empty item ("2,", ",", "") is an
+    error rather than nothing."""
+    message = f"N must be comma separated integers, got {s!r}"
+    items = [item.split() for item in str(s).split(",")]
+    if not all(items):
+        raise ValueError(message)
     try:
-        return tuple(int(x) for x in str(s).replace(",", " ").split())
+        return tuple(int(x) for item in items for x in item)
     except ValueError:
-        raise ValueError(f"N must be comma separated integers, got {s!r}") \
-            from None
+        raise ValueError(message) from None
 
 
 def _parse_int(key, s):

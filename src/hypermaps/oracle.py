@@ -11,23 +11,25 @@ the Euler formula: V - E + F = 2 - 2g with E = d, F = n + d/N and V the
 number of cycles of phi_w o phi_b (phi_b applied first).  That is the
 one Euler accounting; `checks` derives a wrong one from its tables.
 
-`genus_table` never builds a whole phi_b.  It grows phi_b one black
-cycle at a time and keeps two counts as it grows: V, from the open paths
-of phi_w o phi_b that the placed arcs form, and transitivity, from the
-white faces the black cycles have linked so far (bitmask components).
-Once every white face is linked, transitivity holds for every way to
-place the rest, and what the rest adds to V depends only on the cycle
-type of the way the open paths chain: `_completions` holds that
-histogram per (N, cycle type), so the enumeration stops there.  The
-transparent build-and-scan enumeration and a build-every-completion
-histogram stay in the tests as the references they must equal.
+Neither memo builds a whole phi_b.  `_completions` holds the histogram
+of V over every phi_b, transitive or not, per (N, cycle type of phi_w):
+conjugating phi_w permutes the phi_b, and the histogram is built by
+recursing on the black cycle through the smallest dart.  A phi_b that
+is not transitive splits the white faces into blocks and glues each
+block on its own, with V the sum over the blocks, so `_connected`
+subtracts the split ones block by block (the exponential formula) and
+leaves the transitive histogram per (N, sorted degrees), from which
+`genus_table` reads the genera.  The transparent build-and-scan
+enumeration and a build-every-completion histogram stay in the tests
+as the references they must equal.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from math import comb
+from itertools import chain, permutations, product
+from math import comb, prod
 
 DEFAULT_DART_CAP = 12
 
@@ -119,31 +121,56 @@ def _completions(N, cycle_type):
     return tuple(sorted(counts.items()))
 
 
+@lru_cache(maxsize=None)
+def _connected(N, degrees):
+    """Histogram ((cycles, count), ...) of the cycle counts of phi_w o
+    phi_b over the transitive phi_b only, for white faces of the given
+    sorted degrees.
+
+    Every phi_b links the labeled white faces into blocks, and on each
+    block it is a transitive gluing of those faces alone; phi_w o phi_b
+    maps each block's darts to themselves, so its cycles add over the
+    blocks.  Sorting the phi_b that `_completions(N, degrees)` counts by
+    the block T of face 0 gives the exponential formula for connected
+    against all permutation pairs (Lando & Zvonkin, Graphs on Surfaces
+    and Their Applications, ch. 1)
+
+        completions(D) = sum over T of connected(T) * completions(D - T)
+
+    with * the convolution of histograms.  Relabeling faces and darts
+    conjugates both permutations, so a term depends only on the degree
+    multiset of T, which is chosen prod_k C(m_k, t_k) ways from the m_k
+    other faces of degree k.  The term T = D is the histogram sought and
+    every other T has fewer faces, so subtracting them is exact; a block
+    whose darts N does not divide has no phi_b and is skipped.
+    """
+    first, others = degrees[0], Counter(degrees[1:])
+    kinds = sorted(others)
+    by_v = dict(_completions(N, degrees))
+    for picks in product(*(range(others[k] + 1) for k in kinds)):
+        block = (first,) + tuple(chain.from_iterable(
+            (k,) * t for k, t in zip(kinds, picks)))
+        if len(block) == len(degrees) or sum(block) % N:
+            continue
+        rest = tuple(chain.from_iterable(
+            (k,) * (others[k] - t) for k, t in zip(kinds, picks)))
+        ways = prod(comb(others[k], t) for k, t in zip(kinds, picks))
+        for v_block, c_block in _connected(N, block):
+            for v_rest, c_rest in _completions(N, rest):
+                by_v[v_block + v_rest] -= ways * c_block * c_rest
+    return tuple((v, c) for v, c in sorted(by_v.items()) if c)
+
+
 def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
-    """Counts by genus: dict g -> number of valid phi_b.
+    """Counts by genus: dict g -> number of transitive phi_b.
 
-    phi_b grows one black cycle at a time, each starting at the smallest
-    unplaced dart and continuing with any (N-1)-arrangement of the rest,
-    so every phi_b is reached once.  The arcs u -> phi_w(phi_b(u)) placed
-    so far form open paths of phi_w o phi_b: `head[t]` is the first dart
-    of the path that ends at t, `tail[h]` the last dart of the path that
-    starts at h.  A new arc from a tail u to a head w closes its own path
-    (one vertex more) when w = head[u], and joins two paths otherwise.
-    The white faces linked so far are bitmask components, and each black
-    cycle merges those its darts lie on.  Joins are undone on backtrack.
-
-    The enumeration stops as soon as every white face is linked, or
-    would be by the last cycle (tested once, as its darts are fixed).
-    From there every completion sigma of phi_b on the remaining darts
-    is transitive, and closes the open paths into the cycles of pi o
-    sigma, pi(x) = tail[phi_w(x)] the way the paths chain.  Conjugating
-    pi permutes the sigmas, so the vertex histogram over all of them is
-    exact from the cycle type of pi alone (`_completions`): a table at
-    12 darts enumerates little beyond its first black cycle.
-
-    There is one Euler accounting, F = n + d/N.  The calibration check
-    derives a deliberately wrong accounting (black faces left out) from
-    this same table rather than enumerating it again.
+    The cap is checked before the memo is read, so a request under a
+    small cap never sees a table beyond it.  The order of the faces only
+    relabels them, so the histogram is read from `_connected` at the
+    sorted degrees, and each vertex count V gives the genus through the
+    one Euler accounting, F = n + d/N.  The calibration check derives a
+    deliberately wrong accounting (black faces left out) from this same
+    table rather than building another.
     """
     degrees = Profile(N, 0, degrees).degrees  # a table answers every g
     d = sum(degrees)
@@ -152,71 +179,9 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     if d % N != 0:
         return {}
     faces = len(degrees) + d // N
-    phi_w = _canonical_white(degrees)
-    face = [1 << f for f, side in enumerate(degrees) for _ in range(side)]
-    head = list(range(d))
-    tail = list(range(d))
-    by_v = [0] * (d + 1)
-
-    linked = [(1 << len(degrees)) - 1]
-
-    def grow(remaining, comps, v):
-        last = len(remaining) == N
-        if last or comps == linked:
-            if last:
-                mask = 0
-                for x in remaining:
-                    mask |= face[x]
-                if not all(c & mask for c in comps):
-                    return
-            # every white face is linked, or is by the last cycle: the
-            # open path ending at u continues, through the arc u ->
-            # phi_w(phi_b(u)), into the path ending at pi(phi_b(u)),
-            # pi(x) = tail[phi_w(x)], and only the cycle type of pi
-            # matters
-            pi_type = _cycle_type(lambda x: tail[phi_w[x]], remaining)
-            for cycles, count in _completions(N, pi_type):
-                by_v[v + cycles] += count
-            return
-        first, rest = remaining[0], remaining[1:]
-        for body in permutations(rest, N - 1):
-            mask = face[first]
-            for x in body:
-                mask |= face[x]
-            merged, apart = mask, []
-            for c in comps:
-                if c & mask:
-                    merged |= c
-                else:
-                    apart.append(c)
-            closed = 0
-            joins = []
-            u = body[-1]
-            for x in (first,) + body:
-                # phi_b(u) = x, so the arc u -> phi_w(x)
-                w = phi_w[x]
-                a = head[u]
-                if a == w:
-                    closed += 1
-                else:
-                    b = tail[w]
-                    tail[a] = b
-                    head[b] = a
-                    joins.append((a, b, u, w))
-                u = x
-            grow([x for x in rest if x not in body], apart + [merged],
-                 v + closed)
-            for a, b, u, w in reversed(joins):
-                tail[a] = u
-                head[b] = w
-
-    grow(list(range(d)), [], 0)
-    table = {}
-    for v in range(d, 0, -1):
-        two_g = 2 - (v - d + faces)
-        if by_v[v] and two_g >= 0 and two_g % 2 == 0:
-            table[two_g // 2] = by_v[v]
-    return table
+    # V from d down, so the genera come out ascending
+    return {(2 - (v - d + faces)) // 2: count
+            for v, count in reversed(_connected(N, tuple(sorted(degrees))))}
 
 
 def enumerate_rhm(profile: Profile, dart_cap=DEFAULT_DART_CAP) -> int:

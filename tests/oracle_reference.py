@@ -3,9 +3,11 @@
 Every phi_b with all cycles of length N is built in full, then checked
 for transitivity of <phi_w, phi_b> by a union-find over the darts, and
 its genus read from the cycle count of phi_w o phi_b (phi_b applied
-first).  `oracle.genus_table` counts the same thing incrementally and
-must return the same table, and `oracle._completions` must return the
-histogram that building every completion gives.
+first).  `oracle.genus_table` counts the same thing from vertex
+histograms, subtracting the gluings that split the white faces from
+the count of all of them, and must return the same table;
+`oracle._completions` must return the histogram that building every
+completion gives.
 """
 from itertools import permutations
 

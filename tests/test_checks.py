@@ -47,7 +47,7 @@ def test_curve_check_fallback_recursion(builds, overrides, per_N):
 
 
 def _counting_genus_table(monkeypatch):
-    """Record the arguments of every oracle table the checks enumerate."""
+    """Record the arguments of every oracle table the checks read."""
     calls = []
     genus_table = checks.oracle.genus_table
 
@@ -59,14 +59,32 @@ def _counting_genus_table(monkeypatch):
     return calls
 
 
-def test_calibration_enumerates_each_table_once(monkeypatch):
+def _builds_each_multiset_once(check):
+    """Run `check` (a function filling a report) twice from an empty
+    table memo: every histogram the first run builds is stored, the
+    second builds none, and every record of both runs passes."""
+    connected = checks.oracle._connected
+    connected.cache_clear()
+    report = check()
+    info = connected.cache_info()
+    assert info.misses == info.currsize > 0
+    again = check()
+    assert connected.cache_info().misses == info.misses
+    assert report.records and report.ok
+    assert again.records and again.ok
+
+
+def _filled(check, *args):
+    report = Report({})
+    check(report, *args)
+    return report
+
+
+def test_calibration_enumerates_each_table_once():
     """One genus table per calibration step serves both the right and the
     deliberately wrong Euler accounting."""
-    calls = _counting_genus_table(monkeypatch)
-    report = Report({})
-    checks._check_oracle_calibration(report, 12, {})
-    assert len(calls) == 29
-    assert [r.verdict for r in report.records] == ["pass", "pass"]
+    _builds_each_multiset_once(
+        lambda: _filled(checks._check_oracle_calibration, 12))
 
 
 def test_crosscheck_keeps_the_dart_cap(monkeypatch):
@@ -80,31 +98,24 @@ def test_crosscheck_keeps_the_dart_cap(monkeypatch):
     assert max(sum(degrees) for _, degrees, *_ in calls) <= 3
 
 
-def test_unstable_curve_enumerates_each_multiset_once(monkeypatch):
+def test_unstable_curve_enumerates_each_multiset_once():
     """One genus table per degree multiset serves both orders."""
-    calls = _counting_genus_table(monkeypatch)
-    report = Report({})
-    checks._check_unstable_curve(report, (2, 3), 12, {})
-    assert [(N, tuple(degrees)) for N, degrees, _ in calls] == [
-        (2, (1, 1)), (2, (1, 3)), (2, (2, 2)), (2, (2, 4)), (2, (3, 3)),
-        (2, (4, 4)), (3, (1, 2)), (3, (2, 4)), (3, (3, 3))]
-    assert [r.verdict for r in report.records] == ["pass", "pass"]
+    _builds_each_multiset_once(
+        lambda: _filled(checks._check_unstable_curve, (2, 3), 12))
 
 
 @pytest.mark.parametrize("options", [
     # the benchmark's crosscheck request
     dict(N=(2, 3), g_max=1, n_max=1),
     # the three-way check asks for (5, 1), (4, 2) and (3, 3), which the
-    # unstable check has enumerated in ascending order
+    # unstable check has read in ascending order
     dict(N=(3,), g_max=1, n_max=2, weight_cap=6, engines=("oracle",)),
 ])
-def test_crosscheck_enumerates_each_multiset_once(monkeypatch, options):
-    """A crosscheck enumerates one oracle table per (N, sorted degrees)."""
-    calls = _counting_genus_table(monkeypatch)
-    report = checks.run_crosscheck(build_config({}, **options))
-    assert report.ok
-    multisets = {(N, tuple(sorted(degrees))) for N, degrees, _ in calls}
-    assert len(calls) == len(multisets) == 105
+def test_crosscheck_enumerates_each_multiset_once(options):
+    """A crosscheck builds one oracle histogram per (N, sorted degrees),
+    and a second identical crosscheck builds none."""
+    cfg = build_config({}, **options)
+    _builds_each_multiset_once(lambda: checks.run_crosscheck(cfg))
 
 
 def test_tables_do_not_outlive_the_request(monkeypatch):

@@ -230,6 +230,22 @@ def test_config_file_parsing(tmp_path):
     assert cfg.N == (2, 3) and cfg.weight_cap == 6 and cfg.threads == 2
 
 
+@pytest.mark.parametrize("text", ["2,3", "2 3", " 2 , 3 "])
+def test_N_list_grammar(tmp_path, capsys, text):
+    """`--N` and the config key `N` read one grammar: integers separated
+    by commas or blanks.  The grid has no stable profile, so the request
+    stops, naming the first N, right after the list is read."""
+    path = tmp_path / "run.conf"
+    path.write_text(f"N = {text}\n")
+    errors = []
+    for argv in (["--N", text], ["--config", str(path)]):
+        assert main(["crosscheck", "--g-max", "0", "--n-max", "2"]
+                    + argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["no stable profile for N = 2 within g_max = 0, "
+                      "n_max = 2, weight_cap = 10\n"] * 2
+
+
 def test_config_file_bad_line(tmp_path):
     p = tmp_path / "bad.conf"
     p.write_text("just a dangling token\n")
@@ -273,6 +289,7 @@ def test_crosscheck_bad_N_list_exits_2(tmp_path, capsys, argv, config):
 
 @pytest.mark.parametrize("line, key", [
     ("N = 2,x", "N"),
+    ("N = 2,", "N"),
     ("weight_cap = six", "weight_cap"),
     ("threads =", "threads"),
     ("dart_cap = 1.5", "dart_cap"),
@@ -293,7 +310,7 @@ def test_crosscheck_malformed_N_exits_2(capsys, orders):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
-        "--N must be comma separated integers"]
+        f"N must be comma separated integers, got {orders!r}"]
 
 
 def test_crosscheck_empty_grid_exits_2(capsys):

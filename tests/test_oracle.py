@@ -25,16 +25,20 @@ def _reference_grid():
                 yield N, degrees
                 if len(set(degrees)) > 1:
                     yield N, degrees[::-1]
-    # one face, two faces of one degree and a degree-1 face at 12 darts,
-    # where the completion memo serves most of the table
+    # one face, two faces of one degree and a degree-1 face at 12 darts
     yield from ((2, (12,)), (2, (6, 6)), (2, (11, 1)))
+    # five faces or more, where the inclusion-exclusion over blocks of
+    # faces runs deepest
+    yield from ((2, (1,) * 8), (2, (2, 2, 1, 1, 1, 1)), (2, (1,) * 10),
+                (3, (1,) * 9), (3, (2, 2, 1, 1, 1, 1, 1)),
+                (4, (1,) * 8), (4, (2, 1, 1, 1, 1, 1, 1)))
 
 
 def test_genus_table_equals_reference():
-    """The incremental enumeration gives the tables of building and
-    scanning every phi_b."""
+    """Subtracting the split gluings from the completion memo gives the
+    tables of building and scanning every phi_b."""
     grid = list(_reference_grid())
-    assert len(grid) == 211
+    assert len(grid) == 218
     for N, degrees in grid:
         assert genus_table(N, degrees) == \
             reference_genus_table(N, degrees), (N, degrees)
@@ -52,13 +56,15 @@ def test_completions_equal_reference(N, max_darts):
 
 def test_completions_memo_is_bounded():
     """A crosscheck at the default dart cap (the benchmark's request)
-    leaves at most one memo entry per partition of at most 12, however
-    many tables it reads."""
+    leaves at most one entry per partition of at most 12 in each memo,
+    however many tables it reads."""
     oracle._completions.cache_clear()
+    oracle._connected.cache_clear()
     assert run_crosscheck(build_config({}, N=(2, 3), g_max=1, n_max=1)).ok
     bound = len(list(partitions_upto(12)))
     assert bound == 272
     assert oracle._completions.cache_info().currsize <= bound
+    assert oracle._connected.cache_info().currsize <= bound
 
 
 def test_anchor_values():

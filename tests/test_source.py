@@ -34,3 +34,23 @@ def test_one_rational_backend():
                    for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_oracle_imports_no_other_engine():
+    """The crosscheck is worth something only because its three engines
+    are independent: the oracle borrows nothing from another module of
+    the package (no characters from `partitions` or `tau`, nothing from
+    `recursion`)."""
+    path = SRC / "oracle.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        if any(name.startswith(".") or name.split(".")[0] == "hypermaps"
+               for name in names):
+            found.append(f"oracle.py:{node.lineno}")
+    assert found == []
