@@ -165,10 +165,10 @@ def _check_pluecker(report, N_list, W):
                    rep.ok and rep.relations_checked > 0)
 
 
-def _check_curve_identities(report, N_list, recursions, cache_dir):
+def _check_curve_identities(report, N_list, recursions):
     for N in N_list:
         # one that ran served a stable profile, so it reaches omega_{0,3}
-        rec = recursions.get(N) or Recursion(N, 0, 3, cache_dir)
+        rec = recursions.get(N) or Recursion(N, 0, 3)
         curve = rec.curve
         frame = frobenius.canonical_frame(N)
         # x on the rescaled curve at the i-th ramification point equals
@@ -254,8 +254,7 @@ def run_crosscheck(config: RunConfig) -> Report:
     except Exception as exc:  # noqa: BLE001
         report.add_error("pluecker.window", {}, exc)
     try:
-        _check_curve_identities(report, config.N, recursions,
-                                config.cache_dir)
+        _check_curve_identities(report, config.N, recursions)
         _check_unstable_curve(report, config.N, config.dart_cap)
     except Exception as exc:  # noqa: BLE001
         report.add_error("curve.identities", {}, exc)

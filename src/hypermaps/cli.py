@@ -10,22 +10,16 @@ import json
 import sys
 
 from . import frobenius, oracle, pluecker, tau
-from .config import build_config, parse_config_file
+from .config import _parse_int_list, build_config, parse_config_file
 from .checks import run_crosscheck
 from .rational import rat_str
 from .recursion import Recursion, rhm01_from_curve
 from .report import emit
 
 
-def _parse_degrees(text):
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ValueError("degrees must be comma separated integers")
-
-
 def _cmd_rhm(args):
-    p = oracle.Profile(args.N, args.genus, _parse_degrees(args.degrees))
+    p = oracle.Profile(args.N, args.genus,
+                       _parse_int_list("degrees", args.degrees))
     if args.engine == "oracle":
         value = oracle.enumerate_rhm(p, args.dart_cap)
     elif args.engine == "tr":
@@ -86,7 +80,7 @@ def _cmd_tau(args):
 
 
 def _cmd_curve(args):
-    rec = Recursion(args.N, 0, 3, cache_dir=args.cache_dir)
+    rec = Recursion(args.N, 0, 3)
     values = {"N": args.N,
               "rhm01": [rhm01_from_curve(args.N, k) for k in range(9)]}
     tensor = rec.omega(0, 3)
@@ -178,7 +172,6 @@ def build_parser():
 
     p = sub.add_parser("curve", help="spectral curve summary")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("frobenius", help="special point frame data")

@@ -31,6 +31,9 @@ class RunConfig:
             raise ValueError("caps must be positive")
         if self.out not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.out!r}")
+        if len(set(self.engines)) < len(self.engines):
+            raise ValueError(
+                f"need distinct engines, got {list(self.engines)}")
         if not self.N or len(set(self.N)) < len(self.N):
             raise ValueError(f"need distinct N values, got {list(self.N)}")
         if any(n < 2 for n in self.N):
@@ -54,11 +57,11 @@ class RunConfig:
         }
 
 
-def _parse_int_list(s):
-    """Integers separated by commas or blanks: `--N` and the config key
-    `N` share this one grammar, and an empty item ("2,", ",", "") is an
-    error rather than nothing."""
-    message = f"N must be comma separated integers, got {s!r}"
+def _parse_int_list(key, s):
+    """Integers separated by commas or blanks: `--N`, the config key `N`
+    and `rhm --degrees` share this one grammar, and an empty item ("2,",
+    ",", "") is an error, named after `key`, rather than nothing."""
+    message = f"{key} must be comma separated integers, got {s!r}"
     items = [item.split() for item in str(s).split(",")]
     if not all(items):
         raise ValueError(message)
@@ -96,7 +99,7 @@ def build_config(file_values=None, **overrides) -> RunConfig:
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key, value in values.items():
         if key in ("N",):
-            kwargs["N"] = _parse_int_list(value) \
+            kwargs["N"] = _parse_int_list("N", value) \
                 if not isinstance(value, tuple) else value
         elif key == "engines":
             kwargs["engines"] = tuple(str(value).replace(",", " ").split()) \

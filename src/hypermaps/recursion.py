@@ -37,17 +37,21 @@ residues at one ramification point, which gives the keys with a slot
 there, and the other keys follow by this rotation.
 
 Every term of the recursion at a is a pair of slot roles, one at z and
-one at sigma(z), with the externals that remain and a scalar.  A role
-comes from a leg (slot role, remaining externals, coefficient): the
-omega_{0,2} bridge to an external xi_{a,k} gives role ("zB"|"sB", k),
-externals ((a, k),) and coefficient 1; a stable omega_{g,n} gives role
-("z"|"s", b, k) once per distinct slot (b, k) of each tensor key, with
-the rest of the key as externals and the key's coefficient.  A product
-term omega_{g1,1+j1}(z, I1) omega_{g2,1+j2}(sigma z, I2) is one leg per
-factor; omega_{g-1,n+1}(z, sigma z, J) is a z leg and then each distinct
-slot it leaves at sigma(z), and omega_{0,2}(z, sigma z) the role ("B2",).
-The scalars are summed per (externals, z role, sigma(z) role), and each
-sum scales the memoized residue of its role pair once.
+one at sigma(z), with the externals that remain and a scalar.  A slot
+role ("z"|"s", b, p) is the basis form dv/(v-b)^p on that side, and
+("B2",) is omega_{0,2}(z, sigma z).  A role comes from a leg (slot
+role, remaining externals, coefficient): a stable omega_{g,n} gives
+role ("z"|"s", b, k) once per distinct slot (b, k) of each tensor key,
+with the rest of the key as externals and the key's coefficient.  The
+omega_{0,2} bridge to an external xi_{a,k} is a slot too: near a,
+B(z, z') = sum_k (k-1) (z-a)^(k-2) xi_{a,k}(z') (Eynard-Orantin), so
+it gives role ("z"|"s", a, 2 - k), externals ((a, k),) and coefficient
+k - 1.  A product term omega_{g1,1+j1}(z, I1) omega_{g2,1+j2}(sigma z,
+I2) is one leg per factor; omega_{g-1,n+1}(z, sigma z, J) is a z leg
+and then each distinct slot it leaves at sigma(z), and omega_{0,2}(z,
+sigma z) the role ("B2",).  The scalars are summed per (externals, z
+role, sigma(z) role), and each sum scales the memoized residue of its
+role pair once.
 
 Counts are the correlators' coefficients at the pole of x, in X = 1/xt =
 v/(1 + v^N/(N-1)).  By Lagrange-Buermann and a^N = 1, a basis form at the
@@ -190,53 +194,34 @@ class Recursion:
         """Local series for one slot of the residue integrand, memoized on
         (a_idx, role).
 
-        role is ("z", b_idx, k) / ("s", b_idx, k) for a stable-correlator
-        basis form xi_{b,k} on the z or sigma(z) side,
+        role is ("z", b_idx, p) / ("s", b_idx, p) for the basis form
+        dv/(v-b)^p on the z or sigma(z) side,
 
-            z: xi_{b,k}(a+t) / dt = (t + (a-b))^(-k)
-            s: xi_{b,k}(sigma(a+t)) / dt = s'(t) (s(t) + (a-b))^(-k),
+            z: (t + (a-b))^(-p)
+            s: s'(t) (s(t) + (a-b))^(-p),
 
-        ("zB", k) / ("sB", k) for the omega_{0,2} bridge whose other leg
-        is an external variable (with the k-1 prefactor folded in), or
-        ("B2",) for omega_{0,2}(z, sigma z) itself.
+        with p = k >= 2 for a slot xi_{b,k} of a stable correlator and
+        p = 2 - k <= 0 at b = a for the omega_{0,2} bridge to an external
+        xi_{a,k}, or ("B2",) for omega_{0,2}(z, sigma z) itself.
         """
         key = (a_idx, role)
         out = self._slots.get(key)
         if out is not None:
             return out
         ring = self.curve.ring
-        kind = role[0]
-        if kind == "z":
-            b_idx, k = role[1:]
-            if a_idx == b_idx:
-                out = UniSeries.monomial("t", ring, 1, -k, self.M)
-            else:
-                diff = self.curve.ram[a_idx] - self.curve.ram[b_idx]
-                base = UniSeries("t", ring, {0: diff, 1: ring.one}, None)
-                out = base.inv(prec=self.M).pow(k, prec=self.M)
-        elif kind == "s":
-            b_idx, k = role[1:]
-            s = self.deck(a_idx)
-            if a_idx == b_idx:
-                out = s.deriv() * s.pow(k).inv()
-            else:
-                diff = self.curve.ram[a_idx] - self.curve.ram[b_idx]
-                shifted = s + UniSeries.monomial("t", ring, diff, 0, s.trunc)
-                out = s.deriv() * shifted.inv().pow(k, prec=s.trunc)
-        elif kind == "zB":
-            k = role[1]
-            out = UniSeries.monomial("t", ring, Q(k - 1), k - 2, self.M)
-        elif kind == "sB":
-            k = role[1]
-            s = self.deck(a_idx)
-            out = (s.deriv() * s.pow(k - 2)).scale(Q(k - 1)) \
-                if k > 2 else s.deriv().scale(Q(k - 1))
-        elif kind == "B2":
-            s = self.deck(a_idx)
+        s = self.deck(a_idx)
+        if role == ("B2",):
             t = UniSeries.monomial("t", ring, 1, 1, self.M)
             out = s.deriv() * (t - s).pow(2).inv()
         else:
-            raise ValueError(f"unknown role {role!r}")
+            side, b_idx, p = role
+            x = s if side == "s" else UniSeries.monomial("t", ring, 1, 1)
+            if b_idx != a_idx:
+                diff = self.curve.ram[a_idx] - self.curve.ram[b_idx]
+                x = x + UniSeries.monomial("t", ring, diff, 0)
+            out = x.pow(-p, prec=self.M)
+            if side == "s":
+                out = s.deriv() * out
         self._slots[key] = out
         return out
 
@@ -279,16 +264,13 @@ class Recursion:
         key = (g, n)
         if key in self._memo:
             return self._memo[key]
-        # omega_{0,3} is never cached: it takes milliseconds, and a
-        # uniformly rescaled copy would pass every load check
-        cached = None if key == (0, 3) else self._load_cached(g, n)
+        cached = self._load_cached(g, n)
         if cached is not None:
             self._memo[key] = cached
             return cached
         tensor = self._compute(g, n)
         self._memo[key] = tensor
-        if key != (0, 3):
-            self._store_cached(g, n, tensor)
+        self._store_cached(g, n, tensor)
         return tensor
 
     @staticmethod
@@ -305,9 +287,11 @@ class Recursion:
         """Legs (slot role, remaining externals, coefficient) of
         omega_t at the z (side "z") or sigma(z) (side "s") slot of a term
         at a_idx: a factor of a product term, or the z slot of the
-        omega_{g-1,n+1}(z, sigma z) term; see the module docstring."""
+        omega_{g-1,n+1}(z, sigma z) term.  omega_{0,2} bridges to an
+        external xi_{a,k}, 2 <= k <= bound, as the slot (a, 2 - k) with
+        coefficient k - 1; see the module docstring."""
         if t == (0, 2):
-            return [((side + "B", k), ((a_idx, k),), 1)
+            return [((side, a_idx, 2 - k), ((a_idx, k),), k - 1)
                     for k in range(2, bound + 1)]
         legs = []
         for K, c in self.omega(*t).items():
@@ -405,7 +389,9 @@ class Recursion:
     # -- tensor cache ------------------------------------------------------
 
     def _cache_path(self, g, n):
-        if not self.cache_dir:
+        # omega_{0,3} is never cached: it takes milliseconds, and a
+        # uniformly rescaled copy would pass every load check
+        if not self.cache_dir or (g, n) == (0, 3):
             return None
         # the tensors are exact: the working order M is not in the key
         name = f"tensor_N{self.N}_g{g}_n{n}_v{TENSOR_CACHE_VERSION}.json"

@@ -53,6 +53,9 @@ def test_rhm_invalid_inputs(capsys):
     ["pluecker", "--N", "1"],
     ["curve", "--N", "1"],
     ["frobenius", "--N", "1"],
+    # --degrees reads the grammar of --N: an empty item is malformed
+    ["rhm", "--N", "2", "--genus", "0", "--degrees", "2,"],
+    ["rhm", "--N", "2", "--genus", "0", "--degrees", "2,,2"],
 ])
 def test_weight_cap_too_small_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -124,9 +127,10 @@ def test_rhm_omega_03_is_never_cached(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rhm"] == 216
     path = tmp_path / "tensor_N3_g0_n3_v1.json"
     assert not path.exists()
-    rec = Recursion(3, 0, 3, str(tmp_path))
-    rec._store_cached(0, 3, rec.omega(0, 3))
-    payload = json.loads(path.read_text())
+    # the payload `_store_cached` would write, were omega_{0,3} cached
+    payload = {";".join(f"{a},{k}" for a, k in key):
+               [rat_str(c) for c in val.v]
+               for key, val in Recursion(3, 0, 3).omega(0, 3).items()}
     tampered = dict(payload)
     for key in ("0,2;0,2;0,2", "1,2;1,2;1,2", "2,2;2,2;2,2"):
         assert payload[key] == ["1/3", "0"]
@@ -213,6 +217,9 @@ def test_curve_subcommand(capsys):
     assert main(["curve", "--N", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rhm01"][1] == 1 and out["rhm01"][3] == 2
+    # omega_{0,3} is never cached, so the subcommand takes no cache
+    assert main(["curve", "--N", "2", "--cache-dir", "x"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_tau_subcommand(capsys):
@@ -270,6 +277,18 @@ def test_config_validation():
         RunConfig(N=())
     with pytest.raises(ValueError, match="need distinct N values"):
         RunConfig(N=(2, 3, 2))
+    with pytest.raises(ValueError, match="need distinct engines"):
+        RunConfig(engines=("tr", "oracle", "tr"))
+
+
+def test_crosscheck_duplicate_engine_exits_2(capsys):
+    """A repeated engine would run no other check, but its report would
+    echo the repeat: the request is rejected like a repeated N."""
+    assert main(["crosscheck", "--N", "2", "--engine", "tr,tr"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "need distinct engines, got ['tr', 'tr']"]
 
 
 @pytest.mark.parametrize("argv, config", [

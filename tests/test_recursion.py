@@ -210,6 +210,25 @@ def all_points_omega(rec, g, n):
     return {k: v for k, v in result.items() if not v.is_zero()}
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_bridge_slot_matches_closed_form(N):
+    """The omega_{0,2} bridge to an external xi_{a,k} is the slot
+    (a, 2 - k) with weight k - 1: B(a + t, v') expands as sum_k (k-1)
+    t^(k-2) xi_{a,k}(v'), so on the z side the weighted slot is the
+    monomial (k-1) t^(k-2), and on the sigma(z) side (k-1) s' s^(k-2)."""
+    rec = Recursion(N, 1, 2)
+    ring, M = rec.curve.ring, rec.M
+    for a_idx in range(N):
+        s = rec.deck(a_idx)
+        for k in range(2, M + 1):
+            z = rec._factor_series(a_idx, ("z", a_idx, 2 - k)).scale(k - 1)
+            assert z == UniSeries.monomial("t", ring, k - 1, k - 2, M)
+            sigma = rec._factor_series(a_idx, ("s", a_idx, 2 - k))
+            want = (s.deriv() * s.pow(k - 2)).scale(k - 1)
+            assert sigma.scale(k - 1) == want.truncated(sigma.trunc)
+            assert want.trunc is None or want.trunc >= sigma.trunc
+
+
 def test_rotation_matches_all_points(rec2, rec3, rec4):
     # (1, 3) and (2, 1) of N = 2 take their omega_{g-1,n+1}(z, sigma z)
     # term from a stable correlator with repeated slot values
@@ -343,18 +362,26 @@ def test_tensor_cache_store_removes_stale_names(tmp_path):
         names[2:] + ["tensor_N2_g1_n1_v1.json"])
 
 
-@pytest.mark.parametrize("g, n", [(0, 3), (1, 2)])
+@pytest.mark.parametrize("g, n", [(0, 4), (1, 2)])
 def test_tensor_cache_round_trip_N3(tmp_path, rec3, g, n):
     """The covariance check on load accepts a tensor whose rotation
-    factors are powers of zeta; omega_{0,3}, which `omega` never caches,
-    is checked through the load alone."""
+    factors are powers of zeta."""
     Recursion(3, g, n, cache_dir=str(tmp_path))._store_cached(
         g, n, rec3.omega(g, n))
     b = Recursion(3, g, n, cache_dir=str(tmp_path))
     assert b._load_cached(g, n) == rec3.omega(g, n)
-    if (g, n) != (0, 3):
-        b._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
-        assert b.omega(g, n) == rec3.omega(g, n)
+    b._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
+    assert b.omega(g, n) == rec3.omega(g, n)
+
+
+def test_omega_03_has_no_cache_path(tmp_path):
+    """omega_{0,3} has no cache file: storing it writes nothing and
+    loading it reads nothing."""
+    rec = Recursion(3, 0, 3, cache_dir=str(tmp_path))
+    assert rec._cache_path(0, 3) is None
+    rec._store_cached(0, 3, rec.omega(0, 3))
+    assert list(tmp_path.iterdir()) == []
+    assert rec._load_cached(0, 3) is None
 
 
 @pytest.mark.parametrize("exc", [OSError, RuntimeError])
