@@ -9,11 +9,10 @@ import argparse
 import json
 import sys
 
-from . import frobenius, oracle, pluecker, tau
+from . import frobenius, oracle, pluecker, recursion, tau
 from .config import _parse_int_list, build_config, parse_config_file
 from .checks import run_crosscheck
 from .rational import rat_str
-from .recursion import Recursion, rhm01_from_curve
 from .report import emit
 
 
@@ -23,11 +22,9 @@ def _cmd_rhm(args):
     if args.engine == "oracle":
         value = oracle.enumerate_rhm(p, args.dart_cap)
     elif args.engine == "tr":
-        rec = Recursion(p.N, p.g, len(p.degrees), cache_dir=args.cache_dir)
-        value = rec.rhm_from_tr(p.g, p.degrees)
-    else:  # tau, truncated at no less than the N that tau_Z needs
-        tz = tau.tau_Z(p.N, max(p.N, sum(p.degrees)))
-        value = tau.rhm_from_tau(tz, p.g, p.degrees)
+        value = recursion.count_rhm(p, args.cache_dir)
+    else:
+        value = tau.count_rhm(p)
     print(json.dumps({"N": p.N, "g": p.g, "degrees": list(p.degrees),
                       "rhm": value}))
     return 0
@@ -80,9 +77,10 @@ def _cmd_tau(args):
 
 
 def _cmd_curve(args):
-    rec = Recursion(args.N, 0, 3)
+    rec = recursion.Recursion(args.N, 0, 3)
     values = {"N": args.N,
-              "rhm01": [rhm01_from_curve(args.N, k) for k in range(9)]}
+              "rhm01": [recursion.rhm01_from_curve(args.N, k)
+                        for k in range(9)]}
     tensor = rec.omega(0, 3)
     values["omega03_keys"] = [
         [";".join(f"{a},{k}" for a, k in key)] for key in sorted(tensor)

@@ -79,8 +79,9 @@ def _parse_int(key, s):
 
 
 def parse_config_file(path) -> dict:
-    """Flat key = value lines; '#' comments and blank lines ignored."""
-    out = {}
+    """Flat key = value lines; '#' comments and blank lines ignored.  A
+    key set twice is an error, not the later value."""
+    out, set_on = {}, {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -89,7 +90,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
+            if key in set_on:
+                raise ValueError(f"{path}:{line_no}: {key!r} already set "
+                                 f"on line {set_on[key]}")
+            out[key], set_on[key] = value, line_no
     return out
 
 

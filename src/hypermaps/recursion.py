@@ -464,14 +464,10 @@ class Recursion:
     def rhm_from_tr(self, g: int, degrees) -> int:
         """Hypermap count from the correlator expansion; degrees are the
         side counts d_i = k_i + 1 >= 1."""
-        degrees = Profile(self.N, g, degrees).degrees
-        n = len(degrees)
-        if 2 * g - 2 + n <= 0:
-            raise ValueError("unstable moment: count it with the oracle "
-                             "engine")
-        total = sum(degrees)
-        if total % self.N != 0:
+        p = Profile(self.N, g, degrees)
+        if not _needs_correlator(p):
             return 0
+        degrees, n, total = p.degrees, len(p.degrees), sum(p.degrees)
         tensor = self.omega(g, n)
         exps = tuple(d - 1 for d in degrees)
         N, ram, zero = self.N, self.curve.ram, self.curve.ring.zero
@@ -509,6 +505,26 @@ class Recursion:
         zero = self.curve.ring.zero
         return sorted(K for K in ref.keys() | other.keys()
                       if ref.get(K, zero) != other.get(K, zero))
+
+
+def _needs_correlator(p: Profile) -> bool:
+    """Whether request p is read from a correlator: an unstable moment
+    (2g - 2 + n <= 0) is refused, and a total side count that N does
+    not divide has no hypermap."""
+    if 2 * p.g - 2 + len(p.degrees) <= 0:
+        raise ValueError("unstable moment: count it with the oracle "
+                         "engine")
+    return sum(p.degrees) % p.N == 0
+
+
+def count_rhm(profile: Profile, cache_dir=None) -> int:
+    """One count from a Recursion sized to the request, built only when
+    the request does not decide the count by itself."""
+    if not _needs_correlator(profile):
+        return 0
+    rec = Recursion(profile.N, profile.g, len(profile.degrees),
+                    cache_dir=cache_dir)
+    return rec.rhm_from_tr(profile.g, profile.degrees)
 
 
 @lru_cache(maxsize=None)

@@ -2,13 +2,15 @@
 
 Provides:
 
-* ``EpsLaurent`` -- Laurent polynomials in the genus parameter eps with
-  rational coefficients (the coefficient ring of the tau function).
 * ``UniSeries`` -- Laurent series in one variable over a declared
   coefficient ring, with an explicit truncation order.  ``trunc`` is the
   first exponent the series does *not* know; ``trunc is None`` marks an
   exact Laurent polynomial.  Arithmetic never reports coefficients at or
   beyond the truncation order.
+* ``EpsLaurent`` -- Laurent polynomials in the genus parameter eps with
+  rational coefficients (the coefficient ring of the tau function): an
+  exact UniSeries over Q in eps, so its sums and products are
+  UniSeries arithmetic.
 * ``MultiSeries`` -- weight-capped series in countably many variables
   v_1, v_2, ... where v_k carries weight k; coefficients are EpsLaurent.
 * ``lagrange_invert`` -- exact series reversion.
@@ -16,125 +18,6 @@ Provides:
 from __future__ import annotations
 
 from .rational import Q, QONE, QZERO, is_rational, rat_str
-
-
-class EpsLaurent:
-    """Laurent polynomial in eps with rational coefficients.
-
-    Stored sparsely as {exponent: nonzero rational}.  Immutable by
-    convention: no method mutates self.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v != 0:
-                    c[int(e)] = v
-        self.c = c
-
-    @classmethod
-    def const(cls, q):
-        return cls({0: Q(q)})
-
-    @classmethod
-    def term(cls, q, e):
-        return cls({e: Q(q)})
-
-    def coeff(self, e):
-        return self.c.get(e, QZERO)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def _coerce(self, other):
-        if isinstance(other, EpsLaurent):
-            return other
-        if is_rational(other):
-            return EpsLaurent.const(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = c.get(e, QZERO) + v
-            if w == 0:
-                c.pop(e, None)
-            else:
-                c[e] = w
-        out = EpsLaurent.__new__(EpsLaurent)
-        out.c = c
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = EpsLaurent.__new__(EpsLaurent)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if is_rational(other):
-            if other == 0:
-                return EpsLaurent()
-            out = EpsLaurent.__new__(EpsLaurent)
-            out.c = {e: v * other for e, v in self.c.items()}
-            return out
-        if not isinstance(other, EpsLaurent):
-            return NotImplemented
-        c = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = c.get(e, QZERO) + v1 * v2
-                if w == 0:
-                    c.pop(e, None)
-                else:
-                    c[e] = w
-        out = EpsLaurent.__new__(EpsLaurent)
-        out.c = c
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.c == other.c
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.c:
-            return "EpsLaurent(0)"
-        parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
-            if e == 0:
-                parts.append(f"{v}")
-            elif e == 1:
-                parts.append(f"({v})*eps")
-            else:
-                parts.append(f"({v})*eps^{e}")
-        return " + ".join(parts)
-
-    def to_json(self):
-        return {str(e): rat_str(self.c[e]) for e in sorted(self.c)}
-
-    def exponents(self):
-        return sorted(self.c)
 
 
 class _RatRing:
@@ -218,7 +101,7 @@ class UniSeries:
             raise ValueError("coefficient ring mismatch")
 
     def _new(self, coeffs, trunc):
-        out = UniSeries.__new__(UniSeries)
+        out = object.__new__(type(self))
         out.var = self.var
         out.ring = self.ring
         out.trunc = trunc
@@ -424,6 +307,58 @@ class UniSeries:
         return body + tail
 
 
+class EpsLaurent(UniSeries):
+    """Laurent polynomial in eps with rational coefficients: an exact
+    UniSeries (``trunc is None``) in the variable "eps" over QRING.
+
+    A rational operand of +, -, * or == stands for the constant it is.
+    Immutable by convention: no method mutates self.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        super().__init__("eps", QRING, coeffs)
+
+    @classmethod
+    def const(cls, q):
+        return cls({0: Q(q)})
+
+    @classmethod
+    def term(cls, q, e):
+        return cls({e: Q(q)})
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __add__(self, other):
+        return UniSeries.__add__(self, _lift(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return UniSeries.__sub__(self, _lift(other))
+
+    def __mul__(self, other):
+        return UniSeries.__mul__(self, _lift(other))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return UniSeries.__eq__(self, _lift(other))
+
+    def to_json(self):
+        return {str(e): rat_str(self.c[e]) for e in sorted(self.c)}
+
+    def exponents(self):
+        return sorted(self.c)
+
+
+def _lift(other):
+    """A rational as the constant EpsLaurent; anything else unchanged."""
+    return EpsLaurent.const(other) if is_rational(other) else other
+
+
 def lagrange_invert(phi: UniSeries, trunc: int, out_var: str = "w") -> UniSeries:
     """Solve z = w*phi(z) for z(w) modulo w^trunc.
 
@@ -472,8 +407,8 @@ class MultiSeries:
         return cls(cap, {(): v})
 
     def coeff(self, key):
-        key = tuple(sorted(key, reverse=True))
-        return self.c.get(key, EpsLaurent())
+        v = self.c.get(tuple(sorted(key, reverse=True)))
+        return EpsLaurent() if v is None else v
 
     def _new(self, c):
         out = MultiSeries.__new__(MultiSeries)

@@ -166,6 +166,15 @@ def rhm_from_tau(tau: TauTruncation, g: int, degrees) -> int:
                     "tau count is not a count")
 
 
+def count_rhm(profile: Profile) -> int:
+    """One count from Z truncated at the total side count d, built only
+    when N divides d (so that d >= N, as tau_Z needs)."""
+    d = sum(profile.degrees)
+    if d % profile.N:
+        return 0
+    return rhm_from_tau(tau_Z(profile.N, d), profile.g, profile.degrees)
+
+
 def osmh_from_tau(tau: TauTruncation, g: int, degrees):
     """Hurwitz-side normalization: log Z re-expanded in the p-variables
     (t_k = eps p_k / k), read at eps^(2g-2+n).  Exact rational."""

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hypermaps import recursion, tau
 from hypermaps.cli import main
 from hypermaps.config import RunConfig, build_config, parse_config_file
 from hypermaps.rational import parse_rat, rat_str
@@ -96,6 +97,31 @@ def test_rhm_degree_below_N(capsys, engine):
                  "--engine", engine]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "N": 3, "g": 0, "degrees": [1], "rhm": 0}
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["--N", "40", "--genus", "0", "--engine", "tau"], 0,
+     {"N": 40, "g": 0, "degrees": [1], "rhm": 0}),
+    (["--N", "400", "--genus", "0", "--engine", "tr"], 2, None),
+    (["--N", "400", "--genus", "1", "--engine", "tr"], 0,
+     {"N": 400, "g": 1, "degrees": [1], "rhm": 0}),
+], ids=["tau-indivisible", "tr-unstable", "tr-indivisible"])
+def test_rhm_decided_by_the_request_builds_no_engine(
+        monkeypatch, capsys, argv, code, out):
+    """A request whose answer its profile decides (N does not divide the
+    total degree, or an unstable moment for tr) is answered before Z or
+    the spectral curve is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine state built")
+    monkeypatch.setattr(tau, "tau_Z", refuse)
+    monkeypatch.setattr(recursion, "Curve", refuse)
+    assert main(["rhm", "--degrees", "1"] + argv) == code
+    captured = capsys.readouterr()
+    if out is None:
+        assert captured.out == ""
+        assert captured.err.startswith("unstable moment")
+    else:
+        assert json.loads(captured.out) == out
 
 
 def test_rhm_failed_verification_exits_1(tmp_path, capsys):
@@ -258,6 +284,18 @@ def test_config_file_bad_line(tmp_path):
     p.write_text("just a dangling token\n")
     with pytest.raises(ValueError, match="expected key = value"):
         parse_config_file(str(p))
+
+
+def test_crosscheck_config_key_set_twice_exits_2(tmp_path, capsys):
+    """A repeated key is an error naming the file, the key and both
+    lines, not a silent win for the later value."""
+    path = tmp_path / "run.conf"
+    path.write_text("weight_cap = 6\n# a comment\nweight_cap = 8\n")
+    assert main(["crosscheck", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"{path}:3: 'weight_cap' already set on line 1"]
 
 
 def test_config_validation():

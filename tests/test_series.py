@@ -147,6 +147,33 @@ def test_eps_laurent_arith():
     assert EpsLaurent() == 0 and not EpsLaurent({0: QONE}) == 0
 
 
+def test_eps_laurent_is_an_exact_unseries():
+    """EpsLaurent arithmetic is UniSeries arithmetic: every result, with
+    a rational operand too, is again an exact EpsLaurent."""
+    a = EpsLaurent({-1: QONE, 1: Q(2)})
+    b = EpsLaurent({1: Q(-2), 0: Q(3)})
+    q = Q(3, 7)
+    results = {"a + b": a + b, "a - b": a - b, "-a": -a, "a * b": a * b,
+               "a * q": a * q, "q * a": q * a, "a.scale(q)": a.scale(q),
+               "a + 1": a + 1, "1 + a": 1 + a}
+    for name, r in results.items():
+        assert type(r) is EpsLaurent and r.trunc is None, name
+    assert results["a * b"] == EpsLaurent(
+        {-1: Q(3), 0: Q(-2), 1: Q(6), 2: Q(-4)})
+    assert results["a * q"] == results["q * a"] == results["a.scale(q)"]
+    assert results["a + 1"] == results["1 + a"] == EpsLaurent(
+        {-1: QONE, 0: QONE, 1: Q(2)})
+
+
+def test_eps_laurent_rejects_another_variable():
+    a = EpsLaurent({0: QONE, 1: Q(2)})
+    t = S({0: 1, 1: 1}, var="t")
+    for op in (lambda: a + t, lambda: t + a, lambda: a * t,
+               lambda: t * a):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            op()
+
+
 def multiseries_exp(m):
     """Formal exp of a MultiSeries; requires constant term 0."""
     if () in m.c:

@@ -54,3 +54,27 @@ def test_oracle_imports_no_other_engine():
                for name in names):
             found.append(f"oracle.py:{node.lineno}")
     assert found == []
+
+
+def test_no_unused_imports_in_src():
+    """Every name a module imports is read in that module (package
+    __init__ re-exports and __future__ imports aside)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in names if name not in read]
+    assert found == []
