@@ -221,6 +221,19 @@ def run_crosscheck(config: RunConfig) -> Report:
         raise ValueError(
             f"the Pluecker window for N = {pluecker_N[0]} needs weight_cap "
             f">= {pluecker.MIN_WEIGHT_CAP}, got {config.weight_cap}")
+    # below 2 darts the calibration sweep meets no black face, where the
+    # wrong Euler accounting differs from the right one
+    if config.dart_cap < 2:
+        raise ValueError(f"the oracle calibration needs dart_cap >= 2, "
+                         f"got {config.dart_cap}")
+    if config.engines == ("oracle",):
+        for N, profiles in grids.items():
+            darts = max(sum(degrees) for _, degrees in profiles)
+            if darts > config.dart_cap:
+                raise ValueError(
+                    f"the oracle alone needs dart_cap >= {darts} for N = "
+                    f"{N} within weight_cap = {config.weight_cap}, got "
+                    f"{config.dart_cap}")
     report = Report(config.echo())
     try:
         _check_smatrix_gates(report)

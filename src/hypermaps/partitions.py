@@ -1,10 +1,12 @@
 """Integer partitions and symmetric-group character values.
 
 Partitions are weakly decreasing tuples of positive integers; () is the
-empty partition.  Characters are computed by the Murnaghan-Nakayama rule
-on beta-numbers (first-column hook lengths) held as the set bits of one
-int: removing a border strip of size k moves a bit from b down to b - k,
-its sign is the parity of the bits strictly between, and the recursion is
+empty partition.  This module alone builds beta-sets (Maya diagrams):
+lambda padded to L rows has beta-numbers lambda_i + L - i, held as the
+set bits of one int (``beta_mask``; ``mask_partition`` inverts it).
+Characters are computed by the Murnaghan-Nakayama rule on that mask:
+removing a border strip of size k moves a bit from b down to b - k, its
+sign is the parity of the bits strictly between, and the recursion is
 memoized on (bits, remaining cycle type).
 """
 from __future__ import annotations
@@ -51,6 +53,25 @@ def contents(lam):
     return out
 
 
+def beta_mask(lam, L: int) -> int:
+    """The beta-numbers lam_i + L - i of lam padded to L rows, as the set
+    bits of an int; the padding rows are the L - len(lam) lowest bits."""
+    if len(lam) > L:
+        raise ValueError(f"{tuple(lam)} has more than {L} rows")
+    mask = (1 << (L - len(lam))) - 1
+    for i, part in enumerate(lam, start=1):
+        mask |= 1 << (part + L - i)
+    return mask
+
+
+def mask_partition(mask: int):
+    """The partition whose beta-numbers are the set bits of mask: the part
+    of a set bit is the number of clear bits below it."""
+    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    parts = [b - i for i, b in enumerate(bits) if b > i]
+    return tuple(reversed(parts))
+
+
 @lru_cache(maxsize=None)
 def character(lam, mu) -> int:
     """Irreducible character chi^lam evaluated on cycle type mu."""
@@ -58,11 +79,7 @@ def character(lam, mu) -> int:
     mu = tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError("character requires |lam| == |mu|")
-    length = len(lam)
-    mask = 0
-    for i, part in enumerate(lam):
-        mask |= 1 << (part + length - 1 - i)
-    return _mn(mask, mu)
+    return _mn(beta_mask(lam, len(lam)), mu)
 
 
 @lru_cache(maxsize=None)

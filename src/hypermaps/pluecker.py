@@ -13,21 +13,23 @@ sign convention is pinned by the smallest instance
 
     A_{} A_{(2,2)} - A_{(1)} A_{(2,1)} + A_{(2)} A_{(1,1)} = 0.
 
-We enumerate S as (L-1)-subsets of beta-sets of window partitions and T
-as a window beta-set plus one extra universe element; relations that
-would involve a coefficient of weight above the window (other than the
-weights killed by the divisibility constraint, which vanish at every
-weight) are skipped as unknowable rather than assumed.
+Sets are ints whose set bits are their elements (``partitions.beta_mask``).
+S is a window beta-set with one bit cleared and T one with one bit of
+0..W+L-1 set; relations that would involve a coefficient of weight above
+the window (other than the weights killed by the divisibility
+constraint, which vanish at every weight) are skipped as unknowable
+rather than assumed.  Violations come sorted by (S, T), S as an
+increasing and T as a decreasing tuple.
 
-Sets are carried as bitmasks with their sums.  An L-set B has weight
-sum(B) - L(L-1)/2, so pairs whose sums rule out every term are never
-visited.  Each side is classified once, not per pair: for S the
-positions t outside S whose side S + t survives divisibility form two
-masks, LU_S (weight above the window, unknown) and LN_S (in the window,
-A nonzero); RU_T and RN_T are the same for the sides T - t.  A pair is
-skipped iff some term has an unknown side and a side not known to be
-zero, i.e. LU_S & (RU_T | RN_T) or RU_T & LN_S is nonzero; otherwise it
-is checked iff LN_S & RN_T, its nonzero terms, is nonzero.
+An L-set B has weight sum(B) - L(L-1)/2, so pairs whose sums rule out
+every term are never visited.  Each side is classified once, not per
+pair: for S the positions t outside S whose side S + t survives
+divisibility form two masks, LU_S (weight above the window, unknown)
+and LN_S (in the window, A nonzero); RU_T and RN_T are the same for the
+sides T - t.  A pair is skipped iff some term has an unknown side and a
+side not known to be zero, i.e. LU_S & (RU_T | RN_T) or RU_T & LN_S is
+nonzero; otherwise it is checked iff LN_S & RN_T, its nonzero terms, is
+nonzero.
 
 A checked relation is summed in integers.  Every term has
 m_left + m_right = M = (sum(S) + sum(T) - 2c)/N, so with A_lambda =
@@ -38,41 +40,15 @@ nonzero sum is turned back into an eps-polynomial for the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb, factorial
 
-from .partitions import partitions_upto
+from .partitions import beta_mask, mask_partition, partitions_upto
 from .rational import Q
 from .series import EpsLaurent
 from .tau import coefficient_row
 
 # the smallest window that holds a relation: A_{} A_{(2,2)} - ... = 0
 MIN_WEIGHT_CAP = 4
-
-
-def beta_set(lam, L: int):
-    """Beta-numbers of lam padded to L rows, as a sorted-descending tuple."""
-    lam = tuple(lam)
-    if len(lam) > L:
-        raise ValueError(f"{lam} has more than {L} rows")
-    padded = list(lam) + [0] * (L - len(lam))
-    return tuple(padded[i] + (L - 1 - i) for i in range(L))
-
-
-def partition_of(beta):
-    """Partition recovered from a beta-number set."""
-    b = sorted(beta, reverse=True)
-    L = len(b)
-    lam = tuple(b[i] - (L - 1 - i) for i in range(L))
-    if any(p < 0 for p in lam) or any(
-            lam[i] < lam[i + 1] for i in range(L - 1)):
-        raise ValueError(f"{tuple(beta)} is not a set of beta-numbers")
-    return tuple(p for p in lam if p > 0)
-
-
-def _mask(beta) -> int:
-    """The set of nonnegative integers beta as the set bits of an int."""
-    return sum(1 << b for b in beta)
 
 
 @dataclass
@@ -105,9 +81,8 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
     L = W
     c = L * (L - 1) // 2
     report = PlueckerReport(N, W)
-    betas = [frozenset(beta_set(lam, L)) for lam in partitions_upto(W)]
-    universe = sorted({x for b in betas for x in b}
-                      | set(range(W + L)))
+    betas = [beta_mask(lam, L) for lam in partitions_upto(W)]
+    universe = range(W + L)
 
     known = {}
 
@@ -115,8 +90,7 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
         """coefficient_row at the L-set whose elements are the set bits
         of mask: (m, integer row), or None where A is zero."""
         if mask not in known:
-            bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
-            known[mask] = coefficient_row(N, partition_of(bits))
+            known[mask] = coefficient_row(N, mask_partition(mask))
         return known[mask]
 
     def status(mask, total, ts, sign):
@@ -138,27 +112,21 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
                     forms[t] = f
         return unknown, nonzero, forms
 
-    s_candidates = set()
-    for b in betas:
-        for s in combinations(sorted(b), L - 1):
-            s_candidates.add(frozenset(s))
-    t_candidates = set()
-    for b in betas:
-        for extra in universe:
-            if extra not in b:
-                t_candidates.add(b | {extra})
-    # T grouped by sum(T) mod N, each group in set order, so that every
-    # S meets its T in the same order as a scan of all pairs
+    s_candidates = sorted({b ^ 1 << x for b in betas for x in universe
+                           if b >> x & 1})
+    t_candidates = sorted({b | 1 << x for b in betas for x in universe
+                           if not b >> x & 1})
     t_by_residue = [[] for _ in range(N)]
-    for T in t_candidates:
-        t_mask, t_sum = _mask(T), sum(T)
-        t_sorted = tuple(sorted(T, reverse=True))
+    for t_mask in t_candidates:
+        t_sorted = tuple(x for x in reversed(universe) if t_mask >> x & 1)
+        t_sum = sum(t_sorted)
         ru, rn, r_forms = status(t_mask, t_sum, t_sorted, -1)
         t_by_residue[t_sum % N].append(
             (ru | rn, ru, rn, t_mask, t_sum, t_sorted, r_forms))
 
-    for S in s_candidates:
-        s_mask, s_sum = _mask(S), sum(S)
+    for s_mask in s_candidates:
+        s_sorted = tuple(x for x in universe if s_mask >> x & 1)
+        s_sum = sum(s_sorted)
         lu, ln, l_forms = status(
             s_mask, s_sum, [t for t in universe if not s_mask >> t & 1], 1)
         for rk, ru, rn, t_mask, t_sum, t_sorted, r_forms in \
@@ -192,5 +160,6 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
                 violation = EpsLaurent({e - M: Q(a, denom)
                                         for e, a in enumerate(total)})
                 report.violations.append(
-                    (tuple(sorted(S)), t_sorted, violation.to_json()))
+                    (s_sorted, t_sorted, violation.to_json()))
+    report.violations.sort(key=lambda v: v[:2])
     return report

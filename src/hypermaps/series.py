@@ -64,13 +64,14 @@ class UniSeries:
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def zero(cls, var, ring, trunc=None):
-        return cls(var, ring, {}, trunc)
+    # plain UniSeries even through EpsLaurent, which fixes var and ring
+    @staticmethod
+    def zero(var, ring, trunc=None):
+        return UniSeries(var, ring, {}, trunc)
 
-    @classmethod
-    def monomial(cls, var, ring, coef=1, exp=0, trunc=None):
-        return cls(var, ring, {exp: ring.coerce(coef)}, trunc)
+    @staticmethod
+    def monomial(var, ring, coef=1, exp=0, trunc=None):
+        return UniSeries(var, ring, {exp: ring.coerce(coef)}, trunc)
 
     # -- inspection ----------------------------------------------------
 
@@ -270,25 +271,17 @@ class UniSeries:
         if self.trunc is not None:
             cand.append(self.trunc * max(iv, 1))
         t = min(cand) if cand else None
+        # sum of c_e inner^e, one product per exponent
         out = UniSeries.zero(self.var, self.ring, t)
-        if not self.c:
-            return out
-        # Horner over descending exponents
-        exps = sorted(self.c, reverse=True)
-        acc = UniSeries.zero(self.var, self.ring, t)
-        prev = exps[0]
-        acc = acc + UniSeries.monomial(self.var, self.ring, 1, 0, t).scale(self.c[prev])
-        for e in exps[1:]:
-            acc = acc * inner.pow(prev - e, prec=t)
-            if t is not None:
-                acc = acc.truncated(t)
-            acc = acc + UniSeries.monomial(self.var, self.ring, 1, 0, t).scale(self.c[e])
-            prev = e
-        if prev > 0:
-            acc = acc * inner.pow(prev, prec=t)
-        if t is not None:
-            acc = acc.truncated(t)
-        return acc
+        power = UniSeries.monomial(self.var, self.ring, 1, 0, t)
+        for e in range(max(self.c, default=-1) + 1):
+            if e:
+                power = power * inner
+                if t is not None:
+                    power = power.truncated(t)
+            if e in self.c:
+                out = out + power.scale(self.c[e])
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):

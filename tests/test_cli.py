@@ -393,6 +393,26 @@ def test_crosscheck_small_weight_cap_exits_2(capsys):
         "the Pluecker window for N = 2 needs weight_cap >= 4, got 3"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--N", "2,3", "--dart-cap", "1"],
+     "the oracle calibration needs dart_cap >= 2, got 1"),
+    (["--N", "2", "--weight-cap", "4", "--engine", "oracle",
+      "--dart-cap", "3"],
+     "the oracle alone needs dart_cap >= 4 for N = 2 within "
+     "weight_cap = 4, got 3"),
+])
+def test_crosscheck_dart_cap_too_small_exits_2(capsys, argv, message):
+    """A dart cap that leaves a check with nothing to compare is an
+    invalid request, not a failed verification: at cap 1 the calibration
+    cannot tell the two Euler accountings apart, and an oracle-only grid
+    would record a profile with no value."""
+    assert main(["crosscheck", "--g-max", "1", "--n-max", "1"]
+                + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [message]
+
+
 @pytest.mark.parametrize("name", ["a_directory", "missing.conf"])
 def test_crosscheck_unreadable_config_exits_2(tmp_path, capsys, name):
     (tmp_path / "a_directory").mkdir()

@@ -33,8 +33,7 @@ raises(ValueError, oracle.Profile, 1, 0, (1,))
 raises(ValueError, oracle.Profile, 2, 0, (0,))
 raises(ValueError, oracle.rhm01_closed, 2, -1)
 raises(ValueError, partitions.character, (2,), (1,))
-raises(ValueError, pluecker.beta_set, (1, 1, 1), 2)
-raises(ValueError, pluecker.partition_of, (0, 0))
+raises(ValueError, partitions.beta_mask, (1, 1, 1), 2)
 raises(ValueError, polar.ExactPolar, 1, 1)
 raises(ValueError, polar.ExactPolar(3, 1).__mul__, polar.ExactPolar(2, 1))
 raises(ValueError, polar.ExactPolar(3, 1).__add__, polar.ExactPolar(2, 1))

@@ -1,6 +1,8 @@
 import random
 
-from hypermaps.partitions import character, contents, mult_vector, partitions
+from hypermaps.partitions import (_mn, beta_mask, character, contents,
+                                  mask_partition, mult_vector, partitions,
+                                  partitions_upto)
 from hypermaps.rational import Q
 from hypermaps.series import EpsLaurent
 
@@ -258,3 +260,23 @@ def test_character_matches_frozenset_recursion():
             for mu in partitions(n):
                 assert character(lam, mu) == frozenset_character(lam, mu), \
                     (lam, mu)
+
+
+def test_beta_mask_round_trip():
+    for lam in partitions_upto(9):
+        for L in range(len(lam), len(lam) + 4):
+            mask = beta_mask(lam, L)
+            assert mask.bit_count() == L
+            assert mask_partition(mask) == lam, (lam, L)
+    assert beta_mask((3, 1), 2) == 1 << 4 | 1 << 1
+    assert beta_mask((), 3) == 0b111
+
+
+def test_character_does_not_depend_on_padding():
+    """Adding empty rows shifts every beta-number up and sets the low
+    bits; the Murnaghan-Nakayama value on the mask must not change."""
+    for lam in partitions_upto(9):
+        for L in range(len(lam), len(lam) + 4):
+            mask = beta_mask(lam, L)
+            for mu in partitions(sum(lam)):
+                assert _mn(mask, mu) == character(lam, mu), (lam, L, mu)

@@ -3,17 +3,34 @@ from itertools import combinations
 import pytest
 
 from hypermaps import pluecker
-from hypermaps.partitions import partitions_upto
-from hypermaps.pluecker import beta_set, partition_of, pluecker_check
+from hypermaps.partitions import beta_mask, partitions_upto
+from hypermaps.pluecker import pluecker_check
 from hypermaps.series import EpsLaurent
 from hypermaps.tau import coefficient_A, coefficient_row
 
+# The reference scan's own encoding of beta-sets, independent of the
+# int masks of hypermaps.partitions.
+
+
+def beta_set(lam, L: int):
+    """Beta-numbers of lam padded to L rows, as a sorted-descending tuple."""
+    padded = list(lam) + [0] * (L - len(lam))
+    return tuple(padded[i] + (L - 1 - i) for i in range(L))
+
+
+def partition_of(beta):
+    """Partition recovered from a beta-number set."""
+    b = sorted(beta, reverse=True)
+    L = len(b)
+    return tuple(p for p in (b[i] - (L - 1 - i) for i in range(L)) if p > 0)
+
 
 def test_beta_set_round_trip():
-    for lam, L in (((3, 1), 2), ((2, 2, 1), 4), ((), 3)):
-        beta = beta_set(lam, L)
-        assert len(beta) == L
-        assert partition_of(beta) == tuple(lam)
+    for lam in partitions_upto(7):
+        for L in range(len(lam), len(lam) + 3):
+            beta = beta_set(lam, L)
+            assert sum(1 << b for b in beta) == beta_mask(lam, L)
+            assert partition_of(beta) == lam
 
 
 def test_gr24_instance_by_hand():
@@ -119,8 +136,8 @@ def test_screened_scan_matches_reference(N, W):
     ((2, 2), 60), ((4, 2), 44), ((3, 3, 2), 26)])
 def test_screen_cannot_hide_a_violation(monkeypatch, lam, expected):
     """Doubling one coefficient breaks the relations through it; the
-    mask screen must report every one, in the reference's order, with
-    the reference's eps-form of every violated sum."""
+    mask screen must report every one, sorted by (S, T), with the
+    reference's eps-form of every violated sum."""
     def doubled_row(N, mu):
         form = coefficient_row(N, mu)
         if form and tuple(mu) == lam:
@@ -135,7 +152,9 @@ def test_screen_cannot_hide_a_violation(monkeypatch, lam, expected):
     monkeypatch.setattr(pluecker, "coefficient_row", doubled_row)
     rep = pluecker_check(2, 8)
     assert len(rep.violations) == expected
-    assert rep.violations == reference_scan(2, 8, doubled)[2]
+    assert rep.violations == sorted(reference_scan(2, 8, doubled)[2])
+    keys = [v[:2] for v in rep.violations]
+    assert keys == sorted(keys)
 
 
 def test_wider_window_certified():

@@ -165,6 +165,13 @@ def test_eps_laurent_is_an_exact_unseries():
         {-1: QONE, 0: QONE, 1: Q(2)})
 
 
+def test_constructors_reached_through_eps_laurent():
+    """zero and monomial build a plain UniSeries whatever class they are
+    reached through; EpsLaurent's own constructor takes no var or ring."""
+    assert EpsLaurent.zero("eps", QRING) == EpsLaurent()
+    assert EpsLaurent.monomial("eps", QRING, 2, -1) == EpsLaurent.term(2, -1)
+
+
 def test_eps_laurent_rejects_another_variable():
     a = EpsLaurent({0: QONE, 1: Q(2)})
     t = S({0: 1, 1: 1}, var="t")
