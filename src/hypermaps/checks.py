@@ -2,10 +2,13 @@
 funnelled into one report.
 
 Every check reads the oracle's tables through `oracle.genus_table(N,
-degrees, dart_cap)`, called positionally (perfbench's tracer reads N and
-the degrees from its arguments).  The oracle's memo serves each degree
-multiset once per process, and the cap is checked before it is read, so
-a small-cap request never sees a larger table.
+degrees, ...)`, called positionally (perfbench's tracer reads N and the
+degrees from its arguments), and the oracle's memo serves each degree
+multiset once per process.  The fixed self-checks always read their whole
+sweeps, none past the oracle's default cap; the request's dart cap bounds
+only the grid's reads, and a grid it would cut short is refused before
+any check runs.  Each check is its own error unit: one that raises leaves
+one error record, named after it, and the others still run.
 """
 from __future__ import annotations
 
@@ -81,28 +84,21 @@ def _check_residue_lemma(report):
                    {"N": N, "k_max": RESIDUE_K_MAX}, {}, ok)
 
 
-def _check_unstable(report, dart_cap):
+def _check_unstable(report):
     from math import factorial
     for N in (2, 3, 4):
         ok01 = True
         for k in range(9):
-            if k + 1 > dart_cap:
-                break
             lhs = frobenius.unstable01(N, k) * factorial(k + 1)
-            rhs = oracle.genus_table(N, (k + 1,), dart_cap).get(0, 0)
-            if lhs != rhs:
+            if lhs != oracle.genus_table(N, (k + 1,)).get(0, 0):
                 ok01 = False
         report.add("frobenius.unstable01_vs_oracle", {"N": N}, {}, ok01)
         ok02 = True
         for k1 in range(9):
             for k2 in range(k1, 9 - k1):
-                if k1 + k2 + 2 > dart_cap:
-                    continue
                 lhs = (frobenius.unstable02(N, k1, k2)
                        * factorial(k1 + 1) * factorial(k2 + 1))
-                rhs = oracle.genus_table(N, (k1 + 1, k2 + 1),
-                                         dart_cap).get(0, 0)
-                if lhs != rhs:
+                if lhs != oracle.genus_table(N, (k1 + 1, k2 + 1)).get(0, 0):
                     ok02 = False
         report.add("frobenius.unstable02_vs_oracle", {"N": N}, {}, ok02)
 
@@ -115,16 +111,16 @@ def _noblack_table(table, black_faces):
     return {g + black_faces // 2: count for g, count in table.items()}
 
 
-def _check_oracle_calibration(report, dart_cap):
+def _check_oracle_calibration(report):
     """The orientation convention is pinned by the closed form; the same
     sweep read with a deliberately wrong Euler accounting must fail."""
     good, bad_detected = True, False
     for N, d_cap in ((2, 12), (3, 9), (4, 8)):
-        for k in range(min(dart_cap, d_cap)):
+        for k in range(d_cap):
             expect = oracle.rhm01_closed(N, k)
             if (k + 1) % N and expect != 0:
                 good = False
-            table = oracle.genus_table(N, (k + 1,), dart_cap)
+            table = oracle.genus_table(N, (k + 1,))
             if table.get(0, 0) != expect:
                 good = False
             if _noblack_table(table, (k + 1) // N).get(0, 0) != expect:
@@ -143,16 +139,24 @@ def _three_way_for_N(N, cfg: RunConfig, profiles):
     tz = tau.tau_Z(N, cfg.weight_cap) if "tau" in cfg.engines else None
     for g, degrees in profiles:
         values = {}
-        if "oracle" in cfg.engines and sum(degrees) <= cfg.dart_cap:
+        if "oracle" in cfg.engines:
             values["oracle"] = oracle.genus_table(N, degrees,
                                                   cfg.dart_cap).get(g, 0)
         if rec is not None:
             values["tr"] = rec.rhm_from_tr(g, degrees)
         if tz is not None:
             values["tau"] = tau.rhm_from_tau(tz, g, degrees)
-        ok = len(set(values.values())) <= 1 and len(values) >= 1
-        rows.append((g, degrees, values, ok))
+        rows.append((g, degrees, values, len(set(values.values())) == 1))
     return rows, rec
+
+
+def _check_three_way(report, N, cfg, profiles, recursions):
+    rows, recursions[N] = _three_way_for_N(N, cfg, profiles)
+    sample = [{"g": g, "degrees": list(d),
+               "values": {k: str(v) for k, v in vals.items()}}
+              for g, d, vals, ok in rows if not ok]
+    report.add("rhm.three_way", {"N": N, "profiles": len(rows)},
+               {"disagreements": sample[:10]}, all(ok for *_, ok in rows))
 
 
 def _check_pluecker(report, N_list, W):
@@ -188,7 +192,7 @@ def _check_curve_identities(report, N_list, recursions):
                    not bad)
 
 
-def _check_unstable_curve(report, N_list, dart_cap):
+def _check_unstable_curve(report, N_list):
     for N in N_list:
         ok = True
         for k in range(9):
@@ -196,11 +200,10 @@ def _check_unstable_curve(report, N_list, dart_cap):
                 ok = False
         for k1 in range(4):
             for k2 in range(k1, 4):
-                if (k1 + k2 + 2) % N or k1 + k2 + 2 > dart_cap:
+                if (k1 + k2 + 2) % N:
                     continue
                 # one table per degree multiset serves both orders
-                want = oracle.genus_table(N, (k1 + 1, k2 + 1),
-                                          dart_cap).get(0, 0)
+                want = oracle.genus_table(N, (k1 + 1, k2 + 1)).get(0, 0)
                 if rhm02_from_curve(N, k1, k2) != want \
                         or rhm02_from_curve(N, k2, k1) != want:
                     ok = False
@@ -221,54 +224,30 @@ def run_crosscheck(config: RunConfig) -> Report:
         raise ValueError(
             f"the Pluecker window for N = {pluecker_N[0]} needs weight_cap "
             f">= {pluecker.MIN_WEIGHT_CAP}, got {config.weight_cap}")
-    # below 2 darts the calibration sweep meets no black face, where the
-    # wrong Euler accounting differs from the right one
-    if config.dart_cap < 2:
-        raise ValueError(f"the oracle calibration needs dart_cap >= 2, "
-                         f"got {config.dart_cap}")
-    if config.engines == ("oracle",):
+    # the dart cap bounds only the grid's oracle reads, and a grid it
+    # would cut short is refused rather than compared with one engine less
+    if "oracle" in config.engines:
         for N, profiles in grids.items():
             darts = max(sum(degrees) for _, degrees in profiles)
             if darts > config.dart_cap:
                 raise ValueError(
-                    f"the oracle alone needs dart_cap >= {darts} for N = "
-                    f"{N} within weight_cap = {config.weight_cap}, got "
+                    f"the oracle needs dart_cap >= {darts} for N = {N} "
+                    f"within weight_cap = {config.weight_cap}, got "
                     f"{config.dart_cap}")
     report = Report(config.echo())
-    try:
-        _check_smatrix_gates(report)
-        _check_frame(report)
-        _check_residue_lemma(report)
-        _check_unstable(report, config.dart_cap)
-        _check_oracle_calibration(report, config.dart_cap)
-    except Exception as exc:  # noqa: BLE001 - must become a record
-        report.add_error("frobenius.gates", {}, exc)
-
     recursions = {}
-    for N in config.N:
+    units = [(_check_smatrix_gates, {}, ()), (_check_frame, {}, ()),
+             (_check_residue_lemma, {}, ()), (_check_unstable, {}, ()),
+             (_check_oracle_calibration, {}, ())]
+    units += [(_check_three_way, {"N": N}, (N, config, grids[N], recursions))
+              for N in config.N]
+    units += [(_check_pluecker, {}, (pluecker_N, min(config.weight_cap, 8))),
+              (_check_curve_identities, {}, (config.N, recursions)),
+              (_check_unstable_curve, {}, (config.N,))]
+    for check, inputs, args in units:
         try:
-            rows, rec = _three_way_for_N(N, config, grids[N])
-        except Exception as exc:  # noqa: BLE001
-            report.add_error("rhm.three_way", {"N": N}, exc)
-            continue
-        recursions[N] = rec
-        ok_all = all(ok for _, _, _, ok in rows)
-        sample = [
-            {"g": g, "degrees": list(d),
-             "values": {k: str(v) for k, v in vals.items()}}
-            for g, d, vals, ok in rows if not ok
-        ]
-        report.add("rhm.three_way",
-                   {"N": N, "profiles": len(rows)},
-                   {"disagreements": sample[:10]}, ok_all)
-
-    try:
-        _check_pluecker(report, pluecker_N, min(config.weight_cap, 8))
-    except Exception as exc:  # noqa: BLE001
-        report.add_error("pluecker.window", {}, exc)
-    try:
-        _check_curve_identities(report, config.N, recursions)
-        _check_unstable_curve(report, config.N, config.dart_cap)
-    except Exception as exc:  # noqa: BLE001
-        report.add_error("curve.identities", {}, exc)
+            check(report, *args)
+        except Exception as exc:  # noqa: BLE001 - must become a record
+            report.add_error(check.__name__.removeprefix("_check_"), inputs,
+                             exc)
     return report

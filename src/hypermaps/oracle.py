@@ -175,7 +175,8 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     degrees = Profile(N, 0, degrees).degrees  # a table answers every g
     d = sum(degrees)
     if d > dart_cap:
-        raise ValueError("oracle cap exceeded")
+        raise ValueError(f"oracle cap exceeded: {d} darts, dart_cap = "
+                         f"{dart_cap}")
     if d % N != 0:
         return {}
     faces = len(degrees) + d // N

@@ -36,6 +36,16 @@ def test_rhm_invalid_inputs(capsys):
     capsys.readouterr()
 
 
+def test_rhm_over_the_dart_cap_names_it(capsys):
+    """An oracle request past the cap says how many darts it needs."""
+    assert main(["rhm", "--N", "2", "--genus", "0", "--degrees", "14",
+                 "--engine", "oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "oracle cap exceeded: 14 darts, dart_cap = 12"]
+
+
 @pytest.mark.parametrize("argv", [
     ["crosscheck", "--N", "3", "--g-max", "1", "--n-max", "1",
      "--weight-cap", "3"],
@@ -395,17 +405,17 @@ def test_crosscheck_small_weight_cap_exits_2(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["--N", "2,3", "--dart-cap", "1"],
-     "the oracle calibration needs dart_cap >= 2, got 1"),
+     "the oracle needs dart_cap >= 10 for N = 2 within weight_cap = 10, "
+     "got 1"),
     (["--N", "2", "--weight-cap", "4", "--engine", "oracle",
       "--dart-cap", "3"],
-     "the oracle alone needs dart_cap >= 4 for N = 2 within "
-     "weight_cap = 4, got 3"),
+     "the oracle needs dart_cap >= 4 for N = 2 within weight_cap = 4, "
+     "got 3"),
 ])
 def test_crosscheck_dart_cap_too_small_exits_2(capsys, argv, message):
-    """A dart cap that leaves a check with nothing to compare is an
-    invalid request, not a failed verification: at cap 1 the calibration
-    cannot tell the two Euler accountings apart, and an oracle-only grid
-    would record a profile with no value."""
+    """A dart cap below a grid profile that the oracle is named for is an
+    invalid request, not a failed verification: the profile would be
+    compared with one engine less."""
     assert main(["crosscheck", "--g-max", "1", "--n-max", "1"]
                 + argv) == 2
     captured = capsys.readouterr()

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -32,6 +32,16 @@ def rec3():
 @pytest.fixture(scope="module")
 def rec4():
     return Recursion(4, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def rec5():
+    return Recursion(5, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def rec6():
+    return Recursion(6, 1, 2)
 
 
 def test_curve_ram_points():
@@ -440,11 +450,27 @@ PINNED = {
         "843bc8ba3c70a61b0be24c0fc13a39de9057a0ef65e87dd1633eb7568ab4e74d",
     (4, 1, 2):
         "50301a2f868b26b060853f5a9b0a504a38fd3310498fa529932ea76f547fe783",
+    (5, 0, 3):
+        "e9293c4d93b54950088f4ba46ff9e80e84dec8d880af7bb3a4b97e39ce12a555",
+    (5, 1, 1):
+        "253caad6118a5b21a1b5635d7054114d41ccbb0f747c9bbcac1aac47741b3d04",
+    (5, 1, 2):
+        "ddd0ecafb124c90abb9672ab206bfc9a4204cc84e986a60b38e2bd679f505340",
+    (5, 0, 4):
+        "5ccfb8aeef0f186d5c43f005d17cbfa2cd4d815f503c08d1252b6207f7b11bdf",
+    (6, 0, 3):
+        "6bf4d859ce30927a84900e17174650d9fbf175cd58499b1284800fc69c023464",
+    (6, 1, 1):
+        "5f0182398d7950db16020b75569ce8252bd624553fe981ffab8111ac4cd7f672",
+    (6, 1, 2):
+        "489634855814edfff8686b3a804287ff2d0088e3a80d2ec8d468546e4ef646db",
+    (6, 0, 4):
+        "9013a723dd6c6b4d089abb93b2ff1f086d80aff98b21fb05be15136ee5456e3e",
 }
 
 
-def test_omega_tensors_pinned(rec2, rec3, rec4):
-    recs = {2: rec2, 3: rec3, 4: rec4}
+def test_omega_tensors_pinned(rec2, rec3, rec4, rec5, rec6):
+    recs = {2: rec2, 3: rec3, 4: rec4, 5: rec5, 6: rec6}
     for (N, g, n), digest in PINNED.items():
         tensor = recs[N].omega(g, n)
         payload = {";".join(f"{a},{k}" for a, k in key):
@@ -453,6 +479,28 @@ def test_omega_tensors_pinned(rec2, rec3, rec4):
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, \
             (N, g, n)
+
+
+def test_omega_galois_equivariance(rec3, rec4, rec5, rec6):
+    """The Galois group of Q(zeta_N) acts on every correlator: for each
+    unit r mod N, c[r.K] = sigma_r(c[K]), where r.K sends every pole
+    exponent b = a + 1 of the key K to r b mod N and sigma_r sends zeta
+    to zeta^r."""
+    compared = 0
+    for rec in (rec3, rec4, rec5, rec6):
+        N = rec.N
+        for g, n in ((0, 3), (1, 1), (1, 2), (0, 4)):
+            tensor = rec.omega(g, n)
+            for r in range(2, N):
+                if gcd(r, N) != 1:
+                    continue
+                for key, value in tensor.items():
+                    image = tuple(sorted(((r * (a + 1) - 1) % N, k)
+                                         for a, k in key))
+                    assert tensor[image] == value._conjugate(r), \
+                        (N, g, n, r, key)
+                    compared += 1
+    assert compared == 453
 
 
 def test_rhm01_from_curve_examples():

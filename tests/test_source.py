@@ -78,3 +78,25 @@ def test_no_unused_imports_in_src():
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in names if name not in read]
     assert found == []
+
+
+def _broad(handler):
+    """Whether an except clause catches every exception."""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return any(t is None or isinstance(t, ast.Name)
+               and t.id in ("Exception", "BaseException") for t in types)
+
+
+def test_one_broad_except_in_src():
+    """The only broad `except Exception` is the one in `run_crosscheck`'s
+    check loop, which turns each check's exception into that check's error
+    record; another one could hide a check's neighbours behind one
+    record."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            found += [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.ExceptHandler) and _broad(node)]
+    assert found == ["checks.py:run_crosscheck"]
