@@ -22,20 +22,18 @@ from .report import Report
 
 
 def stable_profiles(N, g_max, n_max, weight_cap):
-    """All (g, degrees) with 2g-2+n > 0, N | sum(degrees), within caps;
-    degrees as weakly decreasing tuples."""
+    """All (g, degrees) within the caps that `oracle.Profile` reads as
+    stable and divisible by N; degrees as weakly decreasing tuples, by
+    total degree, then partition, then genus."""
     out = []
     for total in range(1, weight_cap + 1):
-        if total % N != 0:
-            continue
         for degrees in partitions(total):
-            n = len(degrees)
-            if n > n_max:
+            if len(degrees) > n_max:
                 continue
             for g in range(g_max + 1):
-                if 2 * g - 2 + n <= 0:
-                    continue
-                out.append((g, degrees))
+                p = oracle.Profile(N, g, degrees)
+                if p.stable and p.divisible:
+                    out.append((g, degrees))
     return out
 
 
@@ -179,11 +177,12 @@ def _check_curve_identities(report, N_list, recursions):
         # u^i scaled by (N-1)^(-1/N); a polar value q e(p/N) with no
         # radical part is q zeta^p in Q(zeta_N)
         ok = True
-        for a, u in zip(curve.ram, frame.u):
+        for a_idx, u in enumerate(frame.u):
             scaled = u * ExactPolar(N, 1, e1=Q(-1, N))
             p = scaled.ang * N
+            x_a = curve.x_series(a_idx, 1).coeff(0)
             if scaled.e1 or scaled.e2 or p.denominator != 1 \
-                    or curve.x_at(a) != curve.zeta.pow(int(p)) * scaled.q:
+                    or x_a != curve.zeta.pow(int(p)) * scaled.q:
                 ok = False
         report.add("curve.ram_values_match_frame", {"N": N}, {}, ok)
         bad = rec.zn_covariance_defects(0, 3)

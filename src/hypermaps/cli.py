@@ -6,11 +6,13 @@ request itself was invalid.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import frobenius, oracle, pluecker, recursion, tau
-from .config import _parse_int_list, build_config, parse_config_file
+from .config import (OUTPUT_FORMATS, VALID_ENGINES, RunConfig, build_config,
+                     parse_config_file, parse_list)
 from .checks import run_crosscheck
 from .rational import rat_str
 from .report import emit
@@ -18,7 +20,7 @@ from .report import emit
 
 def _cmd_rhm(args):
     p = oracle.Profile(args.N, args.genus,
-                       _parse_int_list("degrees", args.degrees))
+                       parse_list("degrees", args.degrees))
     if args.engine == "oracle":
         value = oracle.enumerate_rhm(p, args.dart_cap)
     elif args.engine == "tr":
@@ -34,11 +36,9 @@ def _cmd_crosscheck(args):
     try:
         file_values = parse_config_file(args.config) if args.config else {}
     except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    overrides = {name: getattr(args, name) for name in (
-        "N", "g_max", "n_max", "weight_cap", "dart_cap", "threads",
-        "engines", "out", "cache_dir")}
+        raise ValueError(str(exc)) from None
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(RunConfig)}
     cfg = build_config(file_values, **overrides)
     report = run_crosscheck(cfg)
     sys.stdout.buffer.write(emit(report, cfg.out))
@@ -47,8 +47,7 @@ def _cmd_crosscheck(args):
 
 def _cmd_smatrix(args):
     if args.m_max < 0:
-        print("need m-max >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("need m-max >= 0")
     out = {}
     for m in range(args.m_max + 1):
         rows = frobenius.s_matrix(args.N, m)
@@ -130,8 +129,7 @@ def build_parser():
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--degrees", required=True,
                    help="comma separated positive face degrees")
-    p.add_argument("--engine", choices=("oracle", "tr", "tau"),
-                   default="oracle")
+    p.add_argument("--engine", choices=VALID_ENGINES, default="oracle")
     p.add_argument("--dart-cap", type=int,
                    default=oracle.DEFAULT_DART_CAP)
     p.add_argument("--cache-dir", default=None)
@@ -148,7 +146,7 @@ def build_parser():
     p.add_argument("--dart-cap", dest="dart_cap", type=int, default=None)
     p.add_argument("--engine", dest="engines", default=None,
                    help="comma separated subset of oracle,tr,tau")
-    p.add_argument("--out", choices=("json", "csv"), default=None)
+    p.add_argument("--out", choices=OUTPUT_FORMATS, default=None)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility (must be >= 1); the "
                         "crosscheck runs sequentially and this changes "

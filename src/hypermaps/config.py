@@ -6,6 +6,10 @@ from dataclasses import dataclass
 from .oracle import DEFAULT_DART_CAP
 
 VALID_ENGINES = ("oracle", "tr", "tau")
+OUTPUT_FORMATS = ("json", "csv")
+# the integer settings and the least value of each
+INT_MINIMUM = {"g_max": 0, "n_max": 1, "weight_cap": 1, "dart_cap": 1,
+               "threads": 1}
 
 
 @dataclass(frozen=True)
@@ -26,10 +30,11 @@ class RunConfig:
         for e in self.engines:
             if e not in VALID_ENGINES:
                 raise ValueError(f"unknown engine {e!r}")
-        if self.g_max < 0 or self.n_max < 1 or self.weight_cap < 1 \
-                or self.dart_cap < 1 or self.threads < 1:
-            raise ValueError("caps must be positive")
-        if self.out not in ("json", "csv"):
+        for key, least in INT_MINIMUM.items():
+            value = getattr(self, key)
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
+        if self.out not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format {self.out!r}")
         if len(set(self.engines)) < len(self.engines):
             raise ValueError(
@@ -57,16 +62,18 @@ class RunConfig:
         }
 
 
-def _parse_int_list(key, s):
-    """Integers separated by commas or blanks: `--N`, the config key `N`
-    and `rhm --degrees` share this one grammar, and an empty item ("2,",
-    ",", "") is an error, named after `key`, rather than nothing."""
-    message = f"{key} must be comma separated integers, got {s!r}"
+def parse_list(key, s, kind=int):
+    """Items separated by commas or blanks: `--N`, the config key `N`,
+    `rhm --degrees` (integers) and the engines (names, `kind=str`) share
+    this one grammar, and an empty item ("2,", ",", "") is an error,
+    named after `key`, rather than nothing."""
+    what = "integers" if kind is int else "names"
+    message = f"{key} must be comma separated {what}, got {s!r}"
     items = [item.split() for item in str(s).split(",")]
     if not all(items):
         raise ValueError(message)
     try:
-        return tuple(int(x) for item in items for x in item)
+        return tuple(kind(x) for item in items for x in item)
     except ValueError:
         raise ValueError(message) from None
 
@@ -102,13 +109,10 @@ def build_config(file_values=None, **overrides) -> RunConfig:
     values = dict(file_values or {})
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key, value in values.items():
-        if key in ("N",):
-            kwargs["N"] = _parse_int_list("N", value) \
-                if not isinstance(value, tuple) else value
-        elif key == "engines":
-            kwargs["engines"] = tuple(str(value).replace(",", " ").split()) \
-                if not isinstance(value, tuple) else value
-        elif key in ("g_max", "n_max", "weight_cap", "dart_cap", "threads"):
+        if key in ("N", "engines"):
+            kwargs[key] = value if isinstance(value, tuple) else \
+                parse_list(key, value, int if key == "N" else str)
+        elif key in INT_MINIMUM:
             kwargs[key] = _parse_int(key, value)
         elif key == "out":
             kwargs["out"] = str(value)

@@ -264,8 +264,7 @@ def _pole_chart(N: int, k: int):
     """1/x' modulo z^(k+4) and x^(k+1) modulo z^(k+2), expanded in z at
     the simple pole z = 0 of x; every alpha at this (N, k) reads them."""
     x = UniSeries("z", QRING, {-1: QONE, N - 1: QONE}, None)
-    xprime = UniSeries("z", QRING, {-2: -QONE, N - 2: Q(N - 1)}, None)
-    return xprime.inv(prec=k + 4), x.pow(k + 1, prec=k + 2)
+    return x.deriv().inv(prec=k + 4), x.pow(k + 1, prec=k + 2)
 
 
 def _residue_lhs(N: int, alpha: int, k: int, a_max: int):

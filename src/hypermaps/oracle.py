@@ -32,13 +32,17 @@ from itertools import chain, permutations, product
 from math import comb, prod
 
 DEFAULT_DART_CAP = 12
+UNSTABLE_MOMENT = "unstable moment: count it with the oracle engine"
 
 
 @dataclass(frozen=True)
 class Profile:
     """A count request (N, genus, face degrees), which every count function
     builds from its own arguments: it rejects N < 2, a negative genus and
-    empty or non-positive degrees, and holds the degrees as a tuple."""
+    empty or non-positive degrees, and holds the degrees as a tuple.  It
+    owns the two rules every engine reads a request by: no hypermap
+    unless N divides the darts, and no correlator unless the moment is
+    stable, 2g - 2 + n > 0 (refused with `UNSTABLE_MOMENT`)."""
 
     N: int
     g: int
@@ -52,6 +56,24 @@ class Profile:
         if not degrees or any(d < 1 for d in degrees):
             raise ValueError(f"need degrees >= 1, got {degrees}")
         object.__setattr__(self, "degrees", degrees)
+
+    @staticmethod
+    def stable_shape(g, n):
+        """Whether genus g with n faces is a stable moment."""
+        return 2 * g - 2 + n > 0
+
+    @property
+    def stable(self):
+        return Profile.stable_shape(self.g, len(self.degrees))
+
+    @property
+    def darts(self):
+        return sum(self.degrees)
+
+    @property
+    def divisible(self):
+        """Whether N divides the dart count; no hypermap otherwise."""
+        return self.darts % self.N == 0
 
 
 def _canonical_white(degrees):
@@ -172,17 +194,17 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     deliberately wrong accounting (black faces left out) from this same
     table rather than building another.
     """
-    degrees = Profile(N, 0, degrees).degrees  # a table answers every g
-    d = sum(degrees)
+    p = Profile(N, 0, degrees)  # a table answers every g
+    d = p.darts
     if d > dart_cap:
         raise ValueError(f"oracle cap exceeded: {d} darts, dart_cap = "
                          f"{dart_cap}")
-    if d % N != 0:
+    if not p.divisible:
         return {}
-    faces = len(degrees) + d // N
+    faces = len(p.degrees) + d // N
     # V from d down, so the genera come out ascending
     return {(2 - (v - d + faces)) // 2: count
-            for v, count in reversed(_connected(N, tuple(sorted(degrees))))}
+            for v, count in reversed(_connected(N, tuple(sorted(p.degrees))))}
 
 
 def enumerate_rhm(profile: Profile, dart_cap=DEFAULT_DART_CAP) -> int:

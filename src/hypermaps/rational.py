@@ -52,9 +52,6 @@ def factorial_q(n: int):
     return Q(math.factorial(n))
 
 
-_HARMONIC = [QZERO]
-
-
 def harmonic(m: int):
     """m-th harmonic number 1 + 1/2 + ... + 1/m, with harmonic(0) = 0.
 
@@ -64,7 +61,4 @@ def harmonic(m: int):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    while len(_HARMONIC) <= m:
-        k = len(_HARMONIC)
-        _HARMONIC.append(_HARMONIC[-1] + Q(1, k))
-    return _HARMONIC[m]
+    return sum((Q(1, k) for k in range(1, m + 1)), QZERO)

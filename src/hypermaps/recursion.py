@@ -72,7 +72,7 @@ from itertools import permutations
 from math import comb
 
 from .numfield import NumberField
-from .oracle import Profile
+from .oracle import UNSTABLE_MOMENT, Profile
 from .rational import Q, QONE, QZERO, as_count, parse_rat, rat_str
 from .series import QRING, UniSeries, lagrange_invert
 
@@ -90,22 +90,15 @@ class Curve:
         # a_i = zeta^i, i = 1..N (so a_N = 1)
         self.zeta = zeta = self.ring.gen
         self.ram = [zeta.pow(i) for i in range(1, N + 1)]
-        for a in self.ram:
-            if not self.xprime(a).is_zero() or self.xsecond(a).is_zero():
+        # simple ramification: x'(a) = 0 and x''(a) != 0
+        for a_idx in range(N):
+            x_loc = self.x_series(a_idx, 3)
+            if not x_loc.coeff(1).is_zero() or x_loc.coeff(2).is_zero():
                 raise ArithmeticError("not a simple ramification point")
 
-    def x_at(self, v):
-        """xt(v) = v^(N-1)/(N-1) + 1/v for a field element v."""
-        return v.pow(self.N - 1) * Q(1, self.N - 1) + v.inv()
-
-    def xprime(self, v):
-        return v.pow(self.N - 2) - v.pow(-2)
-
-    def xsecond(self, v):
-        return v.pow(self.N - 3) * Q(self.N - 2) + v.pow(-3) * Q(2)
-
     def x_series(self, a_idx: int, trunc: int) -> UniSeries:
-        """xt(a + t) as a series in the local parameter t."""
+        """xt(a + t) as a series in the local parameter t, with xt(v) =
+        v^(N-1)/(N-1) + 1/v: the one description of x near a."""
         a = self.ram[a_idx]
         ring = self.ring
         base = UniSeries("t", ring, {0: a, 1: ring.one}, None)
@@ -255,9 +248,8 @@ class Recursion:
 
     def omega(self, g: int, n: int) -> dict:
         """Coefficient tensor of omega_{g,n} on sorted pole-basis keys."""
-        if 2 * g - 2 + n <= 0:
-            raise ValueError("unstable moment handled by dedicated "
-                             "operations")
+        if not Profile.stable_shape(g, n):
+            raise ValueError(UNSTABLE_MOMENT)
         if 6 * g - 4 + 2 * n > self.M:
             raise ValueError("requested correlator exceeds the configured "
                              "expansion order")
@@ -464,12 +456,11 @@ class Recursion:
     def rhm_from_tr(self, g: int, degrees) -> int:
         """Hypermap count from the correlator expansion; degrees are the
         side counts d_i = k_i + 1 >= 1."""
-        p = Profile(self.N, g, degrees)
-        if not _needs_correlator(p):
+        prof = Profile(self.N, g, degrees)
+        if not _needs_correlator(prof):
             return 0
-        degrees, n, total = p.degrees, len(p.degrees), sum(p.degrees)
-        tensor = self.omega(g, n)
-        exps = tuple(d - 1 for d in degrees)
+        tensor = self.omega(g, len(prof.degrees))
+        exps = tuple(d - 1 for d in prof.degrees)
         N, ram, zero = self.N, self.curve.ram, self.curve.ring.zero
         # an ordering of a key contributes (-1)^(sum of k) zeta^p times a
         # rational: bucket the rationals by p, and collect the
@@ -493,7 +484,7 @@ class Recursion:
             acc = acc + ram[p - 1] * c  # ram[p - 1] = zeta^p
         if not acc.is_rational():
             raise ArithmeticError("field descent failure")
-        value = acc.rational_part() * Q(self.N - 1) ** (total // self.N)
+        value = acc.rational_part() * Q(self.N - 1) ** (prof.darts // self.N)
         return as_count(value, "field descent failure")
 
     def zn_covariance_defects(self, g: int, n: int):
@@ -509,12 +500,11 @@ class Recursion:
 
 def _needs_correlator(p: Profile) -> bool:
     """Whether request p is read from a correlator: an unstable moment
-    (2g - 2 + n <= 0) is refused, and a total side count that N does
-    not divide has no hypermap."""
-    if 2 * p.g - 2 + len(p.degrees) <= 0:
-        raise ValueError("unstable moment: count it with the oracle "
-                         "engine")
-    return sum(p.degrees) % p.N == 0
+    is refused, and a dart count that N does not divide has no
+    hypermap."""
+    if not p.stable:
+        raise ValueError(UNSTABLE_MOMENT)
+    return p.divisible
 
 
 def count_rhm(profile: Profile, cache_dir=None) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 ARTIFACT_VERSION = "1.0.0"
 
@@ -17,12 +17,7 @@ class Record:
     verdict: str  # "pass" | "fail" | "error"
 
     def to_json(self):
-        return {
-            "check_id": self.check_id,
-            "inputs": self.inputs,
-            "values": self.values,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass

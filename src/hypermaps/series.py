@@ -41,7 +41,14 @@ class _RatRing:
 
 QRING = _RatRing()
 
-_BIG = 1 << 60
+
+def _least(a, b):
+    """The one truncation rule: a result is known below the least of its
+    known truncation candidates, None standing for an exact operand, and
+    is exact when both are.  A truncation of 0 is as real as any other."""
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
 
 
 class UniSeries:
@@ -83,11 +90,9 @@ class UniSeries:
                 f"(truncated at {self.trunc})")
         return self.c.get(e, self.ring.zero)
 
-    def val(self):
-        """Valuation: lowest stored exponent, or None for a zero series."""
-        return min(self.c) if self.c else None
-
-    def _val_or(self, default):
+    def val(self, default=None):
+        """Valuation: lowest stored exponent, or `default` for a zero
+        series."""
         return min(self.c) if self.c else default
 
     def is_zero(self):
@@ -117,9 +122,6 @@ class UniSeries:
         if not isinstance(other, UniSeries):
             return NotImplemented
         self._check(other)
-        ta = _BIG if self.trunc is None else self.trunc
-        tb = _BIG if other.trunc is None else other.trunc
-        t = min(ta, tb)
         c = dict(self.c)
         for e, v in other.c.items():
             w = c.get(e, self.ring.zero) + v
@@ -127,7 +129,7 @@ class UniSeries:
                 c.pop(e, None)
             else:
                 c[e] = w
-        return self._new(c, None if t == _BIG else t)
+        return self._new(c, _least(self.trunc, other.trunc))
 
     def __neg__(self):
         return self._new({e: -v for e, v in self.c.items()}, self.trunc)
@@ -145,9 +147,7 @@ class UniSeries:
         return self._new({e: v * k for e, v in self.c.items()}, self.trunc)
 
     def truncated(self, t):
-        if self.trunc is not None:
-            t = min(t, self.trunc)
-        return self._new(self.c, t)
+        return self._new(self.c, _least(t, self.trunc))
 
     def __mul__(self, other):
         if not isinstance(other, UniSeries):
@@ -155,26 +155,20 @@ class UniSeries:
         self._check(other)
         # truncation of the product: each factor's unknown tail enters at
         # its trunc shifted by the other factor's valuation
-        cand = []
-        if self.trunc is not None:
-            cand.append(self.trunc + other._val_or(0))
-        if other.trunc is not None:
-            cand.append(other.trunc + self._val_or(0))
+        ta, tb = self.trunc, other.trunc
+        t = _least(None if ta is None else ta + other.val(0),
+                   None if tb is None else tb + self.val(0))
         if not self.c or not other.c:
-            t = min(cand) if cand else None
             return self._new({}, t)
-        t = min(cand) if cand else None
-        tt = _BIG if t is None else t
+        stop = max(self.c) + max(other.c) + 1 if t is None else t
         c = {}
         zero = self.ring.zero
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
                 e = e1 + e2
-                if e >= tt:
+                if e >= stop:
                     continue
-                w = c.get(e, zero) + v1 * v2
-                c[e] = w
-        c = {e: v for e, v in c.items() if not self.ring.is_zero(v)}
+                c[e] = c.get(e, zero) + v1 * v2
         return self._new(c, t)
 
     __rmul__ = __mul__
@@ -195,17 +189,13 @@ class UniSeries:
             raise ZeroDivisionError("non-invertible leading term")
         if self.ring.is_zero(lead_inv) and not self.ring.is_zero(lead):
             raise ZeroDivisionError("non-invertible leading term")
-        if self.trunc is None:
-            if len(self.c) == 1:
-                return self._new({-v: lead_inv}, prec)
-            if prec is None:
-                raise ValueError("inverse of a non-monomial polynomial "
-                                 "requires an explicit precision")
-            t_res = prec
-        else:
-            t_res = self.trunc - 2 * v
-            if prec is not None:
-                t_res = min(t_res, prec)
+        if self.trunc is None and len(self.c) == 1:
+            return self._new({-v: lead_inv}, prec)
+        t_res = _least(None if self.trunc is None else self.trunc - 2 * v,
+                       prec)
+        if t_res is None:
+            raise ValueError("inverse of a non-monomial polynomial "
+                             "requires an explicit precision")
         # self = x^v sum_j a_j x^j and self^(-1) = x^(-v) sum_k b_k x^k
         # with b_0 = 1/a_0, b_k = -(1/a_0) sum_{j=1..k} a_j b_(k-j)
         n_prec = t_res + v
@@ -229,7 +219,8 @@ class UniSeries:
         if n < 0:
             return self.inv(prec=prec).pow(-n, prec=prec)
         result = UniSeries.monomial(self.var, self.ring, 1, 0, trunc=None)
-        base = self if prec is None else self.truncated(prec + max(0, -self._val_or(0)) * n)
+        base = self if prec is None else self.truncated(
+            prec + max(0, -self.val(0)) * n)
         acc = result
         b = base
         m = n
@@ -260,17 +251,13 @@ class UniSeries:
         self must have nonnegative valuation (no principal part).
         """
         self._check(inner)
-        if self.c and min(self.c) < 0:
+        if self.val(0) < 0:
             raise ValueError("compose requires nonnegative valuation")
-        iv = inner._val_or(1)
-        if inner.c and iv < 1:
+        iv = inner.val(1)
+        if iv < 1:
             raise ValueError("inner series must have positive valuation")
-        cand = []
-        if inner.trunc is not None:
-            cand.append(inner.trunc)
-        if self.trunc is not None:
-            cand.append(self.trunc * max(iv, 1))
-        t = min(cand) if cand else None
+        t = _least(inner.trunc,
+                   None if self.trunc is None else self.trunc * iv)
         # sum of c_e inner^e, one product per exponent
         out = UniSeries.zero(self.var, self.ring, t)
         power = UniSeries.monomial(self.var, self.ring, 1, 0, t)

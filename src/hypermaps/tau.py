@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .oracle import Profile
 from .partitions import character, contents, mult_vector, partitions
-from .rational import Q, QONE, QZERO, as_count, factorial_q
+from .rational import Q, as_count, factorial_q
 from .series import EpsLaurent, MultiSeries
 
 
@@ -142,48 +142,33 @@ def tau_Z(N: int, W: int) -> TauTruncation:
     return TauTruncation(N, W, MultiSeries(W, coeffs))
 
 
-def _log_coefficient(tau: TauTruncation, degrees) -> EpsLaurent:
-    key = tuple(sorted(degrees, reverse=True))
-    if sum(key) > tau.W:
-        raise ValueError("requested weight exceeds the truncation cap")
-    return tau.log().coeff(key)
-
-
-def _mult_correction(degrees) -> Q:
-    c = QONE
-    for m in mult_vector(tuple(degrees)).values():
-        c = c * factorial_q(m)
-    return c
-
-
 def rhm_from_tau(tau: TauTruncation, g: int, degrees) -> int:
-    """Count at genus g and side counts `degrees` from log Z."""
-    degrees = Profile(tau.N, g, degrees).degrees
-    if sum(degrees) % tau.N != 0:
+    """Count at genus g and side counts `degrees` from log Z: the eps^(2g-2)
+    part of the coefficient of t_degrees, times prod_k m_k! over the
+    multiplicities m_k of the degrees."""
+    p = Profile(tau.N, g, degrees)
+    if not p.divisible:
         return 0
-    coeff = _log_coefficient(tau, degrees)
-    return as_count(coeff.coeff(2 * g - 2) * _mult_correction(degrees),
-                    "tau count is not a count")
+    if p.darts > tau.W:
+        raise ValueError("requested weight exceeds the truncation cap")
+    c = tau.log().coeff(p.degrees).coeff(2 * g - 2)
+    for m in mult_vector(p.degrees).values():
+        c *= factorial(m)
+    return as_count(c, "tau count is not a count")
 
 
 def count_rhm(profile: Profile) -> int:
     """One count from Z truncated at the total side count d, built only
     when N divides d (so that d >= N, as tau_Z needs)."""
-    d = sum(profile.degrees)
-    if d % profile.N:
+    if not profile.divisible:
         return 0
-    return rhm_from_tau(tau_Z(profile.N, d), profile.g, profile.degrees)
+    return rhm_from_tau(tau_Z(profile.N, profile.darts), profile.g,
+                        profile.degrees)
 
 
 def osmh_from_tau(tau: TauTruncation, g: int, degrees):
     """Hurwitz-side normalization: log Z re-expanded in the p-variables
-    (t_k = eps p_k / k), read at eps^(2g-2+n).  Exact rational."""
-    degrees = Profile(tau.N, g, degrees).degrees
-    if sum(degrees) % tau.N != 0:
-        return QZERO
-    coeff = _log_coefficient(tau, degrees)
-    scale = QONE
-    for d in degrees:
-        scale = scale / d
-    # multiplying by eps^n moves the eps^(2g-2) part to eps^(2g-2+n)
-    return coeff.coeff(2 * g - 2) * scale * _mult_correction(degrees)
+    (t_k = eps p_k / k) and read at eps^(2g-2+n), which is the count
+    divided by prod d_i.  Exact rational."""
+    degrees = tuple(degrees)
+    return Q(rhm_from_tau(tau, g, degrees), prod(degrees))

@@ -64,6 +64,7 @@ def test_rhm_over_the_dart_cap_names_it(capsys):
     ["pluecker", "--N", "1"],
     ["curve", "--N", "1"],
     ["frobenius", "--N", "1"],
+    ["smatrix", "--N", "2", "--m-max", "-1"],
     # --degrees reads the grammar of --N: an empty item is malformed
     ["rhm", "--N", "2", "--genus", "0", "--degrees", "2,"],
     ["rhm", "--N", "2", "--genus", "0", "--degrees", "2,,2"],
@@ -313,9 +314,9 @@ def test_config_validation():
         RunConfig(engines=())
     with pytest.raises(ValueError, match="unknown engine"):
         RunConfig(engines=("oracle", "quantum"))
-    with pytest.raises(ValueError, match="caps must be positive"):
+    with pytest.raises(ValueError, match="^weight_cap must be >= 1, got 0$"):
         RunConfig(weight_cap=0)
-    with pytest.raises(ValueError, match="caps must be positive"):
+    with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
         RunConfig(threads=0)
     with pytest.raises(ValueError, match="unknown output format"):
         RunConfig(out="xml")
@@ -378,6 +379,35 @@ def test_crosscheck_malformed_N_exits_2(capsys, orders):
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
         f"N must be comma separated integers, got {orders!r}"]
+
+
+@pytest.mark.parametrize("engines", ["tr,", ",tr", "tr,,tau"])
+def test_crosscheck_malformed_engines_exits_2(tmp_path, capsys, engines):
+    """`--engine` and the config key `engines` read the list grammar of
+    `--N`: an empty item makes the list malformed."""
+    path = tmp_path / "run.conf"
+    path.write_text(f"engines = {engines}\n")
+    for argv in (["--engine", engines], ["--config", str(path)]):
+        assert main(["crosscheck", "--N", "2", "--g-max", "1",
+                     "--n-max", "1", "--weight-cap", "4"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"engines must be comma separated names, got {engines!r}"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--weight-cap", "0", "weight_cap must be >= 1, got 0"),
+    ("--n-max", "0", "n_max must be >= 1, got 0"),
+    ("--dart-cap", "0", "dart_cap must be >= 1, got 0"),
+    ("--threads", "0", "threads must be >= 1, got 0"),
+    ("--g-max", "-1", "g_max must be >= 0, got -1"),
+])
+def test_crosscheck_range_error_names_its_key(capsys, flag, value, message):
+    assert main(["crosscheck", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [message]
 
 
 def test_crosscheck_empty_grid_exits_2(capsys):

@@ -64,9 +64,11 @@ raises(ValueError, checks.run_crosscheck,
 raises(ValueError, tau.rhm_from_tau, tau.tau_Z(2, 6), -1, (2,))
 raises(ValueError, tau.rhm_from_tau, tau.tau_Z(2, 6), 0, (0, 2))
 raises(ValueError, recursion.Recursion(2, 0, 3).rhm_from_tr, 0, (0, 1, 1))
-# a failed verification: a count that is not an integer
-tau._mult_correction = lambda degrees: Fraction(1, 7)
-raises(ArithmeticError, tau.rhm_from_tau, tau.tau_Z(2, 4), 0, (2,))
+# a failed verification: a count that is not an integer, from a log Z
+# scaled by 1/7
+TZ = tau.tau_Z(2, 4)
+TZ._log = TZ.log().scale(Fraction(1, 7))
+raises(ArithmeticError, tau.rhm_from_tau, TZ, 0, (2,))
 '''
 
 

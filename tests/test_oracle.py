@@ -2,7 +2,8 @@ import pytest
 from oracle_reference import reference_completions, reference_genus_table
 
 from hypermaps import oracle
-from hypermaps.checks import _noblack_table, run_crosscheck
+from hypermaps.checks import (_noblack_table, run_crosscheck,
+                              stable_profiles)
 from hypermaps.config import build_config
 from hypermaps.oracle import (
     Profile,
@@ -32,6 +33,24 @@ def _reference_grid():
     yield from ((2, (1,) * 8), (2, (2, 2, 1, 1, 1, 1)), (2, (1,) * 10),
                 (3, (1,) * 9), (3, (2, 2, 1, 1, 1, 1, 1)),
                 (4, (1,) * 8), (4, (2, 1, 1, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_profile_rules_select_the_stable_grid(N):
+    """Profile's two rules, 2g - 2 + n > 0 and N | darts, cut exactly
+    stable_profiles' grid out of the box g <= 2, n <= 4, weight <= 12, in
+    its order: total degree, then partition, then genus."""
+    box = [(g, degrees) for degrees in partitions_upto(12)
+           if 0 < len(degrees) <= 4 for g in range(3)]
+    picked, by_formula = [], []
+    for g, degrees in box:
+        p = Profile(N, g, degrees)
+        assert p.darts == sum(degrees)
+        if p.stable and p.divisible:
+            picked.append((g, degrees))
+        if 2 * g - 2 + len(degrees) > 0 and sum(degrees) % N == 0:
+            by_formula.append((g, degrees))
+    assert picked == by_formula == stable_profiles(N, 2, 4, 12)
 
 
 def test_genus_table_equals_reference():

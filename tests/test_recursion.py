@@ -45,11 +45,22 @@ def rec6():
 
 
 def test_curve_ram_points():
+    """x(a_i) = zeta^(-i) N/(N-1) and x'(a_i) = 0, read off x_series."""
     for N in (2, 3, 4):
         curve = Curve(N)
-        for i, a in enumerate(curve.ram, start=1):
-            assert curve.xprime(a).is_zero()
-            assert curve.x_at(a) == curve.zeta.pow(-i) * Q(N, N - 1)
+        for i in range(1, N + 1):
+            x_loc = curve.x_series(i - 1, 2)
+            assert x_loc.coeff(1).is_zero()
+            assert x_loc.coeff(0) == curve.zeta.pow(-i) * Q(N, N - 1)
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_curve_accepts_N(N):
+    """Every ramification point is simple, x'' != 0 there, for N = 2..7."""
+    curve = Curve(N)
+    assert len(curve.ram) == N
+    for a_idx in range(N):
+        assert not curve.x_series(a_idx, 3).coeff(2).is_zero()
 
 
 def test_curve_rejects_bad_arguments():

@@ -133,6 +133,28 @@ def test_series_add_and_mul():
         a * "frobnicate"
 
 
+def test_truncation_zero_is_a_truncation():
+    """A truncation of 0 is known, not exact: it bounds every result it
+    enters, shifted by the other operand's valuation as any other does."""
+    zero_known = S({}, trunc=0)          # O(z^0)
+    polar = S({-1: 1}, trunc=0)          # z^-1 + O(z^0)
+    exact = S({-2: 1, 0: 3})             # z^-2 + 3, exact
+    assert (zero_known * exact).trunc == -2
+    assert (exact * zero_known).trunc == -2
+    prod = polar * S({0: 1, 1: 1})
+    assert prod.trunc == 0 and prod.coeff(-1) == 1
+    with pytest.raises(ValueError):
+        prod.coeff(0)
+    assert (polar + exact).trunc == 0
+    assert S({0: 1, 1: 1}).truncated(0).trunc == 0
+    inv = S({-1: 2}, trunc=0).inv()
+    assert inv.trunc == 2 and inv.coeff(1) == Q(1, 2)
+    assert S({0: 1, 2: 1}).inv(prec=0).trunc == 0
+    assert S({0: 1, 1: 1}, trunc=0).pow(2).trunc == 0
+    t = S({1: 1}, trunc=0)
+    assert S({0: 1, 1: 1}).compose(t).trunc == 0
+
+
 def test_truncation_guard():
     s = S({0: 1, 1: 1}, trunc=3)
     with pytest.raises(ValueError):

@@ -1,14 +1,14 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from hypermaps import oracle as O
+from hypermaps.checks import stable_profiles
 from hypermaps.partitions import (character, mult_vector, partitions,
                                   partitions_upto)
 from hypermaps.rational import Q
 from hypermaps.series import EpsLaurent, MultiSeries
 from hypermaps.tau import (
-    _log_coefficient,
     coefficient_A,
     coefficient_row,
     content_product,
@@ -109,7 +109,7 @@ def test_eps_parity(tz2, tz3):
 def eps_exponent_profile(tau, degrees):
     """Sorted eps-exponents present in the log-Z coefficient of the given
     monomial; the genus grading predicts only values 2g-2 >= -2."""
-    return _log_coefficient(tau, tuple(degrees)).exponents()
+    return tau.log().coeff(degrees).exponents()
 
 
 def test_eps_exponent_profile(tz2):
@@ -140,6 +140,24 @@ def test_osmh_ratio(tz2, tz3):
             for d in degrees:
                 prod *= d
             assert osmh * prod == rhm, (N, g, degrees)
+
+
+def test_osmh_is_rhm_over_the_degree_product(tz2, tz3):
+    """On criterion 1's grid osmh_from_tau is rhm_from_tau / prod d_i,
+    which is log Z at eps^(2g-2) times prod m_k! / prod d_i, and it is 0
+    wherever N does not divide the darts."""
+    for tz, N in ((tz2, 2), (tz3, 3)):
+        for g, degrees in stable_profiles(N, 2, 3, tz.W):
+            osmh = osmh_from_tau(tz, g, degrees)
+            assert osmh == Q(rhm_from_tau(tz, g, degrees), prod(degrees))
+            read = tz.log().coeff(degrees).coeff(2 * g - 2)
+            for m in mult_vector(degrees).values():
+                read *= factorial(m)
+            assert osmh == read / prod(degrees), (N, g, degrees)
+        for degrees in partitions_upto(tz.W):
+            if degrees and len(degrees) <= 3 and sum(degrees) % N:
+                for g in range(3):
+                    assert osmh_from_tau(tz, g, degrees) == 0
 
 
 def double_loop_tau_series(N, W):
