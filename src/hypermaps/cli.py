@@ -12,13 +12,14 @@ import sys
 
 from . import frobenius, oracle, pluecker, recursion, tau
 from .config import (OUTPUT_FORMATS, VALID_ENGINES, RunConfig, build_config,
-                     parse_config_file, parse_list)
+                     need_minimum, parse_config_file, parse_list)
 from .checks import run_crosscheck
 from .rational import rat_str
 from .report import emit
 
 
 def _cmd_rhm(args):
+    need_minimum("dart_cap", args.dart_cap)
     p = oracle.Profile(args.N, args.genus,
                        parse_list("degrees", args.degrees))
     if args.engine == "oracle":
@@ -80,10 +81,8 @@ def _cmd_curve(args):
     values = {"N": args.N,
               "rhm01": [recursion.rhm01_from_curve(args.N, k)
                         for k in range(9)]}
-    tensor = rec.omega(0, 3)
-    values["omega03_keys"] = [
-        [";".join(f"{a},{k}" for a, k in key)] for key in sorted(tensor)
-    ]
+    values["omega03_keys"] = [[recursion.key_text(key)]
+                              for key in sorted(rec.omega(0, 3))]
     print(json.dumps(values, sort_keys=True))
     return 0
 

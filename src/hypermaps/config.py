@@ -1,15 +1,22 @@
 """Run configuration: flat key = value files with CLI override."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .oracle import DEFAULT_DART_CAP
+from .rational import need_order
 
 VALID_ENGINES = ("oracle", "tr", "tau")
 OUTPUT_FORMATS = ("json", "csv")
 # the integer settings and the least value of each
 INT_MINIMUM = {"g_max": 0, "n_max": 1, "weight_cap": 1, "dart_cap": 1,
                "threads": 1}
+
+
+def need_minimum(key, value):
+    """The least-value rule of the integer setting `key`."""
+    if value < INT_MINIMUM[key]:
+        raise ValueError(f"{key} must be >= {INT_MINIMUM[key]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,10 +37,8 @@ class RunConfig:
         for e in self.engines:
             if e not in VALID_ENGINES:
                 raise ValueError(f"unknown engine {e!r}")
-        for key, least in INT_MINIMUM.items():
-            value = getattr(self, key)
-            if value < least:
-                raise ValueError(f"{key} must be >= {least}, got {value}")
+        for key in INT_MINIMUM:
+            need_minimum(key, getattr(self, key))
         if self.out not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format {self.out!r}")
         if len(set(self.engines)) < len(self.engines):
@@ -41,8 +46,8 @@ class RunConfig:
                 f"need distinct engines, got {list(self.engines)}")
         if not self.N or len(set(self.N)) < len(self.N):
             raise ValueError(f"need distinct N values, got {list(self.N)}")
-        if any(n < 2 for n in self.N):
-            raise ValueError("N must be at least 2")
+        for n in self.N:
+            need_order(n)
 
     def echo(self) -> dict:
         """Stable dict representation embedded in reports.
@@ -51,15 +56,8 @@ class RunConfig:
         of what was verified, so they are left out: reports must come out
         byte-identical regardless of how the work was scheduled.
         """
-        return {
-            "N": list(self.N),
-            "g_max": self.g_max,
-            "n_max": self.n_max,
-            "weight_cap": self.weight_cap,
-            "dart_cap": self.dart_cap,
-            "engines": list(self.engines),
-            "out": self.out,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("threads", "cache_dir")}
 
 
 def parse_list(key, s, kind=int):

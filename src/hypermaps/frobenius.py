@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .polar import ExactPolar, roots_of_unity_sum
-from .rational import Q, QONE, QZERO, binomial_q, factorial_q, harmonic
+from .rational import (Q, QONE, QZERO, binomial_q, factorial_q, harmonic,
+                       need_order)
 from .series import QRING, UniSeries
 
 
@@ -40,8 +41,7 @@ def _eta_pair(N: int, a: int):
 def eta(N: int) -> EtaMetric:
     """Flat metric in the flat coordinates: eta_{ab} vanishes unless
     a + b = N + 1, where it is `_eta_pair(N, a)`."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    need_order(N)
     return EtaMetric(N, tuple(
         tuple(_eta_pair(N, a) if a + b == N + 1 else QZERO
               for b in range(1, N + 1))
@@ -50,8 +50,7 @@ def eta(N: int) -> EtaMetric:
 
 def mu_charge(N: int):
     """Diagonal of mu and the charge d."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    need_order(N)
     mu = [Q(N + 1 - 2 * a, 2 * (N - 1)) for a in range(1, N + 1)]
     d = Q(N - 3, N - 1)
     return mu, d
@@ -79,8 +78,7 @@ def _psi_entry(N: int, i: int, a: int) -> ExactPolar:
 
 
 def canonical_frame(N: int) -> CanonicalFrame:
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    need_order(N)
     c = tuple(ExactPolar(N, 1, e1=Q(-1, N), ang=Q(i, N))
               for i in range(1, N + 1))
     u = tuple(ExactPolar(N, N, e1=Q(1, N) - 1, ang=Q(-i, N))
@@ -93,9 +91,20 @@ def canonical_frame(N: int) -> CanonicalFrame:
     return CanonicalFrame(N, c, u, delta_half, psi)
 
 
-def x_at_polar(v: ExactPolar) -> ExactPolar:
-    """x(p) = p^(N-1) + 1/p at an exact polar point."""
-    return v.pow(v.N - 1) + v.inv()
+def curve_x(N: int) -> UniSeries:
+    """x(z) = z^(N-1) + 1/z as an exact Laurent polynomial: the one x in
+    original coordinates, which the frame, S-matrix and shortcuts read."""
+    return UniSeries("z", QRING, {-1: QONE, N - 1: QONE}, None)
+
+
+def x_at_polar(v: ExactPolar, order: int = 0) -> ExactPolar:
+    """The order-th derivative of `curve_x` at an exact polar point,
+    summed term by term."""
+    x = curve_x(v.N)
+    for _ in range(order):
+        x = x.deriv()
+    return sum((v.pow(e) * c for e, c in sorted(x.c.items())),
+               ExactPolar.zero(v.N))
 
 
 def psi_orthogonality_defect(N: int):
@@ -160,16 +169,10 @@ def _c_coeff(N: int, e: int):
     return Q((-1) ** (e // N))
 
 
-def _f_int_power_items(N: int, m: int):
-    """Exponent/coefficient pairs of the Laurent polynomial F^m."""
-    return [((N - 1) * m - N * j, binomial_q(m, j)) for j in range(m + 1)]
-
-
 @lru_cache(maxsize=None)
 def s_entry(N: int, m: int, alpha: int, beta: int):
     """(S_m)^alpha_beta at the special point, exact rational."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    need_order(N)
     if not (1 <= alpha <= N and 1 <= beta <= N):
         raise ValueError("matrix indices out of range")
     if m < 0:
@@ -208,14 +211,14 @@ def _s_entry_last_column(N: int, m: int, alpha: int):
                 total += c * g
         return total
 
-    # first piece: m * F^(m-1) * p^w * (log combination)
+    # first piece: m * F^(m-1) * p^w * (log combination), F = curve_x
     t1 = QZERO
     if m >= 1:
         w = -2 if alpha == N else alpha - 2
-        items = [(e + w, c * m) for e, c in _f_int_power_items(N, m - 1)]
+        items = [(e + w, c * m) for e, c in curve_x(N).pow(m - 1).c.items()]
         t1 = res0_against(items, lambda e: _g_coeff(N, m, e))
 
-    fm = _f_int_power_items(N, m)
+    fm = curve_x(N).pow(m).c.items()
     pref = Q(N, N - 1) / _eta_pair(N, alpha) / mfact
     if alpha == N:
         # the logarithmic direction
@@ -233,8 +236,7 @@ def _s_entry_last_column(N: int, m: int, alpha: int):
 def s_matrix(N: int, m: int):
     """Full matrix (S_m)^alpha_beta as a tuple of rows indexed by alpha."""
     # checked here too: at N <= 0 no entry is evaluated
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    need_order(N)
     return tuple(tuple(s_entry(N, m, a, b) for b in range(1, N + 1))
                  for a in range(1, N + 1))
 
@@ -263,7 +265,7 @@ def tilde_xi(N: int, alpha: int, trunc: int) -> UniSeries:
 def _pole_chart(N: int, k: int):
     """1/x' modulo z^(k+4) and x^(k+1) modulo z^(k+2), expanded in z at
     the simple pole z = 0 of x; every alpha at this (N, k) reads them."""
-    x = UniSeries("z", QRING, {-1: QONE, N - 1: QONE}, None)
+    x = curve_x(N)
     return x.deriv().inv(prec=k + 4), x.pow(k + 1, prec=k + 2)
 
 

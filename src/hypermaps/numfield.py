@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .rational import Q, is_rational
+from .rational import Q, is_rational, need_order
 
 
 def cyclotomic(n: int) -> list:
@@ -47,8 +47,7 @@ class NumberField:
     """Q(zeta_n) = Q[x]/(Phi_n)."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+        need_order(n)
         self.n = n
         minpoly = cyclotomic(n)
         self.deg = d = len(minpoly) - 1

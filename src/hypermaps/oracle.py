@@ -49,9 +49,10 @@ class Profile:
     degrees: tuple
 
     def __post_init__(self):
-        if self.N < 2 or self.g < 0:
-            raise ValueError(f"need N >= 2 and g >= 0, got {self.N}, "
-                             f"{self.g}")
+        if self.N < 2:
+            raise ValueError(f"need N >= 2, got {self.N}")
+        if self.g < 0:
+            raise ValueError(f"need g >= 0, got {self.g}")
         degrees = tuple(self.degrees)
         if not degrees or any(d < 1 for d in degrees):
             raise ValueError(f"need degrees >= 1, got {degrees}")

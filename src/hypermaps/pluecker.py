@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 from .partitions import beta_mask, mask_partition, partitions_upto
-from .rational import Q
+from .rational import Q, need_order
 from .series import EpsLaurent
 from .tau import coefficient_row
 
@@ -73,8 +73,7 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
     sum(S) + sum(T) - 2c no term survives the divisibility constraint,
     so such pairs are never visited; a side of weight > W is unknown.
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    need_order(N)
     if W < MIN_WEIGHT_CAP:
         raise ValueError(f"Pluecker window needs a weight cap >= "
                          f"{MIN_WEIGHT_CAP}, got {W}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .rational import Q, QONE, QZERO, rat_str
+from .rational import Q, QONE, QZERO, need_order, rat_str
 
 
 class ExactPolar:
@@ -22,8 +22,7 @@ class ExactPolar:
     __slots__ = ("N", "q", "e1", "e2", "ang")
 
     def __init__(self, N: int, q, e1=0, e2=0, ang=0):
-        if N < 2:
-            raise ValueError(f"need N >= 2, got {N}")
+        need_order(N)
         q = Q(q)
         e1, e2, ang = Q(e1), Q(e2), Q(ang)
         if q == 0:

@@ -14,6 +14,12 @@ QZERO = Q(0)
 QONE = Q(1)
 
 
+def need_order(N: int) -> None:
+    """The one rule on the order N of the black faces: N >= 2."""
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
+
+
 def is_rational(x) -> bool:
     return isinstance(x, (Q, int))
 

@@ -71,9 +71,11 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
+from .frobenius import curve_x
 from .numfield import NumberField
 from .oracle import UNSTABLE_MOMENT, Profile
-from .rational import Q, QONE, QZERO, as_count, parse_rat, rat_str
+from .rational import (Q, QONE, QZERO, as_count, need_order, parse_rat,
+                       rat_str)
 from .series import QRING, UniSeries, lagrange_invert
 
 TENSOR_CACHE_VERSION = 1
@@ -83,8 +85,7 @@ class Curve:
     """Rescaled spectral-curve data over the cyclotomic field."""
 
     def __init__(self, N: int):
-        if N < 2:
-            raise ValueError(f"need N >= 2, got {N}")
+        need_order(N)
         self.N = N
         self.ring = NumberField.cyclotomic_field(N)
         # a_i = zeta^i, i = 1..N (so a_N = 1)
@@ -393,10 +394,8 @@ class Recursion:
         path = self._cache_path(g, n)
         if path is None:
             return
-        payload = {
-            ";".join(f"{a},{k}" for a, k in key): [rat_str(c) for c in val.v]
-            for key, val in sorted(tensor.items())
-        }
+        payload = {key_text(key): [rat_str(c) for c in val.v]
+                   for key, val in sorted(tensor.items())}
         # write a temp file and rename it, so that no reader ever sees a
         # partial tensor at the final path
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -498,6 +497,11 @@ class Recursion:
                       if ref.get(K, zero) != other.get(K, zero))
 
 
+def key_text(key) -> str:
+    """A tensor key as the text "a,k;a,k;..." of the cache and `curve`."""
+    return ";".join(f"{a},{k}" for a, k in key)
+
+
 def _needs_correlator(p: Profile) -> bool:
     """Whether request p is read from a correlator: an unstable moment
     is refused, and a dart count that N does not divide has no
@@ -546,11 +550,11 @@ def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
     d_{z1} d_{z2} log(1 - m), with m(z1, z2) = z1 z2 (z1^(N-1) -
     z2^(N-1))/(z1 - z2) = z1 z2 h and h = sum_{i<N-1} z1^i z2^(N-2-i).
 
-    x^(k+1) = sum_j C(k+1, j) z^((N-1)(k+1) - Nj) and Res z^(-A) d(z^A)
-    = A, so with A = N j1 - (N-1)(k1+1) and B = N j2 - (N-1)(k2+1) the
-    count is
+    Res z^(-A) d(z^A) = A, so with c1 z1^(-A) and c2 z2^(-B) running
+    over the poles of x1^(k1+1) and x2^(k2+1) (x = `curve_x`) the count
+    is
 
-        -sum_{A,B >= 1} C(k1+1, j1) C(k2+1, j2) A B [z1^A z2^B] log(1 - m)
+        -sum_{A,B >= 1} c1 c2 A B [z1^A z2^B] log(1 - m)
 
     log(1 - m) = -sum_J m^J / J and m^J is homogeneous of degree NJ, so
     only J = (A + B)/N contributes (none unless N divides A + B), and
@@ -561,14 +565,11 @@ def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
     by (1 - u^(N-1))^J (1 - u)^(-J), over i <= (A - 1)/(N - 1); a term
     with A - 1 - i(N-1) < J - 1 is 0, so the sum is 0 for A < J."""
     Profile(N, 0, (k1 + 1, k2 + 1))
-
-    def exponents(k):  # (A, C(k+1, j)) over the poles of x^(k+1)
-        return [(N * j - (N - 1) * (k + 1), comb(k + 1, j))
-                for j in range(k + 2) if N * j > (N - 1) * (k + 1)]
-
+    poles1, poles2 = ([(-e, c) for e, c in curve_x(N).pow(k + 1).c.items()
+                       if e < 0] for k in (k1, k2))
     total = QZERO
-    for A, c1 in exponents(k1):
-        for B, c2 in exponents(k2):
+    for A, c1 in poles1:
+        for B, c2 in poles2:
             J, r = divmod(A + B, N)
             if r:
                 continue

@@ -23,7 +23,7 @@ from math import factorial, prod
 
 from .oracle import Profile
 from .partitions import character, contents, mult_vector, partitions
-from .rational import Q, as_count, factorial_q
+from .rational import Q, as_count, factorial_q, need_order
 from .series import EpsLaurent, MultiSeries
 
 
@@ -112,8 +112,7 @@ def tau_Z(N: int, W: int) -> TauTruncation:
     ``coefficient_row`` per lambda, then per mu the integer column
     sum_lambda chi^lambda_mu r_lambda, divided once.
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    need_order(N)
     if W < N:
         raise ValueError(f"weight cap {W} is below N = {N}")
     coeffs = {(): EpsLaurent.const(1)}

@@ -46,6 +46,42 @@ def test_rhm_over_the_dart_cap_names_it(capsys):
         "oracle cap exceeded: 14 darts, dart_cap = 12"]
 
 
+@pytest.mark.parametrize("engine", ["oracle", "tr", "tau"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_rhm_dart_cap_below_1_exits_2(capsys, engine, cap):
+    """rhm's cap obeys crosscheck's least-value rule, whichever engine
+    serves the request."""
+    assert main(["rhm", "--N", "2", "--genus", "0", "--degrees", "2,2",
+                 "--engine", engine, "--dart-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dart_cap must be >= 1, got {cap}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--N", "1"],
+    ["frobenius", "--N", "1"],
+    ["curve", "--N", "1"],
+    ["tau", "--N", "1"],
+    ["pluecker", "--N", "1"],
+    ["crosscheck", "--N", "1"],
+    ["rhm", "--N", "1", "--genus", "0", "--degrees", "2"],
+], ids=lambda argv: argv[0])
+def test_order_below_2_is_one_message(capsys, argv):
+    """Every command refuses N < 2 with the one message of the one rule."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need N >= 2, got 1\n"
+
+
+def test_rhm_negative_genus_names_it(capsys):
+    assert main(["rhm", "--N", "2", "--genus", "-1", "--degrees", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need g >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["crosscheck", "--N", "3", "--g-max", "1", "--n-max", "1",
      "--weight-cap", "3"],
@@ -320,7 +356,7 @@ def test_config_validation():
         RunConfig(threads=0)
     with pytest.raises(ValueError, match="unknown output format"):
         RunConfig(out="xml")
-    with pytest.raises(ValueError, match="N must be at least 2"):
+    with pytest.raises(ValueError, match="^need N >= 2, got 1$"):
         RunConfig(N=(1,))
     with pytest.raises(ValueError, match=r"need distinct N values, got \[\]"):
         RunConfig(N=())

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -166,13 +166,25 @@ def test_frame_u_equals_x_of_c():
 
 
 def test_frame_delta_branch():
-    for N in range(2, 7):
+    """x''(c) = 2/c^3 + (N-1)(N-2) c^(N-3), written out here as the
+    reference for `x_at_polar(c, 2)`, is the square of delta_half."""
+    for N in range(2, 8):
         frame = F.canonical_frame(N)
         for c, dh in zip(frame.c, frame.delta_half):
             xs = c.inv().pow(3) * Q(2)
             if N != 2:
                 xs = xs + c.pow(N - 3) * Q((N - 1) * (N - 2))
             assert xs == dh * dh
+            assert F.x_at_polar(c, 2) == xs
+
+
+def test_curve_powers_are_binomial():
+    """The powers of `curve_x` that the last S column and the curve
+    shortcuts read are x^m = sum_j C(m, j) z^((N-1)m - Nj)."""
+    for N in range(2, 6):
+        for m in range(10):
+            assert F.curve_x(N).pow(m).c == {
+                (N - 1) * m - N * j: comb(m, j) for j in range(m + 1)}
 
 
 def test_unstable01_examples():

@@ -556,3 +556,68 @@ def test_rhm02_from_curve_matches_smatrix():
                 assert rhm02_from_curve(N, k1, k2) == (
                     unstable02(N, k1, k2)
                     * factorial(k1 + 1) * factorial(k2 + 1)), (N, k1, k2)
+
+
+def dilaton_defects(rec, g, n, sign=1):
+    """Keys J on which the dilaton equation on the pole-basis tensors,
+
+        sum_(i,k) D[(i,k)] omega_{g,n+1}[sort(J + ((i,k),))]
+            = (2g - 2 + n) omega_{g,n}[J],
+
+    fails.  D[(i,k)] = [t^(k-2)] phi(a_i + t)/(k - 1) is the residue at
+    a_i of a primitive of phi dv against xi_{a_i,k}, with phi(v) =
+    v^(N-1) - 1/v = -yt xt'(v) on the rescaled curve.  J runs over the
+    keys of omega_{g,n} and every key of omega_{g,n+1} with one slot
+    removed.  Returns (defects, keys read); `sign` flips phi."""
+    N, ring = rec.N, rec.curve.ring
+    lower, upper = rec.omega(g, n), rec.omega(g, n + 1)
+    k_max = max(k for K in upper for _, k in K)
+    D = {}
+    for i, a in enumerate(rec.curve.ram):
+        v = UniSeries("t", ring, {0: a, 1: ring.one})
+        phi = v.pow(N - 1) - v.inv(prec=k_max - 1)
+        for k in range(2, k_max + 1):
+            D[i, k] = phi.coeff(k - 2) * Q(sign, k - 1)
+    keys = set(lower) | {K[:j] + K[j + 1:]
+                         for K in upper for j in range(len(K))}
+    defects = []
+    for J in sorted(keys):
+        lhs = ring.zero
+        for slot, d in D.items():
+            c = upper.get(tuple(sorted(J + (slot,))))
+            if c is not None:
+                lhs = lhs + d * c
+        if lhs != lower.get(J, ring.zero) * (2 * g - 2 + n):
+            defects.append(J)
+    return defects, len(keys)
+
+
+DILATON_CASES = [(2, 0, 3), (2, 1, 1), (2, 1, 2), (3, 0, 3), (3, 1, 1),
+                 (4, 0, 3), (4, 1, 1)]
+
+
+@pytest.mark.parametrize("N, g, n", DILATON_CASES)
+def test_dilaton_equation(rec2, rec3, rec4, N, g, n):
+    rec = {2: rec2, 3: rec3, 4: rec4}[N]
+    assert dilaton_defects(rec, g, n)[0] == []
+    # phi with the opposite sign fails somewhere
+    assert dilaton_defects(rec, g, n, sign=-1)[0]
+
+
+@pytest.mark.parametrize("N, bad, keys", [(2, 6, 10), (3, 9, 15)])
+def test_dilaton_sees_a_rescaled_cached_tensor(tmp_path, rec2, rec3, N,
+                                               bad, keys):
+    """A uniformly rescaled tensor passes every load check of the tensor
+    cache, so the cache serves a doubled omega_{1,1}; the dilaton
+    equation against omega_{1,2} fails on every key where omega_{1,1}
+    is nonzero."""
+    rec = {2: rec2, 3: rec3}[N]
+    doubled = {K: c * 2 for K, c in rec.omega(1, 1).items()}
+    writer = Recursion(N, 1, 2, cache_dir=str(tmp_path))
+    writer._store_cached(1, 2, rec.omega(1, 2))
+    writer._store_cached(1, 1, doubled)
+    served = Recursion(N, 1, 2, cache_dir=str(tmp_path))
+    served._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
+    assert served.omega(1, 1) == doubled
+    defects, read = dilaton_defects(served, 1, 1)
+    assert (len(defects), read) == (bad, keys)

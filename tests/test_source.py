@@ -100,3 +100,41 @@ def test_one_broad_except_in_src():
                       for node in ast.walk(top)
                       if isinstance(node, ast.ExceptHandler) and _broad(node)]
     assert found == ["checks.py:run_crosscheck"]
+
+
+
+def _name(node):
+    """The name a Name or an Attribute node reads, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_one_order_check():
+    """N >= 2 is `rational.need_order` alone; the oracle, which imports
+    nothing from the package, keeps its own copy in `Profile`.  A bound
+    is an ordering comparison of N (or n) with 2; polar's `N == 2`, the
+    degenerate base N - 1 = 1, is a case and not a bound.  The
+    self-checks read divisibility by N from `oracle.Profile`, so
+    checks.py takes nothing modulo N."""
+    bounds = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("rational.py", "oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left] + node.comparators
+            found += [f"{path.name}:{node.lineno}"
+                      for op, a, b in zip(node.ops, sides, sides[1:])
+                      if isinstance(op, bounds)
+                      for x, y in ((a, b), (b, a))
+                      if _name(x) in ("N", "n")
+                      and isinstance(y, ast.Constant) and y.value == 2]
+    path = SRC / "checks.py"
+    found += [f"checks.py:{node.lineno}: % N"
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+              and _name(node.right) == "N"]
+    assert found == []
