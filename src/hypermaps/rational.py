@@ -37,13 +37,6 @@ def rat_str(q) -> str:
     return str(Q(q))
 
 
-def parse_rat(s: str):
-    if "/" in s:
-        num, den = s.split("/")
-        return Q(int(num), int(den))
-    return Q(int(s))
-
-
 def binomial_q(s, k: int):
     """Generalized binomial coefficient (s choose k) for rational s."""
     if k < 0:

@@ -34,7 +34,10 @@ coefficient of each distinct ordered monomial.  As xt(zeta v) =
 zeta^(-1) xt(v), v -> zeta v moves every index a to a+1 and multiplies a
 key's coefficient by zeta^(sum of (k-1)).  So each correlator takes
 residues at one ramification point, which gives the keys with a slot
-there, and the other keys follow by this rotation.
+there, and `_complete` fills in the other keys by this rotation.  The
+tensor cache holds what `_compute` derives, the keys with a slot at
+index 0, each coefficient as the field element's integers [den, num_0,
+..., num_(deg-1)]; loading a file completes it the same way.
 
 Every term of the recursion at a is a pair of slot roles, one at z and
 one at sigma(z), with the externals that remain and a scalar.  A slot
@@ -74,11 +77,10 @@ from math import comb
 from .frobenius import curve_x
 from .numfield import NumberField
 from .oracle import UNSTABLE_MOMENT, Profile
-from .rational import (Q, QONE, QZERO, as_count, need_order, parse_rat,
-                       rat_str)
+from .rational import Q, QONE, QZERO, as_count, need_order
 from .series import QRING, UniSeries, lagrange_invert
 
-TENSOR_CACHE_VERSION = 1
+TENSOR_CACHE_VERSION = 2
 
 
 class Curve:
@@ -249,6 +251,10 @@ class Recursion:
 
     def omega(self, g: int, n: int) -> dict:
         """Coefficient tensor of omega_{g,n} on sorted pole-basis keys."""
+        if g < 0:
+            raise ValueError(f"need g >= 0, got {g}")
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         if not Profile.stable_shape(g, n):
             raise ValueError(UNSTABLE_MOMENT)
         if 6 * g - 4 + 2 * n > self.M:
@@ -367,8 +373,12 @@ class Recursion:
                 elif prev != c:
                     # symmetry of omega: every distinguished slot agrees
                     raise ArithmeticError("correlator symmetry violated")
-        # the keys without a slot at a_idx follow by rotation; a rotated
-        # key with one was computed directly and must agree
+        return self._complete(direct, a_idx)
+
+    def _complete(self, direct: dict, a_idx: int = 0) -> dict:
+        """The whole tensor from its keys with a slot at a_idx, by
+        rotation; a rotated key with such a slot must agree."""
+        zero = self.curve.ring.zero
         result = dict(direct)
         for K, c in direct.items():
             for step in range(1, self.N):
@@ -394,8 +404,8 @@ class Recursion:
         path = self._cache_path(g, n)
         if path is None:
             return
-        payload = {key_text(key): [rat_str(c) for c in val.v]
-                   for key, val in sorted(tensor.items())}
+        payload = {key_text(K): [c.den] + c.num for K, c in tensor.items()
+                   if any(a == 0 for a, _ in K)}
         # write a temp file and rename it, so that no reader ever sees a
         # partial tensor at the final path
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -404,12 +414,12 @@ class Recursion:
             with open(tmp, "w") as fh:
                 json.dump(payload, fh, sort_keys=True)
             os.replace(tmp, path)
-            # files named with the working order M, which left the key;
-            # nothing reads them
-            stale = f"tensor_N{self.N}_g{g}_n{n}_M"
+            # every other file of this (N, g, n), of an older version or
+            # named with the working order M, is one that nothing reads
+            stem, own = f"tensor_N{self.N}_g{g}_n{n}_", os.path.basename(path)
             for name in os.listdir(self.cache_dir):
-                if name.startswith(stale) and name.endswith(
-                        f"_v{TENSOR_CACHE_VERSION}.json"):
+                if name.startswith(stem) and name.endswith(".json") \
+                        and name != own:
                     os.remove(os.path.join(self.cache_dir, name))
         except OSError:
             pass
@@ -422,33 +432,30 @@ class Recursion:
         if path is None or not os.path.exists(path):
             return None
         # anything but a dict of sorted n-tuples of slots (a, k), 0 <= a < N
-        # and k >= 2, to lists of deg rationals is a miss
+        # and k >= 2, with one at a = 0, to a nonzero element's [den >= 1,
+        # num_0, ...] is a miss, and so is one `_complete` refuses
         ring = self.curve.ring
-        out = {}
+        direct = {}
         try:
             with open(path) as fh:
                 payload = json.load(fh)
             # every stable omega_{g,n} has at least one key
             if not isinstance(payload, dict) or not payload:
                 return None
-            for skey, vec in payload.items():
+            for skey, ints in payload.items():
                 key = tuple(tuple(int(x) for x in part.split(","))
-                            for part in skey.split(";")) if skey else ()
+                            for part in skey.split(";"))
                 if (len(key) != n or list(key) != sorted(key)
                         or any(len(p) != 2 or not 0 <= p[0] < self.N
                                or p[1] < 2 for p in key)
-                        or not isinstance(vec, list)):
+                        or all(p[0] != 0 for p in key)
+                        or list(map(type, ints)) != [int] * (ring.deg + 1)
+                        or ints[0] < 1 or not any(ints[1:])):
                     return None
-                out[key] = ring.coerce([parse_rat(x) for x in vec])
-        except (OSError, ValueError, TypeError, ZeroDivisionError):
+                direct[key] = ring.coerce([Q(x, ints[0]) for x in ints[1:]])
+            return self._complete(direct)
+        except (OSError, ValueError, TypeError, ArithmeticError):
             return None
-        # so is one that is not Z_N-covariant: a key whose rotation is
-        # missing or has another coefficient than the rotation gives
-        for K, c in out.items():
-            rot, factor = self._rotate(K, 1)
-            if rot not in out or out[rot] != c * factor:
-                return None
-        return out
 
     # -- extraction ---------------------------------------------------------
 

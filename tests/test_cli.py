@@ -7,8 +7,7 @@ import pytest
 from hypermaps import recursion, tau
 from hypermaps.cli import main
 from hypermaps.config import RunConfig, build_config, parse_config_file
-from hypermaps.rational import parse_rat, rat_str
-from hypermaps.recursion import Recursion
+from hypermaps.recursion import Recursion, key_text
 from hypermaps.report import Report, emit
 
 CROSSCHECK_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -177,11 +176,10 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rhm"] == 48
     # delete one whole Z_N orbit of the cached omega_{0,4}, so the file
-    # still loads
-    path = tmp_path / "tensor_N2_g0_n4_v1.json"
+    # still loads: its one key with a slot at index 0
+    path = tmp_path / "tensor_N2_g0_n4_v2.json"
     payload = json.loads(path.read_text())
-    for key in ("0,2;0,2;0,2;0,4", "1,2;1,2;1,2;1,4"):
-        del payload[key]
+    del payload["0,2;0,2;0,2;0,4"]
     path.write_text(json.dumps(payload))
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -192,58 +190,70 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
 def test_rhm_omega_03_is_never_cached(tmp_path, capsys):
     """omega_{0,3} is recomputed on every run: no cache file is written
     for it, and none is read, even one that passes the load checks
-    (one coefficient tampered on its whole Z_N orbit, rotation factor 1,
-    or every coefficient doubled)."""
+    (the one stored key of a Z_N orbit tampered, or every coefficient
+    doubled)."""
     argv = ["rhm", "--N", "3", "--genus", "0", "--degrees", "3,3,3",
             "--engine", "tr", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rhm"] == 216
-    path = tmp_path / "tensor_N3_g0_n3_v1.json"
+    path = tmp_path / "tensor_N3_g0_n3_v2.json"
     assert not path.exists()
     # the payload `_store_cached` would write, were omega_{0,3} cached
-    payload = {";".join(f"{a},{k}" for a, k in key):
-               [rat_str(c) for c in val.v]
-               for key, val in Recursion(3, 0, 3).omega(0, 3).items()}
+    payload = {key_text(K): [c.den] + c.num
+               for K, c in Recursion(3, 0, 3).omega(0, 3).items()
+               if any(a == 0 for a, _ in K)}
+    assert payload["0,2;0,2;0,2"] == [3, 1, 0]
     tampered = dict(payload)
-    for key in ("0,2;0,2;0,2", "1,2;1,2;1,2", "2,2;2,2;2,2"):
-        assert payload[key] == ["1/3", "0"]
-        tampered[key] = ["1/7", "0"]
-    doubled = {key: [rat_str(2 * parse_rat(c)) for c in coords]
-               for key, coords in payload.items()}
+    tampered["0,2;0,2;0,2"] = [7, 1, 0]
+    doubled = {key: [ints[0]] + [2 * x for x in ints[1:]]
+               for key, ints in payload.items()}
     for content in (tampered, doubled):
         path.write_text(json.dumps(content))
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["rhm"] == 216
 
 
-@pytest.mark.parametrize("content", [
-    "[]",
-    '{"0,4": ["1/2", "3"]}',
-    '{"0,x": ["1/2"]}',
-    '{"0,4": ["1/0"]}',
-    # well-formed, but the rotation of "0,4" is missing
-    '{"0,2": ["1/32"], "0,3": ["1/16"], "0,4": ["-1/16"], '
-    '"1,2": ["-1/32"], "1,3": ["1/16"]}',
-    # well-formed, but "1,4" is not the rotation of "0,4" (-1/16 times -1)
-    '{"0,2": ["1/32"], "0,3": ["1/16"], "0,4": ["-1/16"], '
-    '"1,2": ["-1/32"], "1,3": ["1/16"], "1,4": ["17/16"]}',
-    # well-formed and trivially covariant, but a stable tensor has keys
-    "{}",
+# omega_{1,1} at N = 2 in the v2 cache is {"0,2": [32, 1], "0,3": [16, 1],
+# "0,4": [16, -1]}; each case sets one key of the true file to a value,
+# or (key None) replaces the whole payload
+@pytest.mark.parametrize("N, degrees, count, key, value", [
+    pytest.param(2, "4", 1, None, [], id="[]"),
+    # well-formed, but a stable tensor has keys
+    pytest.param(2, "4", 1, None, {}, id="{}"),
+    pytest.param(2, "4", 1, "0,4", [16, -1.0], id="non-integer"),
+    pytest.param(2, "4", 1, "0,4", [True, -1], id="boolean"),
+    pytest.param(2, "4", 1, "0,4", [0, -1], id="zero-denominator"),
+    # the true -1/16, but not in the stored form
+    pytest.param(2, "4", 1, "0,4", [-16, 1], id="negative-denominator"),
+    pytest.param(2, "4", 1, "0,4", [16, -1, 0], id="wrong-length"),
+    # a stored key is one `_compute` derives, never a zero coefficient
+    pytest.param(2, "4", 1, "0,4", [1, 0], id="zero-coefficient"),
+    pytest.param(2, "4", 1, "0,x", [2, 1], id="bad-key"),
+    # well-formed, but a key without a slot at index 0 is not stored
+    pytest.param(2, "4", 1, "1,4", [16, 1], id="no-slot-at-0"),
+    # omega_{1,2} at N = 3 with "0,2;1,2" tripled from [162, 1, 0]: the
+    # rotation of the stored "0,2;2,2" disagrees with it
+    pytest.param(3, "4,2", 28, "0,2;1,2", [54, 1, 0], id="zn-covariance"),
 ])
 def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
-                                       content):
-    argv = ["rhm", "--N", "2", "--genus", "1", "--degrees", "4",
+                                       N, degrees, count, key, value):
+    argv = ["rhm", "--N", str(N), "--genus", "1", "--degrees", degrees,
             "--engine", "tr", "--cache-dir", str(tmp_path)]
-    path = tmp_path / "tensor_N2_g1_n1_v1.json"
-    path.write_text(content)
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["rhm"] == 1
-    assert path.read_text() != content
+    assert json.loads(capsys.readouterr().out)["rhm"] == count
+    path = tmp_path / f"tensor_N{N}_g1_n{degrees.count(',') + 1}_v2.json"
+    good = path.read_text()
+    payload = value if key is None else {**json.loads(good), key: value}
+    path.write_text(json.dumps(payload))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == count
+    # recomputed and rewritten
+    assert path.read_text() == good
     # the rewritten file is a hit
     monkeypatch.setattr(Recursion, "_compute",
                         lambda *args: pytest.fail("recomputed"))
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["rhm"] == 1
+    assert json.loads(capsys.readouterr().out)["rhm"] == count
 
 
 def test_cache_dir_only_from_the_request(tmp_path, capsys, monkeypatch):
@@ -254,11 +264,11 @@ def test_cache_dir_only_from_the_request(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["rhm"] == 1
     # a uniformly doubled tensor still loads from that directory
-    path = tmp_path / "tensor_N2_g1_n1_v1.json"
+    path = tmp_path / "tensor_N2_g1_n1_v2.json"
     payload = json.loads(path.read_text())
     path.write_text(json.dumps({
-        key: [rat_str(2 * parse_rat(c)) for c in coords]
-        for key, coords in payload.items()}))
+        key: [ints[0]] + [2 * x for x in ints[1:]]
+        for key, ints in payload.items()}))
     monkeypatch.setenv("HYPERMAPS_CACHE_DIR", str(tmp_path))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rhm"] == 1

@@ -120,6 +120,18 @@ def test_omega_unstable_rejected(rec2):
         rec2.omega(0, 2)
 
 
+@pytest.mark.parametrize("g, n, message", [
+    (2, 0, "need n >= 1, got 0"), (-1, 5, "need g >= 0, got -1")])
+def test_omega_rejects_negative_genus_and_no_faces(tmp_path, g, n, message):
+    """2g - 2 + n > 0 holds for both shapes, but neither is a correlator:
+    the request is refused before anything is computed or cached."""
+    rec = Recursion(2, 2, 1, cache_dir=str(tmp_path))
+    with pytest.raises(ValueError) as info:
+        rec.omega(g, n)
+    assert str(info.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_omega_order_cap(rec2):
     with pytest.raises(ValueError, match="expansion order"):
         rec2.omega(5, 3)
@@ -372,27 +384,37 @@ def test_tensor_cache_round_trip(tmp_path):
 
 
 def test_tensor_cache_store_removes_stale_names(tmp_path):
-    """Storing a tensor removes the files that carried the working order
-    M in their name, for that (N, g, n) only."""
-    names = ["tensor_N2_g1_n1_M6_v1.json", "tensor_N2_g1_n1_M10_v1.json",
-             "tensor_N2_g2_n1_M10_v1.json", "tensor_N3_g1_n1_M6_v1.json"]
-    for name in names:
+    """Storing omega_{g,n} removes every other file of that (N, g, n):
+    the older version and the names that carried the working order M.
+    Other (N, g, n), temp files and unrelated names stay."""
+    stale = ["tensor_N2_g1_n1_v1.json", "tensor_N2_g1_n1_M6_v1.json",
+             "tensor_N2_g1_n1_M10_v1.json"]
+    kept = ["tensor_N2_g2_n1_M10_v1.json", "tensor_N3_g1_n1_M6_v1.json",
+            "tensor_N2_g1_n10_v1.json", "tensor_N2_g1_n1_v2.json.77.tmp",
+            "tensor_N2_g1_n1_v1.txt", "notes.json"]
+    for name in stale + kept:
         (tmp_path / name).write_text("{}")
     Recursion(2, 1, 1, cache_dir=str(tmp_path)).omega(1, 1)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        names[2:] + ["tensor_N2_g1_n1_v1.json"])
+        kept + ["tensor_N2_g1_n1_v2.json"])
 
 
 @pytest.mark.parametrize("g, n", [(0, 4), (1, 2)])
-def test_tensor_cache_round_trip_N3(tmp_path, rec3, g, n):
-    """The covariance check on load accepts a tensor whose rotation
-    factors are powers of zeta."""
-    Recursion(3, g, n, cache_dir=str(tmp_path))._store_cached(
-        g, n, rec3.omega(g, n))
-    b = Recursion(3, g, n, cache_dir=str(tmp_path))
-    assert b._load_cached(g, n) == rec3.omega(g, n)
-    b._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
-    assert b.omega(g, n) == rec3.omega(g, n)
+def test_tensor_cache_round_trip_N3(tmp_path, rec3, rec4, rec5, rec6, g, n):
+    """From N = 3 on, the completion on load rotates by factors that are
+    powers of zeta other than +-1.  The file holds exactly the keys with
+    a slot at index 0, and loading it gives the whole tensor."""
+    for rec in (rec3, rec4, rec5, rec6):
+        N, tensor = rec.N, rec.omega(g, n)
+        a = Recursion(N, g, n, cache_dir=str(tmp_path))
+        a._store_cached(g, n, tensor)
+        with open(a._cache_path(g, n)) as fh:
+            assert set(json.load(fh)) == {
+                R.key_text(K) for K in tensor if any(i == 0 for i, _ in K)}
+        b = Recursion(N, g, n, cache_dir=str(tmp_path))
+        b._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
+        assert b._load_cached(g, n) == tensor, N
+        assert b.omega(g, n) == tensor, N
 
 
 def test_omega_03_has_no_cache_path(tmp_path):
@@ -431,7 +453,7 @@ def test_tensor_cache_write_is_atomic(tmp_path, monkeypatch, exc):
     assert [str(p) for p in tmp_path.iterdir()] == [b._cache_path(1, 1)]
 
 
-# sha256 of the cache-format payload of each tensor
+# sha256 of each whole tensor with its coefficients as rational strings
 PINNED = {
     (2, 0, 3):
         "81708e79e44c0fa634a39198a9b11accc3ea8585112c4d11cc2cd54867ceb39f",

@@ -138,3 +138,29 @@ def test_one_order_check():
               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
               and _name(node.right) == "N"]
     assert found == []
+
+
+def test_one_zn_completion():
+    """The Z_N rotation completes a tensor in one place: `Recursion._rotate`
+    is read only inside `Recursion._complete`, and both `_compute` and the
+    cache's `_load_cached` return through `_complete`."""
+    found, callers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Recursion":
+                for fn in cls.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    if fn.name == "_complete":
+                        inside = {id(node) for node in ast.walk(fn)}
+                    if any(isinstance(node, ast.Call)
+                           and _name(node.func) == "_complete"
+                           for node in ast.walk(fn)):
+                        callers.add(fn.name)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "_rotate" and id(node) not in inside]
+    assert found == []
+    assert callers == {"_compute", "_load_cached"}
