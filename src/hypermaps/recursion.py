@@ -15,13 +15,18 @@ expansion variable: dx/x^(d+1) = r^d dxt/xt^(d+1), so the extracted
 coefficient has to be multiplied by (N-1)^(D/N) with D the (necessarily
 divisible by N) total degree.
 
-omega_{g,n} has poles of order at most 6g - 4 + 2n at the ramification
-points (Eynard-Orantin), so a Recursion serving g <= g_max and
-n <= n_max builds every local series (deck, kernel, slot) modulo t^M,
-M = 6 g_max - 4 + 2 n_max, and no further.  A residue integrand not
-known up to its t^0 term raises ArithmeticError("insufficient local
-expansion order") rather than read a truncated series; at M - 1 it
-fires.
+omega_{g,n} has poles of order at most `pole_order(g, n)` = 6g - 4 + 2n
+at the ramification points (Eynard-Orantin), so a Recursion serving
+g <= g_max and n <= n_max builds every local series (deck, kernel, slot)
+modulo t^M, M = pole_order(g_max, n_max), and no further.  Each point
+has one kernel table U_1..U_(M-1), and each pair of slot roles one
+residue vector over j = 1..M-1, of which omega_{g,n} reads the first
+pole_order(g, n) - 1.  A residue reads its integrand w up to t^0 and
+every U_j up to t^(-1 - val(w)); a series not known that far raises
+ArithmeticError("insufficient local expansion order") rather than be
+read truncated.  At the exact M neither read has slack: every U_j one
+order shorter raises, and at M - 1 the table lacks U_(M-1), so
+`_compute` raises.
 
 The recursion kernel needs the local deck involution sigma at each
 ramification point a, with xt(sigma(v)) = xt(v): it is the root w of the
@@ -154,15 +159,14 @@ class Recursion:
         self.curve = Curve(N)
         self.N = N
         # the expansion order of every local series: the largest pole
-        # order 6g - 4 + 2n of a correlator with g <= g_max, n <= n_max
-        self.M = 6 * g_max - 4 + 2 * n_max
+        # order of a correlator with g <= g_max, n <= n_max
+        self.M = pole_order(g_max, n_max)
         self.cache_dir = cache_dir
         self._memo = {}
         self._decks = {}
-        self._xprime_inv = {}
-        self._U = {}        # (a_idx, j) -> UniSeries
+        self._kernels = {}  # a_idx -> (U_1, ..., U_{M-1})
         self._slots = {}    # (a_idx, slot role) -> UniSeries
-        self._resvec = {}   # (a_idx, left key, right key, j_max) -> tuple
+        self._resvec = {}   # (a_idx, left role, right role) -> tuple
 
     # -- local series ----------------------------------------------------
 
@@ -171,20 +175,20 @@ class Recursion:
             self._decks[a_idx] = deck_series(self.curve, a_idx, self.M)
         return self._decks[a_idx]
 
-    def _kernel_U(self, a_idx: int, j: int) -> UniSeries:
-        key = (a_idx, j)
-        if key in self._U:
-            return self._U[key]
+    def _kernel(self, a_idx: int) -> tuple:
+        """(U_1, ..., U_{M-1}) at ramification point a_idx, with U_j =
+        (t^j - s^j) / (2 (s - t) x'), memoized per point."""
+        out = self._kernels.get(a_idx)
+        if out is not None:
+            return out
         ring = self.curve.ring
         s = self.deck(a_idx)
         t = UniSeries.monomial("t", ring, 1, 1, self.M)
-        if a_idx not in self._xprime_inv:
-            xp = self.curve.x_series(a_idx, self.M + 1).deriv()
-            self._xprime_inv[a_idx] = ((s - t) * xp).scale(Q(2)).inv()
-        num = t.pow(j) - s.pow(j)
-        u = num * self._xprime_inv[a_idx]
-        self._U[key] = u
-        return u
+        xp = self.curve.x_series(a_idx, self.M + 1).deriv()
+        inv = ((s - t) * xp).scale(Q(2)).inv()
+        out = tuple((t.pow(j) - s.pow(j)) * inv for j in range(1, self.M))
+        self._kernels[a_idx] = out
+        return out
 
     def _factor_series(self, a_idx: int, role) -> UniSeries:
         """Local series for one slot of the residue integrand, memoized on
@@ -221,22 +225,29 @@ class Recursion:
         self._slots[key] = out
         return out
 
-    def _res_vector(self, a_idx: int, left, right, j_max: int):
-        """tuple over j = 1..j_max of Res_t U_j(t) w(t) dt for the
-        integrand w built from the two slot roles (right may be None)."""
-        key = (a_idx, left, right, j_max)
-        if key in self._resvec:
-            return self._resvec[key]
+    def _res_vector(self, a_idx: int, left, right):
+        """tuple over j = 1..M-1 of Res_t U_j(t) w(t) dt for the integrand
+        w built from the two slot roles (right may be None), memoized on
+        (a_idx, left, right)."""
+        key = (a_idx, left, right)
+        out = self._resvec.get(key)
+        if out is not None:
+            return out
         w = self._factor_series(a_idx, left)
         if right is not None:
             w = w * self._factor_series(a_idx, right)
-        if w.trunc is not None and w.trunc < 1:
+        kernel = self._kernel(a_idx)
+        # the residue pairs t^m of U_j with t^(-1-m) of w: w is read up
+        # to t^0, as U_1 = -1/(2x') has valuation -1, and every U_j up to
+        # t^(-1 - val(w))
+        if (w.trunc is not None and w.trunc < 1
+                or w.c and any(u.trunc is not None
+                               and u.trunc <= -1 - w.val() for u in kernel)):
             raise ArithmeticError("insufficient local expansion order")
         w = w.truncated(1)
         zero = self.curve.ring.zero
         out = []
-        for j in range(1, j_max + 1):
-            u = self._kernel_U(a_idx, j)
+        for u in kernel:
             total = zero
             for m, uc in u.c.items():
                 wc = w.c.get(-1 - m)
@@ -257,7 +268,7 @@ class Recursion:
             raise ValueError(f"need n >= 1, got {n}")
         if not Profile.stable_shape(g, n):
             raise ValueError(UNSTABLE_MOMENT)
-        if 6 * g - 4 + 2 * n > self.M:
+        if pole_order(g, n) > self.M:
             raise ValueError("requested correlator exceeds the configured "
                              "expansion order")
         key = (g, n)
@@ -312,8 +323,12 @@ class Recursion:
         """omega_{g,n} from residues at ramification point a_idx alone."""
         ring = self.curve.ring
         n_ext = n - 1
-        bound = 6 * g - 4 + 2 * n
+        bound = pole_order(g, n)
+        # the residue vectors hold j = 1..M-1, and omega_{g,n} reads the
+        # first bound - 1 of them
         j_max = bound - 1
+        if j_max > self.M - 1:
+            raise ArithmeticError("insufficient local expansion order")
         zero = ring.zero
 
         # every term as (externals, z role, sigma(z) role): its scalar
@@ -354,7 +369,7 @@ class Recursion:
         # passes the expansion-order check
         acc = {}  # external multiset -> vector over j of coefficients
         for (r, z_role, s_role), c in terms.items():
-            vec = self._res_vector(a_idx, z_role, s_role, j_max)
+            vec = self._res_vector(a_idx, z_role, s_role)
             cur = acc.setdefault(r, [zero] * j_max)
             for i in range(j_max):
                 cur[i] = cur[i] + vec[i] * c
@@ -504,6 +519,12 @@ class Recursion:
                       if ref.get(K, zero) != other.get(K, zero))
 
 
+def pole_order(g: int, n: int) -> int:
+    """The largest pole order of omega_{g,n} at a ramification point
+    (Eynard-Orantin): the expansion order its recursion needs."""
+    return 6 * g - 4 + 2 * n
+
+
 def key_text(key) -> str:
     """A tensor key as the text "a,k;a,k;..." of the cache and `curve`."""
     return ";".join(f"{a},{k}" for a, k in key)
@@ -520,8 +541,9 @@ def _needs_correlator(p: Profile) -> bool:
 
 def count_rhm(profile: Profile, cache_dir=None) -> int:
     """One count from a Recursion sized to the request, built only when
-    the request does not decide the count by itself."""
-    if not _needs_correlator(profile):
+    the request does not decide the count by itself: N must divide the
+    darts, and the genus must be within `Profile.max_genus`."""
+    if not _needs_correlator(profile) or profile.g > profile.max_genus:
         return 0
     rec = Recursion(profile.N, profile.g, len(profile.degrees),
                     cache_dir=cache_dir)

@@ -158,8 +158,9 @@ def rhm_from_tau(tau: TauTruncation, g: int, degrees) -> int:
 
 def count_rhm(profile: Profile) -> int:
     """One count from Z truncated at the total side count d, built only
-    when N divides d (so that d >= N, as tau_Z needs)."""
-    if not profile.divisible:
+    when N divides d (so that d >= N, as tau_Z needs) and the genus is
+    within `Profile.max_genus`."""
+    if not profile.divisible or profile.g > profile.max_genus:
         return 0
     return rhm_from_tau(tau_Z(profile.N, profile.darts), profile.g,
                         profile.degrees)

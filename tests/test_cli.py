@@ -151,12 +151,18 @@ def test_rhm_degree_below_N(capsys, engine):
     (["--N", "400", "--genus", "0", "--engine", "tr"], 2, None),
     (["--N", "400", "--genus", "1", "--engine", "tr"], 0,
      {"N": 400, "g": 1, "degrees": [1], "rhm": 0}),
-], ids=["tau-indivisible", "tr-unstable", "tr-indivisible"])
+    (["--N", "2", "--genus", "5", "--degrees", "2", "--engine", "tr"], 0,
+     {"N": 2, "g": 5, "degrees": [2], "rhm": 0}),
+    (["--N", "2", "--genus", "5", "--degrees", "2", "--engine", "tau"], 0,
+     {"N": 2, "g": 5, "degrees": [2], "rhm": 0}),
+], ids=["tau-indivisible", "tr-unstable", "tr-indivisible",
+        "tr-above-genus-bound", "tau-above-genus-bound"])
 def test_rhm_decided_by_the_request_builds_no_engine(
         monkeypatch, capsys, argv, code, out):
     """A request whose answer its profile decides (N does not divide the
-    total degree, or an unstable moment for tr) is answered before Z or
-    the spectral curve is built."""
+    total degree, a genus above `Profile.max_genus`, or an unstable moment
+    for tr) is answered before Z or the spectral curve is built.  A later
+    --degrees replaces the default 1."""
     def refuse(*args, **kwargs):
         raise AssertionError("engine state built")
     monkeypatch.setattr(tau, "tau_Z", refuse)
@@ -294,6 +300,17 @@ def test_pluecker_subcommand(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["violations"] == []
     assert out["relations_checked"] > 0
+
+
+@pytest.mark.parametrize("N, W", [(5, 4), (6, 5)])
+def test_pluecker_window_checking_nothing_exits_2(capsys, N, W):
+    """A window below the first relation it can check is refused with
+    one line naming N and W, not passed with relations_checked 0."""
+    assert main(["pluecker", "--N", str(N), "--weight-cap", str(W)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"the Pluecker window N = {N}, W = {W} holds "
+                            f"no checkable relation\n")
 
 
 def test_curve_subcommand(capsys):

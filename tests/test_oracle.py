@@ -53,6 +53,23 @@ def test_profile_rules_select_the_stable_grid(N):
     assert picked == by_formula == stable_profiles(N, 2, 4, 12)
 
 
+def test_max_genus_is_attained():
+    """Every nonempty table with N = 2..4 and at most 10 darts ends at
+    `Profile.max_genus`, (1 + d - F) // 2 with F = n + d/N: Euler's
+    formula with V = 1."""
+    tables = 0
+    for N in (2, 3, 4):
+        for d in range(N, 11, N):
+            for degrees in partitions(d):
+                table = genus_table(N, degrees)
+                if table:
+                    tables += 1
+                    p = Profile(N, 0, degrees)
+                    assert p.faces == len(degrees) + d // N
+                    assert max(table) == p.max_genus, (N, degrees)
+    assert tables == 135
+
+
 def test_genus_table_equals_reference():
     """Subtracting the split gluings from the completion memo gives the
     tables of building and scanning every phi_b."""

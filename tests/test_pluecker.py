@@ -51,6 +51,15 @@ def test_window_passes():
         assert rep.relations_checked > 0
 
 
+@pytest.mark.parametrize("N, W, checked", [(5, 5, 5), (6, 6, 6)])
+def test_first_window_that_checks_a_relation(N, W, checked):
+    """For N = 5, 6 the first relations are checked at W = N; the window
+    one weight below checks none and raises."""
+    assert pluecker_check(N, W).relations_checked == checked
+    with pytest.raises(ValueError, match=f"N = {N}, W = {W - 1} "):
+        pluecker_check(N, W - 1)
+
+
 def test_violation_reporting_structure():
     rep = pluecker_check(2, 5)
     assert rep.ok and rep.violations == []

@@ -6,6 +6,7 @@ import pytest
 
 from hypermaps import oracle as O
 from hypermaps import recursion as R
+from hypermaps.checks import stable_profiles
 from hypermaps.frobenius import unstable02
 from hypermaps.rational import Q, rat_str
 from hypermaps.recursion import (
@@ -211,15 +212,15 @@ def all_points_omega(rec, g, n):
 
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                add((), rec._res_vector(a_idx, ("B2",), None, j_max))
+                add((), rec._res_vector(a_idx, ("B2",), None))
             else:
                 for K, c in rec.omega(g - 1, n + 1).items():
                     for p, q, rest in pair_submultisets(K):
                         vz = rec._res_vector(
-                            a_idx, ("z",) + p, ("s",) + q, j_max)
+                            a_idx, ("z",) + p, ("s",) + q)
                         if p != q:
                             vs = rec._res_vector(
-                                a_idx, ("z",) + q, ("s",) + p, j_max)
+                                a_idx, ("z",) + q, ("s",) + p)
                             vz = tuple(x + y for x, y in zip(vz, vs))
                         add(rest, vz, c)
         for g1 in range(g + 1):
@@ -231,7 +232,7 @@ def all_points_omega(rec, g, n):
                 for z_role, r1, c1 in rec._legs(a_idx, t1, "z", bound):
                     for s_role, r2, c2 in s_legs:
                         r, cnt = rec._merge_count(r1, r2)
-                        vec = rec._res_vector(a_idx, z_role, s_role, j_max)
+                        vec = rec._res_vector(a_idx, z_role, s_role)
                         add(r, vec, cnt * c1 * c2)
         for r, vec in acc.items():
             for j in range(1, j_max + 1):
@@ -293,8 +294,8 @@ def test_zn_covariance_sees_base_point_1(g, n):
     tensor = rec.omega(g, n)
     res_vector = rec._res_vector
 
-    def doubled_at_1(a_idx, left, right, j_max):
-        vec = res_vector(a_idx, left, right, j_max)
+    def doubled_at_1(a_idx, left, right):
+        vec = res_vector(a_idx, left, right)
         return tuple(x * 2 for x in vec) if a_idx == 1 else vec
 
     rec._res_vector = doubled_at_1
@@ -328,6 +329,42 @@ def test_expansion_order_is_exact(rec2, rec3, N, g, n):
     with pytest.raises(ArithmeticError,
                        match="insufficient local expansion order"):
         short._compute(g, n)
+
+
+@pytest.mark.parametrize("N, g, n", [(2, 1, 1), (2, 1, 2), (2, 2, 1),
+                                     (3, 1, 1)])
+def test_short_kernel_raises(monkeypatch, N, g, n):
+    """At the exact order M every kernel coefficient a residue reads is
+    needed: with each U_j of point 0 one order short, omega_{g,n} raises
+    rather than return another tensor."""
+    kernel = Recursion._kernel
+
+    def short(self, a_idx):
+        table = kernel(self, a_idx)
+        if a_idx:
+            return table
+        return tuple(u.truncated(u.trunc - 1) for u in table)
+
+    monkeypatch.setattr(Recursion, "_kernel", short)
+    with pytest.raises(ArithmeticError,
+                       match="insufficient local expansion order"):
+        Recursion(N, g, n).omega(g, n)
+
+
+@pytest.mark.parametrize("N, W, vectors", [(2, 10, 738), (3, 9, 1229)])
+def test_one_residue_vector_per_role_pair(N, W, vectors):
+    """Building criterion 1's grid stores one residue vector per (point,
+    z role, sigma(z) role), each over j = 1..M-1, whatever the
+    correlators that read it."""
+    rec = Recursion(N, 2, 3)
+    for g, degrees in stable_profiles(N, 2, 3, W):
+        rec.rhm_from_tr(g, degrees)
+    assert len(rec._resvec) == vectors
+    for key, vec in rec._resvec.items():
+        a_idx, left, right = key
+        assert a_idx == 0 and left[0] in ("z", "B2")
+        assert right is None or right[0] == "s"
+        assert len(vec) == rec.M - 1
 
 
 def eta_series_table(curve, max_exp, max_order):

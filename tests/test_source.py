@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hypermaps"
@@ -164,3 +165,25 @@ def test_one_zn_completion():
                   and node.attr == "_rotate" and id(node) not in inside]
     assert found == []
     assert callers == {"_compute", "_load_cached"}
+
+
+def test_one_pole_order():
+    """The pole order 6g - 4 + 2n of omega_{g,n} is written once, in
+    `recursion.pole_order`: the expansion order M, the `omega` guard and
+    `_compute`'s bound read it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # the innermost function around each node: ast.walk visits an
+        # enclosing function before the functions it holds
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[id(node)] = fn.name
+        found += [(path.name, owner.get(id(node)))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and re.fullmatch(r"6 \* \w+ - 4 \+ 2 \* \w+",
+                                   ast.unparse(node))]
+    assert found == [("recursion.py", "pole_order")]
