@@ -18,16 +18,25 @@ from .rational import rat_str
 from .report import emit
 
 
+def _count(p, args):
+    """The count of a profile that `Profile.decided` leaves open, from the
+    requested engine."""
+    if args.engine == "oracle":
+        return oracle.enumerate_rhm(p, args.dart_cap)
+    if args.engine == "tr":
+        return recursion.count_rhm(p, args.cache_dir)
+    # Z truncated at the d darts: d >= N, as N divides d
+    return tau.rhm_from_tau(tau.tau_Z(p.N, p.darts), p.g, p.degrees)
+
+
 def _cmd_rhm(args):
     need_minimum("dart_cap", args.dart_cap)
     p = oracle.Profile(args.N, args.genus,
                        parse_list("degrees", args.degrees))
-    if args.engine == "oracle":
-        value = oracle.enumerate_rhm(p, args.dart_cap)
-    elif args.engine == "tr":
-        value = recursion.count_rhm(p, args.cache_dir)
-    else:
-        value = tau.count_rhm(p)
+    # the count the request decides is the same for every engine
+    value = p.decided
+    if value is None:
+        value = _count(p, args)
     print(json.dumps({"N": p.N, "g": p.g, "degrees": list(p.degrees),
                       "rhm": value}))
     return 0

@@ -128,11 +128,6 @@ class NFElem:
         self.num = num
         self.den = den
 
-    @property
-    def v(self):
-        """The rational coordinates in the power basis."""
-        return [Q(c, self.den) for c in self.num]
-
     def is_zero(self):
         return not any(self.num)
 

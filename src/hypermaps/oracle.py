@@ -32,7 +32,7 @@ from itertools import chain, permutations, product
 from math import comb, prod
 
 DEFAULT_DART_CAP = 12
-UNSTABLE_MOMENT = "unstable moment: count it with the oracle engine"
+UNSTABLE_MOMENT = "unstable moment: omega_{g,n} needs 2g - 2 + n > 0"
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,12 @@ class Profile:
     """A count request (N, genus, face degrees), which every count function
     builds from its own arguments: it rejects N < 2, a negative genus and
     empty or non-positive degrees, and holds the degrees as a tuple.  It
-    owns the two rules every engine reads a request by: no hypermap
-    unless N divides the darts, and no correlator unless the moment is
-    stable, 2g - 2 + n > 0 (refused with `UNSTABLE_MOMENT`).  It also
-    owns the Euler accounting's genus bound, `max_genus`."""
+    owns the rules a request is read by: no hypermap when N does not
+    divide the darts or the genus is above the Euler accounting's bound
+    `max_genus` (together `decided`, the count the request alone fixes),
+    and no correlator omega_{g,n} unless the moment is stable,
+    2g - 2 + n > 0 (`Recursion.omega` refuses it with
+    `UNSTABLE_MOMENT`)."""
 
     N: int
     g: int
@@ -89,6 +91,14 @@ class Profile:
         2 - V + d - F, and a transitive gluing has V >= 1 vertex, so 2g
         <= 1 + d - F; no hypermap above it."""
         return (1 + self.darts - self.faces) // 2
+
+    @property
+    def decided(self):
+        """0 when the profile alone decides the count (N does not divide
+        the darts, or the genus is above `max_genus`), else None."""
+        if not self.divisible or self.g > self.max_genus:
+            return 0
+        return None
 
 
 def _canonical_white(degrees):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .rational import Q, QONE, QZERO, need_order, rat_str
+from .rational import Q, QZERO, need_order, rat_str
 
 
 class ExactPolar:
@@ -63,16 +63,6 @@ class ExactPolar:
                           self.ang)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ExactPolar(self.N, self.q, self.e1, self.e2,
-                          self.ang + Q(1, 2))
-
-    def inv(self):
-        if self.q == 0:
-            raise ZeroDivisionError("inverse of zero polar value")
-        return ExactPolar(self.N, QONE / self.q, -self.e1, -self.e2,
-                          -self.ang)
 
     def pow(self, e: int):
         """Raise to an integer power; any other exponent raises

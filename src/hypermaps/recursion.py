@@ -478,7 +478,9 @@ class Recursion:
         """Hypermap count from the correlator expansion; degrees are the
         side counts d_i = k_i + 1 >= 1."""
         prof = Profile(self.N, g, degrees)
-        if not _needs_correlator(prof):
+        if not prof.stable:
+            raise ValueError(UNSTABLE_MOMENT)
+        if not prof.divisible:
             return 0
         tensor = self.omega(g, len(prof.degrees))
         exps = tuple(d - 1 for d in prof.degrees)
@@ -530,21 +532,16 @@ def key_text(key) -> str:
     return ";".join(f"{a},{k}" for a, k in key)
 
 
-def _needs_correlator(p: Profile) -> bool:
-    """Whether request p is read from a correlator: an unstable moment
-    is refused, and a dart count that N does not divide has no
-    hypermap."""
-    if not p.stable:
-        raise ValueError(UNSTABLE_MOMENT)
-    return p.divisible
-
-
 def count_rhm(profile: Profile, cache_dir=None) -> int:
-    """One count from a Recursion sized to the request, built only when
-    the request does not decide the count by itself: N must divide the
-    darts, and the genus must be within `Profile.max_genus`."""
-    if not _needs_correlator(profile) or profile.g > profile.max_genus:
-        return 0
+    """One count for a profile that `Profile.decided` leaves open.  An
+    unstable moment (genus 0 with one or two faces) has no correlator
+    and is read from the curve's own paths; a stable one from a
+    Recursion sized to the request."""
+    if not profile.stable:
+        ks = [d - 1 for d in profile.degrees]
+        if len(ks) == 1:
+            return rhm01_from_curve(profile.N, *ks)
+        return rhm02_from_curve(profile.N, *ks)
     rec = Recursion(profile.N, profile.g, len(profile.degrees),
                     cache_dir=cache_dir)
     return rec.rhm_from_tr(profile.g, profile.degrees)

@@ -156,16 +156,6 @@ def rhm_from_tau(tau: TauTruncation, g: int, degrees) -> int:
     return as_count(c, "tau count is not a count")
 
 
-def count_rhm(profile: Profile) -> int:
-    """One count from Z truncated at the total side count d, built only
-    when N divides d (so that d >= N, as tau_Z needs) and the genus is
-    within `Profile.max_genus`."""
-    if not profile.divisible or profile.g > profile.max_genus:
-        return 0
-    return rhm_from_tau(tau_Z(profile.N, profile.darts), profile.g,
-                        profile.degrees)
-
-
 def osmh_from_tau(tau: TauTruncation, g: int, degrees):
     """Hurwitz-side normalization: log Z re-expanded in the p-variables
     (t_k = eps p_k / k) and read at eps^(2g-2+n), which is the count

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from exact_reference import field_coords
 from hypermaps.numfield import NumberField, cyclotomic
 from hypermaps.rational import Q
 
@@ -78,7 +79,8 @@ def ref_pow(a, k, minpoly):
 
 def coords(x):
     """Rational coordinates of a field element, as Fractions."""
-    return [Fraction(int(c.numerator), int(c.denominator)) for c in x.v]
+    return [Fraction(int(c.numerator), int(c.denominator))
+            for c in field_coords(x)]
 
 
 def check_lowest(x):

@@ -167,6 +167,17 @@ def test_one_zn_completion():
     assert callers == {"_compute", "_load_cached"}
 
 
+def _owners(tree):
+    """The name of the innermost function around each node, by id: ast.walk
+    visits an enclosing function before the functions it holds."""
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[id(node)] = fn.name
+    return owner
+
+
 def test_one_pole_order():
     """The pole order 6g - 4 + 2n of omega_{g,n} is written once, in
     `recursion.pole_order`: the expansion order M, the `omega` guard and
@@ -174,16 +185,27 @@ def test_one_pole_order():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        # the innermost function around each node: ast.walk visits an
-        # enclosing function before the functions it holds
-        owner = {}
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(fn):
-                    owner[id(node)] = fn.name
+        owner = _owners(tree)
         found += [(path.name, owner.get(id(node)))
                   for node in ast.walk(tree)
                   if isinstance(node, ast.BinOp)
                   and re.fullmatch(r"6 \* \w+ - 4 \+ 2 \* \w+",
                                    ast.unparse(node))]
     assert found == [("recursion.py", "pole_order")]
+
+
+def test_one_decision_rule():
+    """The genus bound has one owner: `max_genus` is read only in
+    oracle.py, where `Profile.decided` joins it with divisibility, and
+    `decided` is read only by `cli._cmd_rhm`, before it picks an
+    engine."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = _owners(tree)
+        found += [(path.name, node.attr, owner.get(id(node)))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("max_genus", "decided")]
+    assert found == [("cli.py", "decided", "_cmd_rhm"),
+                     ("oracle.py", "max_genus", "decided")]
