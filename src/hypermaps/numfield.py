@@ -5,14 +5,15 @@ An element is a vector of integer coordinates in the power basis
 in lowest terms (Cohen, *A Course in Computational Algebraic Number
 Theory*, sec. 4.2).  The cyclotomic polynomial Phi_n is monic with
 integer coefficients, so reducing an integer vector mod Phi_n keeps it
-integral: every operation is integer arithmetic followed by one gcd.
+integral: every operation is integer arithmetic followed by one gcd, and
+``dot`` sums many products before its one gcd.
 
 The inverse of x is the product of its other Galois conjugates
 (zeta -> zeta^k, gcd(k, n) = 1) divided by the rational norm; Phi_n is
 irreducible, so every nonzero element is invertible.
 
 ``NumberField`` is also the coefficient ring of a ``UniSeries`` over the
-field (``zero``, ``one``, ``coerce``, ``inv``, ``is_zero``).
+field (``zero``, ``one``, ``coerce``, ``inv``, ``is_zero``, ``dot``).
 """
 from __future__ import annotations
 
@@ -96,6 +97,29 @@ class NumberField:
     def is_zero(v):
         return v.is_zero()
 
+    def dot(self, pairs):
+        """sum a * b over pairs of elements of this field, normalized once
+        (delayed reduction): each product's integer coordinates are
+        added, unreduced, into one vector per denominator a.den * b.den;
+        the vectors are brought to their lcm, then reduced mod Phi_n and
+        divided by one gcd."""
+        by_den = {}
+        for a, b in pairs:
+            den = a.den * b.den
+            vec = by_den.get(den)
+            if vec is None:
+                vec = by_den[den] = [0] * (2 * self.deg - 1)
+            _convolve(a.num, b.num, vec)
+        if not by_den:
+            return self.zero
+        den = lcm(*by_den)
+        total = [0] * (2 * self.deg - 1)
+        for d, vec in by_den.items():
+            scale = den // d
+            for i, c in enumerate(vec):
+                total[i] += c * scale
+        return _lowest(self, self._reduce(total), den)
+
     def _reduce(self, vec):
         """Coordinates of sum_k vec[k] zeta^k, for len(vec) at most the
         length of the power table."""
@@ -106,6 +130,15 @@ class NumberField:
                 for i, r in enumerate(self._pow[k]):
                     out[i] += c * r
         return out
+
+
+def _convolve(x, y, out):
+    """Add the coordinates of the polynomial product of the integer
+    vectors x and y, not reduced mod Phi_n, into out."""
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
 
 
 def _lowest(field, num, den):
@@ -156,10 +189,7 @@ class NFElem:
         field = self.field
         other = field.coerce(other)
         prod = [0] * (2 * field.deg - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(other.num):
-                    prod[i + j] += x * y
+        _convolve(self.num, other.num, prod)
         return _lowest(field, field._reduce(prod), self.den * other.den)
 
     __rmul__ = __mul__

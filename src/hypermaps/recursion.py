@@ -58,8 +58,10 @@ k - 1.  A product term omega_{g1,1+j1}(z, I1) omega_{g2,1+j2}(sigma z,
 I2) is one leg per factor; omega_{g-1,n+1}(z, sigma z, J) is a z leg
 and then each distinct slot it leaves at sigma(z), and omega_{0,2}(z,
 sigma z) the role ("B2",).  The scalars are summed per (externals, z
-role, sigma(z) role), and each sum scales the memoized residue of its
-role pair once.
+role, sigma(z) role).  Each coefficient at externals r and slot (a,
+j+1) is then one ring.dot, normalized once: the j-th entry of the
+memoized residue vector of each role pair with externals r, times that
+pair's summed scalar.
 
 Counts are the correlators' coefficients at the pole of x, in X = 1/xt =
 v/(1 + v^N/(N-1)).  By Lagrange-Buermann and a^N = 1, a basis form at the
@@ -244,17 +246,10 @@ class Recursion:
                 or w.c and any(u.trunc is not None
                                and u.trunc <= -1 - w.val() for u in kernel)):
             raise ArithmeticError("insufficient local expansion order")
-        w = w.truncated(1)
-        zero = self.curve.ring.zero
-        out = []
-        for u in kernel:
-            total = zero
-            for m, uc in u.c.items():
-                wc = w.c.get(-1 - m)
-                if wc is not None:
-                    total = total + uc * wc
-            out.append(total)
-        out = tuple(out)
+        wc = w.truncated(1).c
+        dot = self.curve.ring.dot
+        out = tuple(dot([(uc, wc[-1 - m]) for m, uc in u.c.items()
+                         if -1 - m in wc]) for u in kernel)
         self._resvec[key] = out
         return out
 
@@ -329,7 +324,6 @@ class Recursion:
         j_max = bound - 1
         if j_max > self.M - 1:
             raise ArithmeticError("insufficient local expansion order")
-        zero = ring.zero
 
         # every term as (externals, z role, sigma(z) role): its scalar
         terms = {}
@@ -364,21 +358,20 @@ class Recursion:
                         r, cnt = self._merge_count(r1, r2)
                         term(r, z_role, s_role, cnt * c1 * c2)
 
-        # contract each summed scalar with its residue vector, every one
-        # formed even where the scalar cancels, so that each integrand
-        # passes the expansion-order check
-        acc = {}  # external multiset -> vector over j of coefficients
+        # pair each summed scalar, as a field element, with its residue
+        # vector, every one formed even where the scalar cancels, so that
+        # each integrand passes the expansion-order check
+        pairs = {}  # external multiset -> [(residue vector, scalar)]
         for (r, z_role, s_role), c in terms.items():
             vec = self._res_vector(a_idx, z_role, s_role)
-            cur = acc.setdefault(r, [zero] * j_max)
-            for i in range(j_max):
-                cur[i] = cur[i] + vec[i] * c
+            pairs.setdefault(r, []).append((vec, ring.coerce(c)))
 
-        # fold the z0 pole basis in: slot (a_idx, j+1) with vec[j-1]
+        # fold the z0 pole basis in: slot (a_idx, j+1) takes the sum of
+        # vec[j-1] times its scalar, one ring.dot per coefficient
         direct = {}
-        for r, vec in acc.items():
+        for r, group in pairs.items():
             for j in range(1, j_max + 1):
-                c = vec[j - 1]
+                c = ring.dot([(vec[j - 1], sc) for vec, sc in group])
                 if c.is_zero():
                     continue
                 full = tuple(sorted(((a_idx, j + 1),) + r))

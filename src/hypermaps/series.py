@@ -6,7 +6,10 @@ Provides:
   coefficient ring, with an explicit truncation order.  ``trunc`` is the
   first exponent the series does *not* know; ``trunc is None`` marks an
   exact Laurent polynomial.  Arithmetic never reports coefficients at or
-  beyond the truncation order.
+  beyond the truncation order.  A coefficient ring provides ``zero``,
+  ``one``, ``coerce``, ``inv``, ``is_zero`` and ``dot``, the sum of a * b
+  over a sequence of pairs: each coefficient of a product or an inverse
+  is one ``dot``.
 * ``EpsLaurent`` -- Laurent polynomials in the genus parameter eps with
   rational coefficients (the coefficient ring of the tau function): an
   exact UniSeries over Q in eps, so its sums and products are
@@ -37,6 +40,10 @@ class _RatRing:
     @staticmethod
     def is_zero(v):
         return v == 0
+
+    @staticmethod
+    def dot(pairs):
+        return sum((a * b for a, b in pairs), QZERO)
 
 
 QRING = _RatRing()
@@ -161,15 +168,14 @@ class UniSeries:
         if not self.c or not other.c:
             return self._new({}, t)
         stop = max(self.c) + max(other.c) + 1 if t is None else t
-        c = {}
-        zero = self.ring.zero
+        pairs = {}  # exponent -> the coefficient pairs it sums
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
                 e = e1 + e2
-                if e >= stop:
-                    continue
-                c[e] = c.get(e, zero) + v1 * v2
-        return self._new(c, t)
+                if e < stop:
+                    pairs.setdefault(e, []).append((v1, v2))
+        dot = self.ring.dot
+        return self._new({e: dot(p) for e, p in pairs.items()}, t)
 
     __rmul__ = __mul__
 
@@ -197,23 +203,15 @@ class UniSeries:
             raise ValueError("inverse of a non-monomial polynomial "
                              "requires an explicit precision")
         # self = x^v sum_j a_j x^j and self^(-1) = x^(-v) sum_k b_k x^k
-        # with b_0 = 1/a_0, b_k = -(1/a_0) sum_{j=1..k} a_j b_(k-j)
+        # with b_0 = 1/a_0, b_k = sum_{j=1..k} (-a_j/a_0) b_(k-j)
         n_prec = t_res + v
-        tail = [(e - v, c) for e, c in sorted(self.c.items())
+        tail = [(e - v, -c * lead_inv) for e, c in sorted(self.c.items())
                 if v < e < v + n_prec]
-        neg_lead_inv = -lead_inv
+        dot = self.ring.dot
         b = [lead_inv]
         for k in range(1, n_prec):
-            acc = None
-            for j, a_j in tail:
-                if j > k:
-                    break
-                if b[k - j] is not None:
-                    term = a_j * b[k - j]
-                    acc = term if acc is None else acc + term
-            b.append(None if acc is None else acc * neg_lead_inv)
-        out = {k - v: b_k for k, b_k in enumerate(b) if b_k is not None}
-        return self._new(out, t_res)
+            b.append(dot([(c_j, b[k - j]) for j, c_j in tail if j <= k]))
+        return self._new({k - v: b_k for k, b_k in enumerate(b)}, t_res)
 
     def pow(self, n, prec=None):
         if n < 0:

@@ -27,8 +27,8 @@ WEIGHT_CAP = {2: 10, 3: 9}
 
 
 @pytest.fixture(scope="module")
-def engines():
-    recs = {N: Recursion(N, 2, 3) for N in (2, 3)}
+def engines(wide_recursions):
+    recs = wide_recursions
     taus = {N: T.tau_Z(N, WEIGHT_CAP[N]) for N in (2, 3)}
     return recs, taus
 

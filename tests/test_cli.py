@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermaps import oracle, recursion, tau
+from hypermaps import checks, oracle, recursion, tau
 from hypermaps.cli import _cmd_rhm, main
 from hypermaps.config import RunConfig, build_config, parse_config_file
 from hypermaps.partitions import partitions_upto
@@ -586,6 +586,28 @@ def test_crosscheck_cold_report_bytes(capsysbinary):
     assert main(ref["args"] + ["--threads", "2"]) == 0
     out = capsysbinary.readouterr().out
     assert hashlib.sha256(out).hexdigest() == ref["sha256"]
+
+
+# sha256 of the json reports of crosschecks at g <= 2, n <= 3: the wide
+# grid at N = 2, 3 and the grid at N = 4, every engine and self-check
+CROSSCHECK_PINS = {
+    "2,3": "6146a799b678d0bbc667d0c65482c3bfe92da69193bf35d9f15f7739103f8cbb",
+    "4": "e7a01efaaa56a7a456f124b0c379988bfdc45ebeb54e1ef93e27d0a67ff548b5",
+}
+
+
+@pytest.mark.parametrize("orders", sorted(CROSSCHECK_PINS))
+def test_crosscheck_report_bytes_at_g_2_n_3(capsysbinary, monkeypatch,
+                                            wide_recursions, orders):
+    """The tr engine reads the shared Recursion(N, 2, 3) where there is
+    one, whose tensors are those a fresh one computes."""
+    build = checks.Recursion
+    monkeypatch.setattr(checks, "Recursion", lambda N, *args: (
+        wide_recursions.get(N) or build(N, *args)))
+    assert main(["crosscheck", "--N", orders, "--g-max", "2", "--n-max", "3",
+                 "--out", "json"]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == CROSSCHECK_PINS[orders]
 
 
 # sha256 of the stdout of cheap commands whose bytes a change to the

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from exact_reference import field_coords
+from exact_reference import dot_reference, field_coords
 from hypermaps.numfield import NumberField, cyclotomic
 from hypermaps.rational import Q
 
@@ -169,3 +169,40 @@ def test_zero_has_no_inverse(n):
         field.zero.inv()
     with pytest.raises(ZeroDivisionError):
         (field.gen - field.gen).inv()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dot_against_the_op_by_op_sum(n):
+    """dot, normalized once, is the sum of its products folded op by op:
+    random pairs over mixed and large denominators, with zero, integer
+    and rational elements, sums that cancel, and the empty sum."""
+    field = NumberField.cyclotomic_field(n)
+    rng = random.Random(100 + n)
+
+    def operand():
+        roll = rng.random()
+        if roll < 0.1:
+            return field.zero
+        if roll < 0.2:
+            return field.coerce(rng.randint(-5, 5))
+        if roll < 0.3:
+            return field.coerce(Q(rng.randint(-9, 9),
+                                  rng.randint(1, 10 ** 6)))
+        return field.coerce(random_coords(rng, field.deg))
+
+    sums = [[]]
+    for _ in range(30):
+        pairs = [(operand(), operand()) for _ in range(rng.randint(1, 8))]
+        cut = rng.randint(0, len(pairs))
+        sums += [
+            pairs,
+            pairs + [(-a, b) for a, b in pairs],        # cancels to zero
+            pairs + [(-a, b) for a, b in pairs[:cut]],  # cancels in part
+        ]
+    for pairs in sums:
+        got = field.dot(pairs)
+        check_lowest(got)
+        assert got.field is field
+        assert got == dot_reference(field, pairs)
+    assert field.dot([]) == field.zero
+    assert field.dot(iter([(field.gen, field.gen)])) == field.gen * field.gen

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from exact_reference import dot_reference
 from series_reference import mercator_log
 
 from hypermaps.numfield import NumberField
@@ -123,6 +124,23 @@ def test_ring_axioms_random():
         a, b, c = rand_series(), rand_series(), rand_series()
         assert ((a * b) * c - a * (b * c)).is_zero()
         assert (a * (b + c) - (a * b + a * c)).is_zero()
+
+
+def test_rational_dot_against_the_op_by_op_sum():
+    """QRING.dot is the sum of its products folded op by op, over mixed
+    denominators, zeros, sums that cancel, and the empty sum."""
+    rng = random.Random(17)
+
+    def operand():
+        return Q(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(60):
+        pairs = [(operand(), operand()) for _ in range(rng.randint(0, 8))]
+        pairs += [(-a, b) for a, b in pairs[:rng.randint(0, len(pairs))]]
+        got = QRING.dot(pairs)
+        assert got == dot_reference(QRING, pairs)
+        assert type(got) is type(QRING.zero)
+    assert QRING.dot([]) == QRING.zero
 
 
 def test_series_add_and_mul():
