@@ -281,8 +281,8 @@ def _residue_lhs(N: int, alpha: int, k: int, a_max: int):
     out = []
     for a in range(a_max + 1):
         if a:
-            g = (-(g.deriv() * xprime_inv)).truncated(T)
-        out.append((x_power * g.deriv()).coeff(-1) / scale)
+            g = -g.deriv().mul(xprime_inv, T)
+        out.append(x_power.mul(g.deriv(), 0).coeff(-1) / scale)
     return out
 
 

@@ -22,10 +22,11 @@ modulo t^M, M = pole_order(g_max, n_max), and no further.  Each point
 has one kernel table U_1..U_(M-1), and each pair of slot roles one
 residue vector over j = 1..M-1, of which omega_{g,n} reads the first
 pole_order(g, n) - 1.  A residue reads its integrand w up to t^0 and
-every U_j up to t^(-1 - val(w)); a series not known that far raises
-ArithmeticError("insufficient local expansion order") rather than be
-read truncated.  At the exact M neither read has slack: every U_j one
-order shorter raises, and at M - 1 the table lacks U_(M-1), so
+every U_j up to t^(-1 - val(w)), and w is formed only that far: its two
+slot series are multiplied at precision t^1.  A series not known that
+far raises ArithmeticError("insufficient local expansion order") rather
+than be read truncated.  At the exact M neither read has slack: every
+U_j one order shorter raises, and at M - 1 the table lacks U_(M-1), so
 `_compute` raises.
 
 The recursion kernel needs the local deck involution sigma at each
@@ -114,7 +115,7 @@ class Curve:
         base = UniSeries("t", ring, {0: a, 1: ring.one}, None)
         pos = base.pow(self.N - 1).scale(Q(1, self.N - 1))
         neg = base.inv(prec=trunc)
-        return (pos + neg).truncated(trunc)
+        return pos + neg
 
 
 def deck_series(curve: Curve, a_idx: int, order: int) -> UniSeries:
@@ -235,18 +236,20 @@ class Recursion:
         out = self._resvec.get(key)
         if out is not None:
             return out
-        w = self._factor_series(a_idx, left)
-        if right is not None:
-            w = w * self._factor_series(a_idx, right)
-        kernel = self._kernel(a_idx)
         # the residue pairs t^m of U_j with t^(-1-m) of w: w is read up
-        # to t^0, as U_1 = -1/(2x') has valuation -1, and every U_j up to
-        # t^(-1 - val(w))
+        # to t^0, as U_1 = -1/(2x') has valuation -1, so it is formed
+        # only that far, and every U_j is read up to t^(-1 - val(w))
+        w = self._factor_series(a_idx, left)
+        if right is None:
+            w = w.truncated(1)
+        else:
+            w = w.mul(self._factor_series(a_idx, right), 1)
+        kernel = self._kernel(a_idx)
         if (w.trunc is not None and w.trunc < 1
                 or w.c and any(u.trunc is not None
                                and u.trunc <= -1 - w.val() for u in kernel)):
             raise ArithmeticError("insufficient local expansion order")
-        wc = w.truncated(1).c
+        wc = w.c
         dot = self.curve.ring.dot
         out = tuple(dot([(uc, wc[-1 - m]) for m, uc in u.c.items()
                          if -1 - m in wc]) for u in kernel)

@@ -9,7 +9,9 @@ Provides:
   beyond the truncation order.  A coefficient ring provides ``zero``,
   ``one``, ``coerce``, ``inv``, ``is_zero`` and ``dot``, the sum of a * b
   over a sequence of pairs: each coefficient of a product or an inverse
-  is one ``dot``.
+  is one ``dot``.  Products, powers and inverses take the precision
+  their caller reads (``mul``'s, ``pow``'s and ``inv``'s ``prec``) and
+  form no coefficient at or beyond it.
 * ``EpsLaurent`` -- Laurent polynomials in the genus parameter eps with
   rational coefficients (the coefficient ring of the tau function): an
   exact UniSeries over Q in eps, so its sums and products are
@@ -156,15 +158,18 @@ class UniSeries:
     def truncated(self, t):
         return self._new(self.c, _least(t, self.trunc))
 
-    def __mul__(self, other):
+    def mul(self, other, prec=None):
+        """The product truncated at ``prec``: the whole product's
+        coefficients and ``trunc``, each cut at ``prec``, from only the
+        coefficient pairs below that cut."""
         if not isinstance(other, UniSeries):
             return NotImplemented
         self._check(other)
         # truncation of the product: each factor's unknown tail enters at
         # its trunc shifted by the other factor's valuation
         ta, tb = self.trunc, other.trunc
-        t = _least(None if ta is None else ta + other.val(0),
-                   None if tb is None else tb + self.val(0))
+        t = _least(_least(None if ta is None else ta + other.val(0),
+                          None if tb is None else tb + self.val(0)), prec)
         if not self.c or not other.c:
             return self._new({}, t)
         stop = max(self.c) + max(other.c) + 1 if t is None else t
@@ -177,7 +182,7 @@ class UniSeries:
         dot = self.ring.dot
         return self._new({e: dot(p) for e, p in pairs.items()}, t)
 
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = mul
 
     def inv(self, prec=None):
         """Multiplicative inverse as a truncated series.
@@ -216,23 +221,17 @@ class UniSeries:
     def pow(self, n, prec=None):
         if n < 0:
             return self.inv(prec=prec).pow(-n, prec=prec)
-        result = UniSeries.monomial(self.var, self.ring, 1, 0, trunc=None)
-        base = self if prec is None else self.truncated(
-            prec + max(0, -self.val(0)) * n)
-        acc = result
-        b = base
+        acc = UniSeries.monomial(self.var, self.ring, 1, 0, trunc=None)
+        b = self
         m = n
         while m:
             if m & 1:
-                acc = acc * b
-                if prec is not None:
-                    acc = acc.truncated(prec)
+                acc = acc.mul(b, prec)
             m >>= 1
             if m:
-                b = b * b
-                if prec is not None:
-                    b = b.truncated(prec)
-        return acc if prec is None else acc.truncated(prec)
+                b = b.mul(b, prec)
+        # at n = 0 the exact one, known as far as asked
+        return acc.truncated(prec)
 
     def deriv(self):
         c = {}
@@ -261,9 +260,7 @@ class UniSeries:
         power = UniSeries.monomial(self.var, self.ring, 1, 0, t)
         for e in range(max(self.c, default=-1) + 1):
             if e:
-                power = power * inner
-                if t is not None:
-                    power = power.truncated(t)
+                power = power.mul(inner, t)
             if e in self.c:
                 out = out + power.scale(self.c[e])
         return out
@@ -350,7 +347,7 @@ def lagrange_invert(phi: UniSeries, trunc: int, out_var: str = "w") -> UniSeries
     w = UniSeries.monomial(out_var, ring, 1, 1, trunc)
     z = w.scale(phi.c[0])
     for _ in range(trunc + 1):
-        znew = (w * phi_w.compose(z)).truncated(trunc)
+        znew = w.mul(phi_w.compose(z), trunc)
         if znew == z:
             break
         z = znew

@@ -589,10 +589,13 @@ def test_crosscheck_cold_report_bytes(capsysbinary):
 
 
 # sha256 of the json reports of crosschecks at g <= 2, n <= 3: the wide
-# grid at N = 2, 3 and the grid at N = 4, every engine and self-check
+# grid at N = 2, 3 and the grids at N = 4, 5 and 6, every engine and
+# self-check
 CROSSCHECK_PINS = {
     "2,3": "6146a799b678d0bbc667d0c65482c3bfe92da69193bf35d9f15f7739103f8cbb",
     "4": "e7a01efaaa56a7a456f124b0c379988bfdc45ebeb54e1ef93e27d0a67ff548b5",
+    "5": "23427b2fe294a1463ba93b486beb01ec1107ffc8aeaf9ea06074500c7bc68444",
+    "6": "a4686288750114ba8671db450272c062541f7a3d951cbe54b9307879f682756d",
 }
 
 

@@ -369,25 +369,43 @@ def test_one_residue_vector_per_role_pair(N, W, vectors):
         assert len(vec) == rec.M - 1
 
 
-def test_one_normalization_per_sum(monkeypatch):
+@pytest.fixture(scope="module")
+def n3_build_calls():
+    """Calls of numfield._lowest and numfield._convolve while a fresh
+    Recursion(3, 2, 3) builds every omega with g <= 2, n <= 3."""
+    calls = dict.fromkeys(("_lowest", "_convolve"), 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(numfield, name, counting(name, getattr(numfield, name)))
+        rec = Recursion(3, 2, 3)
+        for g in range(3):
+            for n in range(1, 4):
+                if O.Profile.stable_shape(g, n):
+                    rec.omega(g, n)
+    return calls
+
+
+def test_one_normalization_per_sum(n3_build_calls):
     """Building every omega with g <= 2, n <= 3 at N = 3 divides by a gcd
     (numfield._lowest) at most a fifth of the 689,269 times that one
     normalization per field product and per partial sum took: every
     multiply-accumulate of the build is one ring.dot, normalized once."""
-    calls = [0]
-    lowest = numfield._lowest
+    assert n3_build_calls["_lowest"] <= 689_269 // 5
 
-    def counted(*args):
-        calls[0] += 1
-        return lowest(*args)
 
-    monkeypatch.setattr(numfield, "_lowest", counted)
-    rec = Recursion(3, 2, 3)
-    for g in range(3):
-        for n in range(1, 4):
-            if O.Profile.stable_shape(g, n):
-                rec.omega(g, n)
-    assert calls[0] <= 689_269 // 5
+def test_products_form_only_the_terms_read(n3_build_calls):
+    """The same build convolves field coordinates (numfield._convolve)
+    at most 345,000 times; forming each residue integrand whole and
+    truncating products after forming them took 362,433: a product forms
+    only the terms its caller reads."""
+    assert n3_build_calls["_convolve"] <= 345_000
 
 
 def eta_series_table(curve, max_exp, max_order):

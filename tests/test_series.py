@@ -2,7 +2,7 @@ import random
 
 import pytest
 from exact_reference import dot_reference
-from series_reference import mercator_log
+from series_reference import mercator_log, truncating_pow
 
 from hypermaps.numfield import NumberField
 from hypermaps.rational import Q, QONE
@@ -171,6 +171,60 @@ def test_truncation_zero_is_a_truncation():
     assert S({0: 1, 1: 1}, trunc=0).pow(2).trunc == 0
     t = S({1: 1}, trunc=0)
     assert S({0: 1, 1: 1}).compose(t).trunc == 0
+
+
+def _outcome(f, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("N", [None, 3, 5], ids=["Q", "Q(zeta3)",
+                                                "Q(zeta5)"])
+def test_short_product_and_power(N):
+    """a.mul(b, p) is (a * b).truncated(p), truncation included, and
+    pow(n, prec) is the power truncated after every product, raised
+    errors included: over exact and truncated operands, valuations -3..3,
+    zero series, and prec None or below, at and above both valuations."""
+    ring = QRING if N is None else NumberField.cyclotomic_field(N)
+    rng = random.Random(23)
+
+    def coef():
+        c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+        if ring is QRING:
+            return c
+        return ring.coerce([c] + [Q(rng.randint(-2, 2))
+                                  for _ in range(ring.deg - 1)])
+
+    def series():
+        if rng.random() < 0.1:
+            coeffs = {}
+        else:
+            v = rng.randint(-3, 3)
+            coeffs = {v + j: coef() for j in range(rng.randint(1, 4))}
+            coeffs[v] = coeffs[v] if not ring.is_zero(coeffs[v]) \
+                else ring.one
+        low = min(coeffs, default=0)
+        trunc = rng.choice([None, low + rng.randint(0, 6)])
+        return UniSeries("z", ring, coeffs, trunc)
+
+    shapes = set()
+    for _ in range(60):
+        a, b = series(), series()
+        va, vb = a.val(0), b.val(0)
+        precs = {None} | {v + d for v in (va, vb) for d in (-1, 0, 1)}
+        for p in sorted(precs, key=lambda p: (p is not None, p)):
+            assert a.mul(b, p) == (a * b).truncated(p)
+            assert b.mul(a, p) == (b * a).truncated(p)
+        for n in range(-3, 6):
+            for p in (None, va - 1, va, va + 2, va + 5):
+                assert _outcome(a.pow, n, p) == \
+                    _outcome(truncating_pow, a, n, p)
+        shapes.add((a.trunc is None, a.is_zero(), va < 0))
+    assert len(shapes) >= 6
+    assert UniSeries.__mul__ is UniSeries.__rmul__ is UniSeries.mul
 
 
 def test_truncation_guard():

@@ -209,3 +209,24 @@ def test_one_decision_rule():
                   and node.attr in ("max_genus", "decided")]
     assert found == [("cli.py", "decided", "_cmd_rhm"),
                      ("oracle.py", "max_genus", "decided")]
+
+
+def test_one_product_precision():
+    """A product is truncated where it is formed, by `UniSeries.mul`'s
+    precision: no line of the package truncates a `*` product it has
+    just formed, and `pow` truncates only its result."""
+    product_then_cut = re.compile(r"(?<!\*)\*(?!\*).*\)\.truncated\(")
+    found = [f"{path.name}:{i}"
+             for path in sorted(SRC.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if product_then_cut.search(line)]
+    assert found == []
+    tree = ast.parse((SRC / "series.py").read_text())
+    pow_fn = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "pow")
+    returns = {id(node) for ret in ast.walk(pow_fn)
+               if isinstance(ret, ast.Return) for node in ast.walk(ret)}
+    cuts = [node.lineno for node in ast.walk(pow_fn)
+            if isinstance(node, ast.Attribute) and node.attr == "truncated"
+            and id(node) not in returns]
+    assert cuts == []
