@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .polar import ExactPolar, roots_of_unity_sum
-from .rational import (Q, QONE, QZERO, binomial_q, factorial_q, harmonic,
-                       need_order)
+from .rational import Q, QONE, QZERO, binomial_q, harmonic, need_order
 from .series import QRING, UniSeries
 
 
@@ -198,7 +198,7 @@ def s_entry(N: int, m: int, alpha: int, beta: int):
 def _s_entry_last_column(N: int, m: int, alpha: int):
     """beta = N column: residues at p = 0 against the log and geometric
     series; res_0 = [p^(-1)]."""
-    mfact = factorial_q(m)
+    mfact = factorial(m)
 
     def res0_against(items, coeff_fn):
         total = QZERO
@@ -276,7 +276,7 @@ def _residue_lhs(N: int, alpha: int, k: int, a_max: int):
     """
     T = k + 2
     xprime_inv, x_power = _pole_chart(N, k)
-    scale = factorial_q(k + 1)
+    scale = factorial(k + 1)
     g = tilde_xi(N, alpha, T)
     out = []
     for a in range(a_max + 1):

@@ -7,7 +7,6 @@ when the denominator is 1), which is also the serialization format.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction as Q
 
 QZERO = Q(0)
@@ -45,10 +44,6 @@ def binomial_q(s, k: int):
     for j in range(k):
         out = out * (s - j) / (j + 1)
     return out
-
-
-def factorial_q(n: int):
-    return Q(math.factorial(n))
 
 
 def harmonic(m: int):

@@ -444,7 +444,8 @@ class Recursion:
             return None
         # anything but a dict of sorted n-tuples of slots (a, k), 0 <= a < N
         # and k >= 2, with one at a = 0, to a nonzero element's [den >= 1,
-        # num_0, ...] is a miss, and so is one `_complete` refuses
+        # num_0, ...] is a miss, and so is one `_complete` refuses or one
+        # nested deeper than the decoder recurses
         ring = self.curve.ring
         direct = {}
         try:
@@ -465,7 +466,8 @@ class Recursion:
                     return None
                 direct[key] = ring.coerce([Q(x, ints[0]) for x in ints[1:]])
             return self._complete(direct)
-        except (OSError, ValueError, TypeError, ArithmeticError):
+        except (OSError, ValueError, TypeError, ArithmeticError,
+                RecursionError):
             return None
 
     # -- extraction ---------------------------------------------------------

@@ -11,7 +11,9 @@ Provides:
   over a sequence of pairs: each coefficient of a product or an inverse
   is one ``dot``.  Products, powers and inverses take the precision
   their caller reads (``mul``'s, ``pow``'s and ``inv``'s ``prec``) and
-  form no coefficient at or beyond it.
+  form no coefficient at or beyond it.  A series stores no zero
+  coefficient: ``_stored``, which the constructor and every operation
+  return through, drops them, and no operation checks again.
 * ``EpsLaurent`` -- Laurent polynomials in the genus parameter eps with
   rational coefficients (the coefficient ring of the tau function): an
   exact UniSeries over Q in eps, so its sums and products are
@@ -60,6 +62,15 @@ def _least(a, b):
     return a if b is None else min(a, b)
 
 
+def _stored(ring, coeffs, trunc):
+    """The one zero rule: the coefficients a series stores, the nonzero
+    ones below ``trunc``."""
+    is_zero = ring.is_zero
+    if trunc is None:
+        return {e: v for e, v in coeffs.items() if not is_zero(v)}
+    return {e: v for e, v in coeffs.items() if e < trunc and not is_zero(v)}
+
+
 class UniSeries:
     """Laurent series with finite principal part and explicit truncation."""
 
@@ -69,14 +80,7 @@ class UniSeries:
         self.var = var
         self.ring = ring
         self.trunc = trunc
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if trunc is not None and e >= trunc:
-                    continue
-                if not ring.is_zero(v):
-                    c[int(e)] = v
-        self.c = c
+        self.c = _stored(ring, coeffs or {}, trunc)
 
     # -- constructors -------------------------------------------------
 
@@ -120,9 +124,7 @@ class UniSeries:
         out.var = self.var
         out.ring = self.ring
         out.trunc = trunc
-        if trunc is not None:
-            coeffs = {e: v for e, v in coeffs.items() if e < trunc}
-        out.c = {e: v for e, v in coeffs.items() if not self.ring.is_zero(v)}
+        out.c = _stored(self.ring, coeffs, trunc)
         return out
 
     # -- ring operations -----------------------------------------------
@@ -133,11 +135,7 @@ class UniSeries:
         self._check(other)
         c = dict(self.c)
         for e, v in other.c.items():
-            w = c.get(e, self.ring.zero) + v
-            if self.ring.is_zero(w):
-                c.pop(e, None)
-            else:
-                c[e] = w
+            c[e] = c[e] + v if e in c else v
         return self._new(c, _least(self.trunc, other.trunc))
 
     def __neg__(self):
@@ -151,8 +149,6 @@ class UniSeries:
     def scale(self, k):
         """Multiply every coefficient by a scalar or ring element."""
         k = self.ring.coerce(k)
-        if self.ring.is_zero(k):
-            return self._new({}, self.trunc)
         return self._new({e: v * k for e, v in self.c.items()}, self.trunc)
 
     def truncated(self, t):
@@ -193,13 +189,7 @@ class UniSeries:
         v = self.val()
         if v is None:
             raise ZeroDivisionError("inverse of zero series")
-        lead = self.c[v]
-        try:
-            lead_inv = self.ring.inv(lead)
-        except ZeroDivisionError:
-            raise ZeroDivisionError("non-invertible leading term")
-        if self.ring.is_zero(lead_inv) and not self.ring.is_zero(lead):
-            raise ZeroDivisionError("non-invertible leading term")
+        lead_inv = self.ring.inv(self.c[v])
         if self.trunc is None and len(self.c) == 1:
             return self._new({-v: lead_inv}, prec)
         t_res = _least(None if self.trunc is None else self.trunc - 2 * v,
@@ -234,13 +224,9 @@ class UniSeries:
         return acc.truncated(prec)
 
     def deriv(self):
-        c = {}
-        for e, v in self.c.items():
-            if e == 0:
-                continue
-            c[e - 1] = v * self.ring.coerce(e)
+        coerce = self.ring.coerce
         t = None if self.trunc is None else self.trunc - 1
-        return self._new(c, t)
+        return self._new({e - 1: v * coerce(e) for e, v in self.c.items()}, t)
 
     def compose(self, inner):
         """self(inner) for inner of positive valuation.
@@ -341,9 +327,9 @@ def lagrange_invert(phi: UniSeries, trunc: int, out_var: str = "w") -> UniSeries
     each pass gains at least one order.
     """
     ring = phi.ring
-    if phi.c.get(0) is None or ring.is_zero(phi.c.get(0, ring.zero)):
+    if 0 not in phi.c:
         raise ValueError("phi must have a nonzero constant term")
-    phi_w = UniSeries(out_var, ring, dict(phi.c), phi.trunc)
+    phi_w = UniSeries(out_var, ring, phi.c, phi.trunc)
     w = UniSeries.monomial(out_var, ring, 1, 1, trunc)
     z = w.scale(phi.c[0])
     for _ in range(trunc + 1):
@@ -352,6 +338,12 @@ def lagrange_invert(phi: UniSeries, trunc: int, out_var: str = "w") -> UniSeries
             break
         z = znew
     return z
+
+
+def _nonzero(c):
+    """The zero rule of MultiSeries: the monomials it stores, those with a
+    nonzero coefficient."""
+    return {k: v for k, v in c.items() if v}
 
 
 class MultiSeries:
@@ -367,14 +359,11 @@ class MultiSeries:
     def __init__(self, cap, coeffs=None):
         self.cap = cap
         c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                k = tuple(sorted(k, reverse=True))
-                if sum(k) > cap:
-                    continue
-                if v:
-                    c[k] = v
-        self.c = c
+        for k, v in (coeffs or {}).items():
+            k = tuple(sorted(k, reverse=True))
+            if sum(k) <= cap:
+                c[k] = v
+        self.c = _nonzero(c)
 
     @classmethod
     def const(cls, cap, q):
@@ -385,10 +374,10 @@ class MultiSeries:
         v = self.c.get(tuple(sorted(key, reverse=True)))
         return EpsLaurent() if v is None else v
 
-    def _new(self, c):
+    def _new(self, c, cap=None):
         out = MultiSeries.__new__(MultiSeries)
-        out.cap = self.cap
-        out.c = c
+        out.cap = self.cap if cap is None else cap
+        out.c = _nonzero(c)
         return out
 
     def __add__(self, other):
@@ -399,17 +388,9 @@ class MultiSeries:
         cap = min(self.cap, other.cap)
         c = {k: v for k, v in self.c.items() if sum(k) <= cap}
         for k, v in other.c.items():
-            if sum(k) > cap:
-                continue
-            w = c.get(k, EpsLaurent()) + v
-            if w:
-                c[k] = w
-            else:
-                c.pop(k, None)
-        out = MultiSeries.__new__(MultiSeries)
-        out.cap = cap
-        out.c = c
-        return out
+            if sum(k) <= cap:
+                c[k] = c[k] + v if k in c else v
+        return self._new(c, cap)
 
     __radd__ = __add__
 
@@ -424,8 +405,6 @@ class MultiSeries:
     def scale(self, q):
         if not isinstance(q, EpsLaurent):
             q = EpsLaurent.const(q)
-        if not q:
-            return self._new({})
         return self._new({k: v * q for k, v in self.c.items()})
 
     def __mul__(self, other):
@@ -443,15 +422,8 @@ class MultiSeries:
                 if w1 + sum(k2) > cap:
                     continue
                 k = tuple(sorted(k1 + k2, reverse=True))
-                w = c.get(k, EpsLaurent()) + v1 * v2
-                if w:
-                    c[k] = w
-                else:
-                    c.pop(k, None)
-        out = MultiSeries.__new__(MultiSeries)
-        out.cap = cap
-        out.c = c
-        return out
+                c[k] = c[k] + v1 * v2 if k in c else v1 * v2
+        return self._new(c, cap)
 
     __rmul__ = __mul__
 

@@ -23,7 +23,7 @@ from math import factorial, prod
 
 from .oracle import Profile
 from .partitions import character, contents, mult_vector, partitions
-from .rational import Q, as_count, factorial_q, need_order
+from .rational import Q, as_count, need_order
 from .series import EpsLaurent, MultiSeries
 
 
@@ -71,7 +71,7 @@ def schur_special(N: int, lam) -> EpsLaurent:
     chi = character(lam, (N,) * m)
     if chi == 0:
         return EpsLaurent()
-    denom = Q(N) ** m * factorial_q(m)
+    denom = Q(N) ** m * factorial(m)
     return EpsLaurent.term(Q(chi) / denom, -m)
 
 
@@ -134,10 +134,8 @@ def tau_Z(N: int, W: int) -> TauTruncation:
             for k in mult_vector(mu).values():
                 denom *= factorial(k)
             shift = -len(mu) - m
-            coeff = EpsLaurent({e + shift: Q(a, denom)
-                                for e, a in enumerate(column) if a})
-            if coeff:
-                coeffs[mu] = coeff
+            coeffs[mu] = EpsLaurent({e + shift: Q(a, denom)
+                                     for e, a in enumerate(column) if a})
     return TauTruncation(N, W, MultiSeries(W, coeffs))
 
 

@@ -275,7 +275,7 @@ def test_rhm_omega_03_is_never_cached(tmp_path, capsys):
 
 # omega_{1,1} at N = 2 in the v2 cache is {"0,2": [32, 1], "0,3": [16, 1],
 # "0,4": [16, -1]}; each case sets one key of the true file to a value,
-# or (key None) replaces the whole payload
+# or (key None) replaces the whole payload, or (a str) the file's text
 @pytest.mark.parametrize("N, degrees, count, key, value", [
     pytest.param(2, "4", 1, None, [], id="[]"),
     # well-formed, but a stable tensor has keys
@@ -289,6 +289,9 @@ def test_rhm_omega_03_is_never_cached(tmp_path, capsys):
     # a stored key is one `_compute` derives, never a zero coefficient
     pytest.param(2, "4", 1, "0,4", [1, 0], id="zero-coefficient"),
     pytest.param(2, "4", 1, "0,x", [2, 1], id="bad-key"),
+    # nested deeper than the decoder recurses; json.dumps cannot write it
+    pytest.param(2, "4", 1, None, "[" * 200_000 + "]" * 200_000,
+                 id="deep-nesting"),
     # well-formed, but a key without a slot at index 0 is not stored
     pytest.param(2, "4", 1, "1,4", [16, 1], id="no-slot-at-0"),
     # omega_{1,2} at N = 3 with "0,2;1,2" tripled from [162, 1, 0]: the
@@ -303,8 +306,11 @@ def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
     assert json.loads(capsys.readouterr().out)["rhm"] == count
     path = tmp_path / f"tensor_N{N}_g1_n{degrees.count(',') + 1}_v2.json"
     good = path.read_text()
-    payload = value if key is None else {**json.loads(good), key: value}
-    path.write_text(json.dumps(payload))
+    if isinstance(value, str):
+        path.write_text(value)
+    else:
+        payload = value if key is None else {**json.loads(good), key: value}
+        path.write_text(json.dumps(payload))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rhm"] == count
     # recomputed and rewritten

@@ -554,6 +554,14 @@ PINNED = {
         "fedc021627153cc2bb33f3c3e36ff81e0c3c7a6b68ce264136d4872ffe7ab13d",
     (3, 2, 1):
         "67d65ba5f0c48d628736f27aa5b195e93eba909ed6114084090baa951c92d5e5",
+    (2, 1, 3):
+        "6b89997c3d3c19b73848faa20e9680ae8c5405cc58e7369c81c8ea98469c9d90",
+    (2, 2, 3):
+        "57c66e8a29a5a548fef507823f6456d3c9dde1547563a99c2447c51afedbe4a4",
+    (3, 2, 2):
+        "649221d60aaed9c21cd4dc7da9b9d5e7404b12896cca5379b015ad11d08f9dc6",
+    (3, 2, 3):
+        "807f98947d0f5c2423b5f92409fd9722f6529606072e4dd2d7e85f4f2e1e6ee2",
     (4, 0, 3):
         "04af808dfaaae67cd0ecb39c30f6b8a1cfaaccfdc8b336df1e61312f25838edc",
     (4, 1, 1):

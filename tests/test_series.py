@@ -187,7 +187,10 @@ def test_short_product_and_power(N):
     """a.mul(b, p) is (a * b).truncated(p), truncation included, and
     pow(n, prec) is the power truncated after every product, raised
     errors included: over exact and truncated operands, valuations -3..3,
-    zero series, and prec None or below, at and above both valuations."""
+    zero series, and prec None or below, at and above both valuations.
+    A cancellation stores no zero coefficient and keeps the truncation:
+    a + (-a), a.scale(0), a partial cancellation, and the
+    derivative of a constant."""
     ring = QRING if N is None else NumberField.cyclotomic_field(N)
     rng = random.Random(23)
 
@@ -223,6 +226,20 @@ def test_short_product_and_power(N):
                 assert _outcome(a.pow, n, p) == \
                     _outcome(truncating_pow, a, n, p)
         shapes.add((a.trunc is None, a.is_zero(), va < 0))
+        for s in (a + (-a), a.scale(0), a.scale(ring.zero)):
+            assert s.c == {} and s.trunc == a.trunc
+        # cancel every other stored coefficient of a against an exact
+        # series
+        cancel = dict(list(a.c.items())[::2])
+        part = a + UniSeries("z", ring, {e: -v for e, v in cancel.items()})
+        assert part.c == {e: v for e, v in a.c.items() if e not in cancel}
+        assert part.trunc == a.trunc
+        const = UniSeries.monomial("z", ring, coef(), 0, a.trunc)
+        d = const.deriv()
+        assert d.c == {}
+        assert d.trunc == (None if a.trunc is None else a.trunc - 1)
+        for s in (a, b, a * b, a + b, a.deriv(), part):
+            assert not any(ring.is_zero(v) for v in s.c.values())
     assert len(shapes) >= 6
     assert UniSeries.__mul__ is UniSeries.__rmul__ is UniSeries.mul
 
@@ -336,8 +353,27 @@ def test_multiseries_log_needs_constant_one(const):
 
 
 def test_multiseries_weight_cap():
+    """Nothing above the cap, and nothing zero, is stored: not by
+    the constructor, and not after a cancellation, which keeps the
+    least cap."""
     m = MultiSeries(3, {(2, 2): EpsLaurent.const(1)})
     assert m.coeff((2, 2)) == 0
+    assert m.c == {}
+    eps = EpsLaurent.term
+    m = MultiSeries(4, {(): EpsLaurent.const(1), (1,): eps(2, -1),
+                        (2, 1): eps(3, 0) + eps(Q(1, 3), -2),
+                        (3,): EpsLaurent()})
+    assert set(m.c) == {(), (1,), (2, 1)}
+    for s in (m - m, m.scale(0), m.scale(EpsLaurent()),
+              m * MultiSeries.const(4, 0)):
+        assert s.c == {} and s.cap == 4
+    wide = MultiSeries(6, {(1,): eps(-2, -1), (5,): eps(1, 0)})
+    part = m + wide
+    assert part.cap == 4
+    assert part.c == {(): EpsLaurent.const(1),
+                      (2, 1): eps(3, 0) + eps(Q(1, 3), -2)}
+    for s in (part, m * m, m.log()):
+        assert all(s.c.values())
 
 
 def test_composition():

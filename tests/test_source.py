@@ -211,6 +211,29 @@ def test_one_decision_rule():
                      ("oracle.py", "max_genus", "decided")]
 
 
+def test_one_zero_rule():
+    """A series drops a zero coefficient in one place: in series.py a
+    coefficient ring's `is_zero(v)` is called only in `_stored`, which
+    every UniSeries is built through, and a series is allocated by
+    `__new__` only in its class's `_new`, which filters zeros too."""
+    tree = ast.parse((SRC / "series.py").read_text())
+    owner = _owners(tree)
+    classes = {id(node): cls.name for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+    zero_tests = [(owner.get(id(node)), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and node.args
+                  and _name(node.func) == "is_zero"]
+    assert [fn for fn, _ in zero_tests] == ["_stored", "_stored"], zero_tests
+    allocations = sorted((classes.get(id(node)), owner.get(id(node)),
+                          node.lineno)
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute)
+                         and node.attr == "__new__")
+    assert [(cls, fn) for cls, fn, _ in allocations] == [
+        ("MultiSeries", "_new"), ("UniSeries", "_new")], allocations
+
+
 def test_one_product_precision():
     """A product is truncated where it is formed, by `UniSeries.mul`'s
     precision: no line of the package truncates a `*` product it has
