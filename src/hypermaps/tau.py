@@ -11,9 +11,11 @@ coefficient A_lambda has one integer form, ``coefficient_row``: a row
 chi^lambda_(N^m) times the content polynomial, with A_lambda =
 row / (N^m m!) * eps^(-m).  ``tau_Z`` sums those rows against
 characters, one column per t-monomial, and divides once per monomial;
-the Pluecker check sums products of rows.  ``coefficient_A`` is the
-same coefficient as an eps-polynomial, kept as the reference the tests
-compare with.  Counts are read off from the eps-grading of log Z.
+the Pluecker check sums products of rows.  ``coefficient_A`` (with
+``schur_special`` and ``content_product``) is the same coefficient as an
+eps-polynomial: a test reference that no CLI or benchmark path reaches,
+kept here only because the benchmark's tracer reads its caches.  Counts
+are read off from the eps-grading of log Z.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ def schur_special(N: int, lam) -> EpsLaurent:
     if chi == 0:
         return EpsLaurent()
     denom = Q(N) ** m * factorial(m)
-    return EpsLaurent.term(Q(chi) / denom, -m)
+    return EpsLaurent({-m: Q(chi) / denom})
 
 
 @lru_cache(maxsize=None)

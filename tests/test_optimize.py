@@ -67,7 +67,8 @@ raises(ValueError, recursion.Recursion(2, 0, 3).rhm_from_tr, 0, (0, 1, 1))
 # a failed verification: a count that is not an integer, from a log Z
 # scaled by 1/7
 TZ = tau.tau_Z(2, 4)
-TZ._log = TZ.log().scale(Fraction(1, 7))
+TZ._log = series.MultiSeries(
+    TZ.W, {k: v.scale(Fraction(1, 7)) for k, v in TZ.log().c.items()})
 raises(ArithmeticError, tau.rhm_from_tau, TZ, 0, (2,))
 '''
 

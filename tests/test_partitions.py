@@ -57,7 +57,7 @@ def _newton_h(p, n):
             if pi is None:
                 continue
             acc = acc + pi * h[k - i]
-        h.append(acc * Q(1, k))
+        h.append(acc.scale(Q(1, k)))
     return h
 
 
@@ -92,7 +92,7 @@ def schur_at(lam, p) -> EpsLaurent:
                     continue
                 # sign of appending column j: parity of used columns > j
                 sgn = -1 if sum(1 for u in used if u > j) % 2 else 1
-                term = val * entry * Q(sgn)
+                term = (val * entry).scale(sgn)
                 key = used | {j}
                 new[key] = new.get(key, EpsLaurent()) + term
         states = new

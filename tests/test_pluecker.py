@@ -156,7 +156,7 @@ def test_screen_cannot_hide_a_violation(monkeypatch, lam, expected):
 
     def doubled(N, mu):
         a = coefficient_A(N, mu)
-        return a * 2 if tuple(mu) == lam else a
+        return a.scale(2) if tuple(mu) == lam else a
 
     monkeypatch.setattr(pluecker, "coefficient_row", doubled_row)
     rep = pluecker_check(2, 8)

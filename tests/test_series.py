@@ -2,7 +2,8 @@ import random
 
 import pytest
 from exact_reference import dot_reference
-from series_reference import mercator_log, truncating_pow
+from series_reference import (mercator_log, multi_add, multi_const,
+                              multi_scale, truncating_pow)
 
 from hypermaps.numfield import NumberField
 from hypermaps.rational import Q, QONE
@@ -18,6 +19,11 @@ from hypermaps.tau import tau_Z
 
 def S(coeffs, trunc=None, var="z"):
     return UniSeries(var, QRING, {e: Q(c) for e, c in coeffs.items()}, trunc)
+
+
+def eps(q, e):
+    """The monomial q eps^e."""
+    return EpsLaurent({e: Q(q)})
 
 
 def test_geometric_inverse():
@@ -255,32 +261,42 @@ def test_eps_laurent_arith():
     b = EpsLaurent({1: Q(-2), 0: Q(3)})
     assert (a + b).coeff(1) == 0
     assert (a * b).coeff(0) == 3 * 0 + (-2)  # (-1)+(1) cross term
-    assert EpsLaurent() == 0 and not EpsLaurent({0: QONE}) == 0
+    zero = EpsLaurent.const(0)
+    assert EpsLaurent() == zero and not EpsLaurent({0: QONE}) == zero
+    assert EpsLaurent() != 0
 
 
 def test_eps_laurent_is_an_exact_unseries():
-    """EpsLaurent arithmetic is UniSeries arithmetic: every result, with
-    a rational operand too, is again an exact EpsLaurent."""
+    """EpsLaurent arithmetic is UniSeries arithmetic between two
+    EpsLaurents: every result is again an exact EpsLaurent.  A rational
+    enters through `const` or `scale`, never as an operand."""
     a = EpsLaurent({-1: QONE, 1: Q(2)})
     b = EpsLaurent({1: Q(-2), 0: Q(3)})
     q = Q(3, 7)
+    one, q_eps = EpsLaurent.const(1), EpsLaurent.const(q)
     results = {"a + b": a + b, "a - b": a - b, "-a": -a, "a * b": a * b,
-               "a * q": a * q, "q * a": q * a, "a.scale(q)": a.scale(q),
-               "a + 1": a + 1, "1 + a": 1 + a}
+               "a * const(q)": a * q_eps, "const(q) * a": q_eps * a,
+               "a.scale(q)": a.scale(q),
+               "a + const(1)": a + one, "const(1) + a": one + a}
     for name, r in results.items():
         assert type(r) is EpsLaurent and r.trunc is None, name
     assert results["a * b"] == EpsLaurent(
         {-1: Q(3), 0: Q(-2), 1: Q(6), 2: Q(-4)})
-    assert results["a * q"] == results["q * a"] == results["a.scale(q)"]
-    assert results["a + 1"] == results["1 + a"] == EpsLaurent(
+    assert (results["a * const(q)"] == results["const(q) * a"]
+            == results["a.scale(q)"])
+    assert results["a + const(1)"] == results["const(1) + a"] == EpsLaurent(
         {-1: QONE, 0: QONE, 1: Q(2)})
+    for op in (lambda: a + 1, lambda: 1 + a, lambda: a * q, lambda: q * a,
+               lambda: a - q):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_constructors_reached_through_eps_laurent():
     """zero and monomial build a plain UniSeries whatever class they are
     reached through; EpsLaurent's own constructor takes no var or ring."""
     assert EpsLaurent.zero("eps", QRING) == EpsLaurent()
-    assert EpsLaurent.monomial("eps", QRING, 2, -1) == EpsLaurent.term(2, -1)
+    assert EpsLaurent.monomial("eps", QRING, 2, -1) == eps(2, -1)
 
 
 def test_eps_laurent_rejects_another_variable():
@@ -296,7 +312,7 @@ def multiseries_exp(m):
     """Formal exp of a MultiSeries; requires constant term 0."""
     if () in m.c:
         raise ValueError("exp requires constant term 0")
-    acc = MultiSeries.const(m.cap, 1)
+    acc = multi_const(m.cap, 1)
     if not m.c:
         return acc
     w0 = min(sum(k) for k in m.c)
@@ -304,7 +320,7 @@ def multiseries_exp(m):
     k = 1
     fact = QONE
     while k * w0 <= m.cap:
-        acc = acc + power.scale(QONE / fact)
+        acc = multi_add(acc, multi_scale(power, QONE / fact))
         k += 1
         fact = fact * k
         if k * w0 > m.cap:
@@ -333,7 +349,6 @@ def test_multiseries_log_equals_mercator_on_tau(N, W):
 
 
 def test_multiseries_log_equals_mercator_from_weight_1():
-    eps = EpsLaurent.term
     m = MultiSeries(8, {(): EpsLaurent.const(1),
                         (1,): eps(2, -1),
                         (2, 1): eps(3, 0) + eps(Q(1, 3), -2),
@@ -357,18 +372,18 @@ def test_multiseries_weight_cap():
     the constructor, and not after a cancellation, which keeps the
     least cap."""
     m = MultiSeries(3, {(2, 2): EpsLaurent.const(1)})
-    assert m.coeff((2, 2)) == 0
+    assert m.coeff((2, 2)) == EpsLaurent()
     assert m.c == {}
-    eps = EpsLaurent.term
     m = MultiSeries(4, {(): EpsLaurent.const(1), (1,): eps(2, -1),
                         (2, 1): eps(3, 0) + eps(Q(1, 3), -2),
                         (3,): EpsLaurent()})
     assert set(m.c) == {(), (1,), (2, 1)}
-    for s in (m - m, m.scale(0), m.scale(EpsLaurent()),
-              m * MultiSeries.const(4, 0)):
+    for s in (multi_add(m, multi_scale(m, -1)), multi_scale(m, 0),
+              m._new({k: v * EpsLaurent() for k, v in m.c.items()}),
+              m * multi_const(4, 0)):
         assert s.c == {} and s.cap == 4
     wide = MultiSeries(6, {(1,): eps(-2, -1), (5,): eps(1, 0)})
-    part = m + wide
+    part = multi_add(m, wide)
     assert part.cap == 4
     assert part.c == {(): EpsLaurent.const(1),
                       (2, 1): eps(3, 0) + eps(Q(1, 3), -2)}

@@ -253,3 +253,31 @@ def test_one_product_precision():
             if isinstance(node, ast.Attribute) and node.attr == "truncated"
             and id(node) not in returns]
     assert cuts == []
+
+
+# what every class body defines, whatever its methods
+_CLASS_MACHINERY = {"__module__", "__qualname__", "__doc__", "__slots__",
+                    "__firstlineno__", "__static_attributes__"}
+
+
+def test_tau_series_hold_only_what_src_reads():
+    """The tau side's series types define only what the package computes
+    with, plus the two products the benchmark's tracer wraps: no rational
+    promotion and no MultiSeries sums, which live in the tests'
+    references."""
+    from hypermaps import series
+
+    def defined(cls):
+        return set(vars(cls)) - _CLASS_MACHINERY - set(cls.__slots__)
+
+    assert defined(series.EpsLaurent) == {
+        "__init__", "const", "__bool__", "__mul__", "to_json"}
+    assert defined(series.MultiSeries) == {
+        "__init__", "coeff", "_new", "__mul__", "log", "__repr__"}
+    tree = ast.parse((SRC / "series.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_lift"]
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and any(a.name == "is_rational" for a in node.names)]

@@ -1,6 +1,7 @@
 from math import factorial, prod
 
 import pytest
+from series_reference import multi_add, multi_const
 
 from hypermaps import oracle as O
 from hypermaps.checks import stable_profiles
@@ -40,11 +41,11 @@ def test_content_product_examples():
 
 def test_schur_special_examples():
     # s_(2) at pt_i = delta_{i2}/eps: chi^(2)_(2)/2 * eps^-1 = 1/(2 eps)
-    assert schur_special(2, (2,)) == EpsLaurent.term(Q(1, 2), -1)
-    assert schur_special(2, (1, 1)) == EpsLaurent.term(Q(-1, 2), -1)
+    assert schur_special(2, (2,)) == EpsLaurent({-1: Q(1, 2)})
+    assert schur_special(2, (1, 1)) == EpsLaurent({-1: Q(-1, 2)})
     assert schur_special(2, (1,)) == EpsLaurent()
     # chi^(2,1) at the 3-cycle is -1
-    assert schur_special(3, (2, 1)) == EpsLaurent.term(Q(-1, 3), -1)
+    assert schur_special(3, (2, 1)) == EpsLaurent({-1: Q(-1, 3)})
 
 
 def test_coefficient_A_nonzero_only_on_multiples(tz2):
@@ -103,13 +104,13 @@ def test_weight_cap_guard(tz2):
 def test_eps_parity(tz2, tz3):
     for tz in (tz2, tz3):
         for key, lau in tz.log().c.items():
-            assert all(e % 2 == 0 for e in lau.exponents()), key
+            assert all(e % 2 == 0 for e in lau.c), key
 
 
 def eps_exponent_profile(tau, degrees):
     """Sorted eps-exponents present in the log-Z coefficient of the given
     monomial; the genus grading predicts only values 2g-2 >= -2."""
-    return tau.log().coeff(degrees).exponents()
+    return sorted(tau.log().coeff(degrees).c)
 
 
 def test_eps_exponent_profile(tz2):
@@ -163,7 +164,7 @@ def test_osmh_is_rhm_over_the_degree_product(tz2, tz3):
 def double_loop_tau_series(N, W):
     """Z by the (lambda, mu) double loop over EpsLaurent products that
     tau_Z replaced: the reference for its integer column sums."""
-    acc = MultiSeries.const(W, 1)
+    acc = multi_const(W, 1)
     for lam in partitions_upto(W):
         n = sum(lam)
         if n == 0 or n % N != 0:
@@ -179,9 +180,9 @@ def double_loop_tau_series(N, W):
             for m in mult_vector(mu).values():
                 for i in range(2, m + 1):
                     denom *= i
-            coeff = EpsLaurent.term(Q(chi, denom), -len(mu)) * a
+            coeff = EpsLaurent({-len(mu): Q(chi, denom)}) * a
             if coeff:
-                acc = acc + MultiSeries(W, {tuple(mu): coeff})
+                acc = multi_add(acc, MultiSeries(W, {tuple(mu): coeff}))
     return acc
 
 

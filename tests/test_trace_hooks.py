@@ -24,12 +24,16 @@ from tracer import Tracer, instrument
 
 tracer = Tracer()
 instrument(tracer)
-from hypermaps import pluecker, recursion
+from hypermaps import pluecker, recursion, tau
 
 pluecker.pluecker_check(2, 6)
 recursion.deck_series(recursion.Curve(3), 0, 8)
-print(json.dumps({"values": dict(tracer.values),
-                  "spans": sorted({span[1] for span in tracer.spans})}))
+tau.coefficient_A(2, (2, 2))
+z = tau.tau_Z(2, 6).series
+z * z
+snap = tracer.snapshot()
+print(json.dumps({"values": snap["values"],
+                  "spans": sorted({span[1] for span in snap["spans"]})}))
 '''
 
 
@@ -49,7 +53,10 @@ def test_tracer_binds_every_hook():
 
 
 def test_tracer_hooks_fire():
+    """Counters that `count` wraps are read from `snapshot()`: until then
+    they are held apart from `Tracer.values`."""
     seen = json.loads(_run(FIRING))
     assert seen["values"]["pluecker.relations_checked"] == 82
+    assert seen["values"]["series.eps_mul_calls"] == 62
     assert {"pluecker.check", "recursion.deck_series",
-            "series.uni_compose"} <= set(seen["spans"])
+            "series.uni_compose", "series.multi_mul"} <= set(seen["spans"])
