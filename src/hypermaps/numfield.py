@@ -14,6 +14,15 @@ irreducible, so every nonzero element is invertible.
 
 ``NumberField`` is also the coefficient ring of a ``UniSeries`` over the
 field (``zero``, ``one``, ``coerce``, ``inv``, ``is_zero``, ``dot``).
+
+The operand rule: a rational enters the field in exactly two ways.
+``NumberField.coerce`` builds an element at construction (the series
+ring interface, the tensor cache loader, a correlator's term scalars),
+and ``NFElem.scale`` multiplies an element by an ``int`` or ``Fraction``
+by scaling its integer coordinates, one gcd and no convolution; ``*``
+with a rational operand is ``scale``.  ``+``, ``-`` and ``==`` take
+field elements only: a rational operand is a ``TypeError`` (``==`` is
+False), and an element of another field a ``ValueError``.
 """
 from __future__ import annotations
 
@@ -172,8 +181,24 @@ class NFElem:
             raise ValueError("element not in the prime field")
         return Q(self.num[0], self.den)
 
+    def _in_field(self, other):
+        """Whether other is an element of this field; False for anything
+        that is not a field element, ValueError for another field's."""
+        if not isinstance(other, NFElem):
+            return False
+        if other.field is not self.field:
+            raise ValueError("element of another number field")
+        return True
+
+    def scale(self, q):
+        """self * q for an int or Fraction q: the integer coordinates
+        times q's numerator over den times its denominator."""
+        a, b = q.numerator, q.denominator
+        return _lowest(self.field, [x * a for x in self.num], self.den * b)
+
     def __add__(self, other):
-        other = self.field.coerce(other)
+        if not self._in_field(other):
+            return NotImplemented
         a, b = self.den, other.den
         return _lowest(self.field,
                        [x * b + y * a for x, y in zip(self.num, other.num)],
@@ -183,11 +208,16 @@ class NFElem:
         return NFElem(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        return self + -self.field.coerce(other)
+        if not self._in_field(other):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other):
+        if is_rational(other):
+            return self.scale(other)
+        if not self._in_field(other):
+            return NotImplemented
         field = self.field
-        other = field.coerce(other)
         prod = [0] * (2 * field.deg - 1)
         _convolve(self.num, other.num, prod)
         return _lowest(field, field._reduce(prod), self.den * other.den)
@@ -227,7 +257,8 @@ class NFElem:
         return acc
 
     def __eq__(self, other):
-        other = self.field.coerce(other)
+        if not self._in_field(other):
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     __hash__ = None

@@ -72,7 +72,12 @@ ramification point a = zeta^(i+1) of index i has
                                 = (-1)^k a^(-k-e) r_N(k, e),
     r_N(k, e) = sum_{j=0..e//N} C(e+1, j) (N-1)^(-j) C(k+e-Nj-1, e-Nj),
 
-a rational times a power of zeta.
+a rational times a power of zeta.  A read therefore buckets the
+rationals of each key's orderings by the power p of zeta, scales the
+key's coefficient by each nonzero bucket (``NFElem.scale``: integer
+coordinates, no rational is coerced into the field), and sums every
+zeta^p times its scaled coefficient in one ring.dot, normalized once;
+that sum must be rational.
 """
 from __future__ import annotations
 
@@ -482,11 +487,13 @@ class Recursion:
             return 0
         tensor = self.omega(g, len(prof.degrees))
         exps = tuple(d - 1 for d in prof.degrees)
-        N, ram, zero = self.N, self.curve.ram, self.curve.ring.zero
+        N, ram = self.N, self.curve.ram
         # an ordering of a key contributes (-1)^(sum of k) zeta^p times a
-        # rational: bucket the rationals by p, and collect the
-        # coefficient of each zeta^p over all keys
-        by_power = [zero] * N
+        # rational: bucket the rationals by p, per key, scale the key's
+        # coefficient by each nonzero bucket (integer coordinates, no
+        # coercion), and sum every zeta^p times its scaled coefficient
+        # in one ring.dot, normalized once
+        pairs = []
         for K, c in tensor.items():
             buckets = [QZERO] * N
             for order in set(permutations(K)):
@@ -499,10 +506,8 @@ class Recursion:
                 c = -c
             for p, q in enumerate(buckets):
                 if q:
-                    by_power[p] = by_power[p] + c * q
-        acc = zero
-        for p, c in enumerate(by_power):
-            acc = acc + ram[p - 1] * c  # ram[p - 1] = zeta^p
+                    pairs.append((ram[p - 1], c.scale(q)))  # zeta^p
+        acc = self.curve.ring.dot(pairs)
         if not acc.is_rational():
             raise ArithmeticError("field descent failure")
         value = acc.rational_part() * Q(self.N - 1) ** (prof.darts // self.N)

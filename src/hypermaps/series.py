@@ -152,7 +152,6 @@ class UniSeries:
 
     def scale(self, k):
         """Multiply every coefficient by a scalar or ring element."""
-        k = self.ring.coerce(k)
         return self._new({e: v * k for e, v in self.c.items()}, self.trunc)
 
     def truncated(self, t):
@@ -228,9 +227,8 @@ class UniSeries:
         return acc.truncated(prec)
 
     def deriv(self):
-        coerce = self.ring.coerce
         t = None if self.trunc is None else self.trunc - 1
-        return self._new({e - 1: v * coerce(e) for e, v in self.c.items()}, t)
+        return self._new({e - 1: v * e for e, v in self.c.items()}, t)
 
     def compose(self, inner):
         """self(inner) for inner of positive valuation.

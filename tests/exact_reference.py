@@ -5,10 +5,16 @@ cover its frame data) and never reads a field element's coordinates as
 rationals (the cache stores its integers), so these live here, beside
 the tests that check against them.  `dot_reference` is the op-by-op sum
 of products that a coefficient ring's `dot` computes with one
-normalization.
+normalization, and `rhm_from_tr_reference` the count read that
+`Recursion.rhm_from_tr` sums in one `dot`, op by op with coerced
+rationals.
 """
+from itertools import permutations
+
+from hypermaps.oracle import Profile
 from hypermaps.polar import ExactPolar
-from hypermaps.rational import Q, QONE
+from hypermaps.rational import Q, QONE, QZERO, as_count
+from hypermaps.recursion import eta_coeff
 
 
 def polar_neg(v):
@@ -35,3 +41,35 @@ def dot_reference(ring, pairs):
     for a, b in pairs:
         total = total + a * b
     return total
+
+
+def rhm_from_tr_reference(rec, g, degrees):
+    """The count `rec.rhm_from_tr(g, degrees)` reads, for a stable
+    profile divisible by N, summed op by op: per power p of zeta, the
+    running sum over keys of the key's signed coefficient times the
+    coerced rational of its orderings at p, then sum_p zeta^p times
+    that sum."""
+    prof = Profile(rec.N, g, degrees)
+    assert prof.stable and prof.divisible
+    tensor = rec.omega(g, len(prof.degrees))
+    exps = tuple(d - 1 for d in prof.degrees)
+    N, ram, field = rec.N, rec.curve.ram, rec.curve.ring
+    by_power = [field.zero] * N
+    for K, c in tensor.items():
+        buckets = [QZERO] * N
+        for order in set(permutations(K)):
+            q, p = QONE, 0
+            for (a_idx, k), e in zip(order, exps):
+                q = q * eta_coeff(N, k, e)
+                p -= (a_idx + 1) * (k + e)
+            buckets[p % N] += q
+        if sum(k for _, k in K) % 2:
+            c = -c
+        for p, q in enumerate(buckets):
+            if q:
+                by_power[p] = by_power[p] + c * field.coerce(q)
+    acc = field.zero
+    for p, c in enumerate(by_power):
+        acc = acc + ram[p - 1] * c  # ram[p - 1] = zeta^p
+    value = acc.rational_part() * Q(N - 1) ** (prof.darts // N)
+    return as_count(value, "field descent failure")

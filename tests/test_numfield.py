@@ -130,7 +130,7 @@ def test_against_reference(n):
             (x - y, [s - t for s, t in zip(a, b)]),
             (-x, [-s for s in a]),
             (x * y, ref_mul(a, b, mp)),
-            (x + Q(q), [a[0] + q] + a[1:]),
+            (x + field.coerce(Q(q)), [a[0] + q] + a[1:]),
             (Q(q) * x, [q * s for s in a]),
         ]
         k = rng.randint(0, 4)
@@ -155,7 +155,7 @@ def test_rational_part(n):
     field = NumberField.cyclotomic_field(n)
     r = field.coerce(Q(-7, 6))
     assert r.is_rational() and r.rational_part() == Q(-7, 6)
-    assert r == Q(-7, 6)
+    assert r == field.coerce(Q(-7, 6))
     assert (field.gen * field.gen.inv()).rational_part() == 1
     if field.deg > 1:
         with pytest.raises(ValueError):
@@ -206,3 +206,52 @@ def test_dot_against_the_op_by_op_sum(n):
         assert got == dot_reference(field, pairs)
     assert field.dot([]) == field.zero
     assert field.dot(iter([(field.gen, field.gen)])) == field.gen * field.gen
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_scale_is_the_rational_product(n):
+    """A rational multiplies a field element only by scaling its integer
+    coordinates: x.scale(q), x * q and q * x all equal the product with
+    the coerced q, in lowest terms, for q zero, a signed int or a signed
+    Fraction."""
+    field = NumberField.cyclotomic_field(n)
+    rng = random.Random(200 + n)
+    for _ in range(10):
+        x = field.coerce(random_coords(rng, field.deg))
+        m = rng.randint(1, 10 ** 6)
+        scalars = [0, m, -m, Fraction(m, rng.randint(2, 40)),
+                   Fraction(-m, rng.randint(2, 40)), Fraction(0, 7)]
+        for q in scalars:
+            got = x.scale(q)
+            check_lowest(got)
+            assert got == x * field.coerce(q)
+            assert x * q == got and q * x == got
+        assert x.scale(0) == field.zero and x.scale(0).den == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sums_and_equality_take_field_elements_only(n):
+    """+, - and == take field elements only: a rational operand is a
+    TypeError (== is False), and an element of another field raises
+    ValueError from every operator."""
+    field = NumberField.cyclotomic_field(n)
+    x = field.gen + field.one
+    for q in (0, 3, -3, Fraction(2, 3), Fraction(-2, 3)):
+        with pytest.raises(TypeError):
+            x + q
+        with pytest.raises(TypeError):
+            q + x
+        with pytest.raises(TypeError):
+            x - q
+        with pytest.raises(TypeError):
+            q - x
+        assert not (x == q) and x != q
+    assert not (field.zero == 0) and not (field.one == 1)
+    other = NumberField.cyclotomic_field(n + 1)
+    y = other.gen + other.one
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b, lambda a, b: a == b):
+        with pytest.raises(ValueError, match="another number field"):
+            op(x, y)
+        with pytest.raises(ValueError, match="another number field"):
+            op(y, x)

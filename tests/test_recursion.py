@@ -4,7 +4,7 @@ from math import factorial, gcd
 
 import pytest
 
-from exact_reference import field_coords
+from exact_reference import field_coords, rhm_from_tr_reference
 from hypermaps import numfield
 from hypermaps import oracle as O
 from hypermaps import recursion as R
@@ -158,6 +158,51 @@ def test_rhm_tr_vs_oracle(rec2, rec3):
                            else (0, (2, 2, 2)), (2, (N * 2,))]:
             assert rec.rhm_from_tr(g, degrees) == \
                 O.enumerate_rhm(O.Profile(N, g, degrees)), (N, g, degrees)
+
+
+# the rhm_stream workload's grid: (N, weight cap), g <= 1, n <= 3
+STREAM_GRID = ((2, 10), (3, 9))
+
+
+def counting(calls, name, fn):
+    """fn, counting each call in calls[name]."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("N, W", STREAM_GRID)
+def test_stream_read_is_one_dot_and_no_coercion(monkeypatch, N, W):
+    """On every stable profile of the stream grid the read equals the
+    op-by-op reference, and a warm read scales rationals into the field
+    without ever entering NumberField.coerce, summing in exactly one
+    NumberField.dot."""
+    rec = Recursion(N, 1, 3)
+    profiles = stable_profiles(N, 1, 3, W)
+    assert profiles
+    for g, degrees in profiles:
+        assert rec.rhm_from_tr(g, degrees) == \
+            rhm_from_tr_reference(rec, g, degrees), (g, degrees)
+    calls = dict.fromkeys(("coerce", "dot"), 0)
+    for name in calls:
+        monkeypatch.setattr(numfield.NumberField, name,
+                            counting(calls, name,
+                                     getattr(numfield.NumberField, name)))
+    for g, degrees in profiles:
+        calls.update(coerce=0, dot=0)
+        rec.rhm_from_tr(g, degrees)
+        assert calls == {"coerce": 0, "dot": 1}, (g, degrees)
+
+
+@pytest.mark.parametrize("N, W", [(2, 10), (3, 9)])
+def test_read_matches_the_op_by_op_reference(wide_recursions, N, W):
+    """Criterion 1's grid, g <= 2, n <= 3: the one-dot read equals the
+    op-by-op read with coerced rationals on every stable profile."""
+    rec = wide_recursions[N]
+    for g, degrees in stable_profiles(N, 2, 3, W):
+        assert rec.rhm_from_tr(g, degrees) == \
+            rhm_from_tr_reference(rec, g, degrees), (g, degrees)
 
 
 def test_zn_covariance(rec2, rec3):
@@ -374,16 +419,10 @@ def n3_build_calls():
     """Calls of numfield._lowest and numfield._convolve while a fresh
     Recursion(3, 2, 3) builds every omega with g <= 2, n <= 3."""
     calls = dict.fromkeys(("_lowest", "_convolve"), 0)
-
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
-            mp.setattr(numfield, name, counting(name, getattr(numfield, name)))
+            mp.setattr(numfield, name,
+                       counting(calls, name, getattr(numfield, name)))
         rec = Recursion(3, 2, 3)
         for g in range(3):
             for n in range(1, 4):
@@ -406,6 +445,14 @@ def test_products_form_only_the_terms_read(n3_build_calls):
     truncating products after forming them took 362,433: a product forms
     only the terms its caller reads."""
     assert n3_build_calls["_convolve"] <= 345_000
+
+
+def test_integer_scalars_stay_integers(n3_build_calls):
+    """The same build convolves at most 300,000 times: an int or Fraction
+    scalar (a term's split count, a bridge coefficient k - 1) scales the
+    integer coordinates of a field element rather than being coerced
+    into the field and convolved, which took 325,941."""
+    assert n3_build_calls["_convolve"] <= 300_000
 
 
 def eta_series_table(curve, max_exp, max_order):
