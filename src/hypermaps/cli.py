@@ -202,6 +202,11 @@ def main(argv=None):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # an ArithmeticError, but one that a request too large to hold
+        # raises, not a verification that failed
+        print(f"request too large: {exc}", file=sys.stderr)
+        return 2
     except ArithmeticError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

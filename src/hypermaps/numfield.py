@@ -20,9 +20,11 @@ The operand rule: a rational enters the field in exactly two ways.
 ring interface, the tensor cache loader, a correlator's term scalars),
 and ``NFElem.scale`` multiplies an element by an ``int`` or ``Fraction``
 by scaling its integer coordinates, one gcd and no convolution; ``*``
-with a rational operand is ``scale``.  ``+``, ``-`` and ``==`` take
-field elements only: a rational operand is a ``TypeError`` (``==`` is
-False), and an element of another field a ``ValueError``.
+with a rational operand is ``scale``, and ``dot`` scales the same way
+for a rational right operand, within the sum's one gcd.  ``+``, ``-``
+and ``==`` take field elements only: a rational operand is a
+``TypeError`` (``==`` is False), and an element of another field a
+``ValueError``.
 """
 from __future__ import annotations
 
@@ -107,18 +109,26 @@ class NumberField:
         return v.is_zero()
 
     def dot(self, pairs):
-        """sum a * b over pairs of elements of this field, normalized once
-        (delayed reduction): each product's integer coordinates are
-        added, unreduced, into one vector per denominator a.den * b.den;
-        the vectors are brought to their lcm, then reduced mod Phi_n and
-        divided by one gcd."""
+        """sum a * b over pairs of an element a of this field and an
+        element or rational b, normalized once (delayed reduction): each
+        product's integer coordinates are added, unreduced, into one
+        vector per denominator a.den * b.den, a rational b scaling a's
+        coordinates by its numerator with no convolution; the vectors
+        are brought to their lcm, then reduced mod Phi_n and divided by
+        one gcd."""
         by_den = {}
         for a, b in pairs:
-            den = a.den * b.den
+            rational = not isinstance(b, NFElem)
+            den = a.den * (b.denominator if rational else b.den)
             vec = by_den.get(den)
             if vec is None:
                 vec = by_den[den] = [0] * (2 * self.deg - 1)
-            _convolve(a.num, b.num, vec)
+            if rational:
+                m = b.numerator
+                for i, x in enumerate(a.num):
+                    vec[i] += x * m
+            else:
+                _convolve(a.num, b.num, vec)
         if not by_den:
             return self.zero
         den = lcm(*by_den)

@@ -72,12 +72,16 @@ ramification point a = zeta^(i+1) of index i has
                                 = (-1)^k a^(-k-e) r_N(k, e),
     r_N(k, e) = sum_{j=0..e//N} C(e+1, j) (N-1)^(-j) C(k+e-Nj-1, e-Nj),
 
-a rational times a power of zeta.  A read therefore buckets the
-rationals of each key's orderings by the power p of zeta, scales the
-key's coefficient by each nonzero bucket (``NFElem.scale``: integer
-coordinates, no rational is coerced into the field), and sums every
-zeta^p times its scaled coefficient in one ring.dot, normalized once;
-that sum must be rational.
+a rational times a power of zeta.  What a read needs of omega_{g,n}
+besides the degrees is built once per memoized tensor, its read plan:
+per key, the distinct orderings of its slots and the key's coefficient
+with the sign (-1)^(sum of k) folded in, times each zeta^p, p < N.  A
+read then forms only the rational of each ordering, buckets those by
+the power p of zeta per key, and sums every nonzero bucket against its
+phased coefficient in one ring.dot, which scales integer coordinates by
+a rational (no rational is coerced into the field, no element is
+multiplied) and normalizes once; that sum must be rational, and it
+takes the factor (N-1)^(D/N) as one integer.
 """
 from __future__ import annotations
 
@@ -175,6 +179,7 @@ class Recursion:
         self._kernels = {}  # a_idx -> (U_1, ..., U_{M-1})
         self._slots = {}    # (a_idx, slot role) -> UniSeries
         self._resvec = {}   # (a_idx, left role, right role) -> tuple
+        self._plans = {}    # (g, n) -> (its tensor, read plan)
 
     # -- local series ----------------------------------------------------
 
@@ -477,6 +482,24 @@ class Recursion:
 
     # -- extraction ---------------------------------------------------------
 
+    def _read_plan(self, g: int, n: int) -> list:
+        """The read plan of omega_{g,n}, built on the first read of the
+        memoized tensor: per key, (its distinct orderings, its signed
+        coefficient times zeta^p for p = 0..N-1)."""
+        tensor = self.omega(g, n)
+        held = self._plans.get((g, n))
+        if held is not None and held[0] is tensor:
+            return held[1]
+        ram = self.curve.ram
+        plan = []
+        for K, c in tensor.items():
+            if sum(k for _, k in K) % 2:
+                c = -c
+            plan.append((tuple(set(permutations(K))),
+                         [c * ram[p - 1] for p in range(self.N)]))  # zeta^p
+        self._plans[(g, n)] = (tensor, plan)
+        return plan
+
     def rhm_from_tr(self, g: int, degrees) -> int:
         """Hypermap count from the correlator expansion; degrees are the
         side counts d_i = k_i + 1 >= 1."""
@@ -485,32 +508,26 @@ class Recursion:
             raise ValueError(UNSTABLE_MOMENT)
         if not prof.divisible:
             return 0
-        tensor = self.omega(g, len(prof.degrees))
         exps = tuple(d - 1 for d in prof.degrees)
-        N, ram = self.N, self.curve.ram
-        # an ordering of a key contributes (-1)^(sum of k) zeta^p times a
-        # rational: bucket the rationals by p, per key, scale the key's
-        # coefficient by each nonzero bucket (integer coordinates, no
-        # coercion), and sum every zeta^p times its scaled coefficient
-        # in one ring.dot, normalized once
+        N = self.N
+        # an ordering of a key contributes zeta^p times a rational: bucket
+        # the rationals by p, per key, and sum each nonzero bucket against
+        # the key's phased coefficient in one ring.dot
         pairs = []
-        for K, c in tensor.items():
-            buckets = [QZERO] * N
-            for order in set(permutations(K)):
+        for orders, phased in self._read_plan(g, len(exps)):
+            buckets = {}
+            for order in orders:
                 q, p = QONE, 0
                 for (a_idx, k), e in zip(order, exps):
                     q = q * eta_coeff(N, k, e)
                     p -= (a_idx + 1) * (k + e)
-                buckets[p % N] += q
-            if sum(k for _, k in K) % 2:
-                c = -c
-            for p, q in enumerate(buckets):
-                if q:
-                    pairs.append((ram[p - 1], c.scale(q)))  # zeta^p
+                p %= N
+                buckets[p] = buckets[p] + q if p in buckets else q
+            pairs.extend((phased[p], q) for p, q in buckets.items() if q)
         acc = self.curve.ring.dot(pairs)
         if not acc.is_rational():
             raise ArithmeticError("field descent failure")
-        value = acc.rational_part() * Q(self.N - 1) ** (prof.darts // self.N)
+        value = Q(acc.num[0] * (N - 1) ** (prof.darts // N), acc.den)
         return as_count(value, "field descent failure")
 
     def zn_covariance_defects(self, g: int, n: int):

@@ -373,6 +373,17 @@ def test_pluecker_window_checking_nothing_exits_2(capsys, N, W):
                             f"no checkable relation\n")
 
 
+def test_pluecker_window_too_large_to_hold_exits_2(capsys):
+    """A weight cap whose beta-set masks overflow is a request too large,
+    exit 2 with one line, not a failed verification."""
+    assert main(["pluecker", "--N", "2",
+                 "--weight-cap", "100000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("request too large: ")
+
+
 def test_curve_subcommand(capsys):
     assert main(["curve", "--N", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from exact_reference import dot_reference, field_coords
-from hypermaps.numfield import NumberField, cyclotomic
+from hypermaps.numfield import NFElem, NumberField, cyclotomic
 from hypermaps.rational import Q
 
 PHI = {
@@ -206,6 +206,40 @@ def test_dot_against_the_op_by_op_sum(n):
         assert got == dot_reference(field, pairs)
     assert field.dot([]) == field.zero
     assert field.dot(iter([(field.gen, field.gen)])) == field.gen * field.gen
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_dot_with_rational_right_operands(n):
+    """A rational right operand of dot scales its element's integer
+    coordinates: the sum equals the op-by-op sum with the rationals
+    coerced, for zero, signed int and signed Fraction operands, mixed
+    with element pairs, cancelling and all zero."""
+    field = NumberField.cyclotomic_field(n)
+    rng = random.Random(300 + n)
+
+    def scalar():
+        roll = rng.random()
+        if roll < 0.15:
+            return rng.choice((0, Fraction(0)))
+        if roll < 0.4:
+            return rng.randint(-10 ** 6, 10 ** 6)
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                        rng.randint(1, 10 ** 4))
+
+    for _ in range(40):
+        pairs = [(field.coerce(random_coords(rng, field.deg)), scalar())
+                 for _ in range(rng.randint(1, 8))]
+        elements = [(field.coerce(random_coords(rng, field.deg)),
+                     field.coerce(random_coords(rng, field.deg)))
+                    for _ in range(rng.randint(0, 3))]
+        for mixed in (pairs, pairs + elements,
+                      pairs + [(-a, q) for a, q in pairs],
+                      [(a, 0) for a, _ in pairs]):
+            got = field.dot(mixed)
+            check_lowest(got)
+            assert got == dot_reference(
+                field, [(a, b if isinstance(b, NFElem) else field.coerce(b))
+                        for a, b in mixed])
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 from math import factorial, gcd
 
 import pytest
@@ -172,27 +173,44 @@ def counting(calls, name, fn):
     return counted
 
 
-@pytest.mark.parametrize("N, W", STREAM_GRID)
-def test_stream_read_is_one_dot_and_no_coercion(monkeypatch, N, W):
-    """On every stable profile of the stream grid the read equals the
-    op-by-op reference, and a warm read scales rationals into the field
-    without ever entering NumberField.coerce, summing in exactly one
-    NumberField.dot."""
-    rec = Recursion(N, 1, 3)
-    profiles = stable_profiles(N, 1, 3, W)
+def check_warm_reads(monkeypatch, rec, profiles):
+    """Every profile reads as the op-by-op reference, and once each
+    (g, n) has been read, a read forms no ordering, scales or multiplies
+    no field element, coerces nothing into the field and sums in
+    exactly one NumberField.dot."""
     assert profiles
     for g, degrees in profiles:
         assert rec.rhm_from_tr(g, degrees) == \
             rhm_from_tr_reference(rec, g, degrees), (g, degrees)
-    calls = dict.fromkeys(("coerce", "dot"), 0)
-    for name in calls:
-        monkeypatch.setattr(numfield.NumberField, name,
-                            counting(calls, name,
-                                     getattr(numfield.NumberField, name)))
+    calls = {}
+    for owner, name in ((R, "permutations"), (numfield.NFElem, "scale"),
+                        (numfield.NFElem, "__mul__"),
+                        (numfield.NumberField, "coerce"),
+                        (numfield.NumberField, "dot")):
+        monkeypatch.setattr(owner, name,
+                            counting(calls, name, getattr(owner, name)))
     for g, degrees in profiles:
-        calls.update(coerce=0, dot=0)
+        calls.update(permutations=0, scale=0, __mul__=0, coerce=0, dot=0)
         rec.rhm_from_tr(g, degrees)
-        assert calls == {"coerce": 0, "dot": 1}, (g, degrees)
+        assert calls == {"permutations": 0, "scale": 0, "__mul__": 0,
+                         "coerce": 0, "dot": 1}, (g, degrees)
+
+
+@pytest.mark.parametrize("N, W", STREAM_GRID)
+def test_stream_read_is_one_dot_and_no_coercion(monkeypatch, N, W):
+    """The stream grid's reads: each correlator's read plan is built on
+    its first read, and a warm read pays only for its eta products."""
+    check_warm_reads(monkeypatch, Recursion(N, 1, 3),
+                     stable_profiles(N, 1, 3, W))
+
+
+@pytest.mark.parametrize("N", (4, 5, 6))
+@pytest.mark.parametrize("g_max, n_max", ((1, 3), (2, 1)))
+def test_warm_reads_beyond_N_3(monkeypatch, N, g_max, n_max):
+    """The same on the N = 4..6 grids of the crosscheck that compares
+    the engines beyond N = 3, weight cap 10."""
+    check_warm_reads(monkeypatch, Recursion(N, g_max, n_max),
+                     stable_profiles(N, g_max, n_max, 10))
 
 
 @pytest.mark.parametrize("N, W", [(2, 10), (3, 9)])
@@ -646,6 +664,47 @@ def test_omega_tensors_pinned(rec2, rec3, rec4, rec5, rec6):
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, \
             (N, g, n)
+
+
+def charge_basis(rec, tensor):
+    """The tensor in the Z_N charge basis: for each sorted tuple ks of
+    pole orders that a key holds and each m in Z_N^n, the discrete
+    Fourier transform over every slot's ramification index,
+
+        c^[(m_j, k_j)] = sum_i c[sort((i_j, k_j))] zeta^(-sum (i_j+1) m_j),
+
+    taken one slot at a time.  Returns {(ks, m): c^}."""
+    N, field, ram = rec.N, rec.curve.ring, rec.curve.ram
+    out = {}
+    for ks in {tuple(sorted(k for _, k in K)) for K in tensor}:
+        grid = {idx: tensor.get(tuple(sorted(zip(idx, ks))), field.zero)
+                for idx in product(range(N), repeat=len(ks))}
+        for j in range(len(ks)):
+            # idx[j] is m_j here, and ram[e - 1] = zeta^e
+            grid = {idx: field.dot([(grid[idx[:j] + (i,) + idx[j + 1:]],
+                                     ram[(-(i + 1) * idx[j] - 1) % N])
+                                    for i in range(N)])
+                    for idx in grid}
+        out.update(((ks, m), c) for m, c in grid.items())
+    return out
+
+
+def test_pinned_tensors_are_rational_in_the_charge_basis(rec2, rec3, rec4,
+                                                          rec5, rec6):
+    """Every PINNED tensor has only rational coefficients in the Z_N
+    charge basis, and a nonzero one only where sum m = sum (k - 1) mod
+    N: the fact that holding the correlators over Q would rest on."""
+    recs = {2: rec2, 3: rec3, 4: rec4, 5: rec5, 6: rec6}
+    nonzero = 0
+    for N, g, n in PINNED:
+        rec = recs[N]
+        for (ks, m), c in charge_basis(rec, rec.omega(g, n)).items():
+            assert c.is_rational(), (N, g, n, ks, m)
+            if not c.is_zero():
+                assert (sum(m) - sum(k - 1 for k in ks)) % N == 0, \
+                    (N, g, n, ks, m)
+                nonzero += 1
+    assert nonzero == 2834
 
 
 def test_omega_galois_equivariance(rec3, rec4, rec5, rec6):
