@@ -179,7 +179,7 @@ def _check_curve_identities(report, N_list, recursions):
             p = scaled.ang * N
             x_a = curve.x_series(a_idx, 1).coeff(0)
             if scaled.e1 or scaled.e2 or p.denominator != 1 \
-                    or x_a != curve.zeta.pow(int(p)) * scaled.q:
+                    or x_a != curve.ring.roots[int(p)] * scaled.q:
                 ok = False
         report.add("curve.ram_values_match_frame", {"N": N}, {}, ok)
         bad = rec.zn_covariance_defects(0, 3)

@@ -16,15 +16,16 @@ irreducible, so every nonzero element is invertible.
 field (``zero``, ``one``, ``coerce``, ``inv``, ``is_zero``, ``dot``).
 
 The operand rule: a rational enters the field in exactly two ways.
-``NumberField.coerce`` builds an element at construction (the series
-ring interface, the tensor cache loader, a correlator's term scalars),
-and ``NFElem.scale`` multiplies an element by an ``int`` or ``Fraction``
-by scaling its integer coordinates, one gcd and no convolution; ``*``
-with a rational operand is ``scale``, and ``dot`` scales the same way
-for a rational right operand, within the sum's one gcd.  ``+``, ``-``
+``NumberField.coerce`` builds an element from rationals, for the series
+ring interface alone (the tensor cache loader builds an element from
+its stored integers), and ``NFElem.scale`` multiplies an element by an
+``int`` or ``Fraction`` by scaling its integer coordinates, one gcd and
+no convolution; ``*`` with a rational operand is ``scale``, and ``dot``
+scales the same way for a rational right operand, within the sum's one
+gcd (a correlator's integer term scalars enter it so).  ``+``, ``-``
 and ``==`` take field elements only: a rational operand is a
 ``TypeError`` (``==`` is False), and an element of another field a
-``ValueError``.
+``ValueError``.  The powers zeta^p, p < n, are ``NumberField.roots``.
 """
 from __future__ import annotations
 
@@ -73,8 +74,9 @@ class NumberField:
             top = cur[-1]
             cur = [c - top * m for c, m in zip([0] + cur[:-1], minpoly)]
         self.zero = NFElem(self, [0] * d, 1)
-        self.one = NFElem(self, self._pow[0], 1)
-        self.gen = NFElem(self, self._pow[1], 1)
+        # zeta^p for p < n, read by its power p
+        self.roots = tuple(NFElem(self, v, 1) for v in self._pow[:n])
+        self.one, self.gen = self.roots[:2]
 
     @staticmethod
     @lru_cache(maxsize=None)

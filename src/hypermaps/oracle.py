@@ -14,7 +14,9 @@ one Euler accounting; `checks` derives a wrong one from its tables.
 Neither memo builds a whole phi_b.  `_completions` holds the histogram
 of V over every phi_b, transitive or not, per (N, cycle type of phi_w):
 conjugating phi_w permutes the phi_b, and the histogram is built by
-recursing on the black cycle through the smallest dart.  A phi_b that
+recursing on the black cycle gamma through the smallest dart, with one
+walk of the cycles of phi_w o gamma per choice of gamma: it gives both
+the closed cycles and the cycle type of the rest.  A phi_b that
 is not transitive splits the white faces into blocks and glues each
 block on its own, with V the sum over the blocks, so `_connected`
 subtracts the split ones block by block (the exponential formula) and
@@ -113,21 +115,6 @@ def _canonical_white(degrees):
     return img
 
 
-def _cycle_type(perm, darts):
-    """Sorted cycle lengths of the permutation `perm` of `darts`."""
-    lengths = []
-    seen = set()
-    for x in darts:
-        if x not in seen:
-            n = 0
-            while x not in seen:
-                seen.add(x)
-                x = perm(x)
-                n += 1
-            lengths.append(n)
-    return tuple(sorted(lengths))
-
-
 @lru_cache(maxsize=None)
 def _completions(N, cycle_type):
     """Histogram ((cycles, count), ...) of the cycle counts of pi o sigma
@@ -138,32 +125,36 @@ def _completions(N, cycle_type):
     sigmas, so the histogram depends only on (N, cycle type): at most
     one entry per partition of a multiple of N below the dart cap,
     whatever the tables asked.  It recurses on the cycle gamma of sigma
-    through dart 0.  With rho = pi o gamma (gamma fixing the other
-    darts), the cycles of rho on gamma's darts alone are closed, and rho
-    read on the other darts (gamma's darts skipped) is the pi of the
-    rest.
+    through dart 0 and walks the cycles of rho = pi o gamma (gamma
+    fixing the other darts) once per choice of gamma.  A cycle of rho
+    that holds r > 0 darts off gamma is, read on those darts alone, one
+    cycle of length r of the pi of the rest; a cycle that holds none is
+    closed.
     """
     pi = _canonical_white(cycle_type)
     if not pi:
         return ((0, 1),)
     counts = {}
     for body in permutations(range(1, len(pi)), N - 1):
-        gamma = dict(zip((0,) + body, body + (0,)))
-
-        def rho(x):
-            return pi[gamma.get(x, x)]
-
-        def skip(x):
-            x = rho(x)
-            while x in gamma:
-                x = rho(x)
-            return x
-
-        rest = [x for x in range(len(pi)) if x not in gamma]
-        rest_type = _cycle_type(skip, rest)
-        # every cycle of rho that meets the rest is one cycle of skip
-        closed = len(_cycle_type(rho, range(len(pi)))) - len(rest_type)
-        for cycles, count in _completions(N, rest_type):
+        gamma = (0,) + body
+        rho = list(pi)
+        for x, y in zip(gamma, body + (0,)):
+            rho[x] = pi[y]
+        seen = [False] * len(pi)
+        closed, rest = 0, []
+        for x in range(len(pi)):
+            if seen[x]:
+                continue
+            r = 0
+            while not seen[x]:
+                seen[x] = True
+                r += x not in gamma
+                x = rho[x]
+            if r:
+                rest.append(r)
+            else:
+                closed += 1
+        for cycles, count in _completions(N, tuple(sorted(rest))):
             counts[closed + cycles] = counts.get(closed + cycles, 0) + count
     return tuple(sorted(counts.items()))
 

@@ -89,10 +89,10 @@ import json
 import os
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 from .frobenius import curve_x
-from .numfield import NumberField
+from .numfield import NFElem, NumberField
 from .oracle import UNSTABLE_MOMENT, Profile
 from .rational import Q, QONE, QZERO, as_count, need_order
 from .series import QRING, UniSeries, lagrange_invert
@@ -107,9 +107,10 @@ class Curve:
         need_order(N)
         self.N = N
         self.ring = NumberField.cyclotomic_field(N)
-        # a_i = zeta^i, i = 1..N (so a_N = 1)
-        self.zeta = zeta = self.ring.gen
-        self.ram = [zeta.pow(i) for i in range(1, N + 1)]
+        # a_i = zeta^(i+1), i = 0..N-1 (so a_(N-1) = 1)
+        self.zeta = self.ring.gen
+        roots = self.ring.roots
+        self.ram = roots[1:] + roots[:1]
         # simple ramification: x'(a) = 0 and x''(a) != 0
         for a_idx in range(N):
             x_loc = self.x_series(a_idx, 3)
@@ -325,7 +326,7 @@ class Recursion:
         gains."""
         rot = tuple(sorted(((a + r) % self.N, k) for a, k in K))
         p = r * sum(k - 1 for _, k in K)
-        return rot, self.curve.ram[(p - 1) % self.N]  # zeta^p
+        return rot, self.curve.ring.roots[p % self.N]
 
     def _compute(self, g: int, n: int, a_idx: int = 0) -> dict:
         """omega_{g,n} from residues at ramification point a_idx alone."""
@@ -371,13 +372,13 @@ class Recursion:
                         r, cnt = self._merge_count(r1, r2)
                         term(r, z_role, s_role, cnt * c1 * c2)
 
-        # pair each summed scalar, as a field element, with its residue
-        # vector, every one formed even where the scalar cancels, so that
-        # each integrand passes the expansion-order check
+        # pair each summed scalar, an int or a field element, with its
+        # residue vector, every one formed even where the scalar cancels,
+        # so that each integrand passes the expansion-order check
         pairs = {}  # external multiset -> [(residue vector, scalar)]
         for (r, z_role, s_role), c in terms.items():
             vec = self._res_vector(a_idx, z_role, s_role)
-            pairs.setdefault(r, []).append((vec, ring.coerce(c)))
+            pairs.setdefault(r, []).append((vec, c))
 
         # fold the z0 pole basis in: slot (a_idx, j+1) takes the sum of
         # vec[j-1] times its scalar, one ring.dot per coefficient
@@ -413,9 +414,10 @@ class Recursion:
     # -- tensor cache ------------------------------------------------------
 
     def _cache_path(self, g, n):
-        # omega_{0,3} is never cached: it takes milliseconds, and a
-        # uniformly rescaled copy would pass every load check
-        if not self.cache_dir or (g, n) == (0, 3):
+        # omega_{0,3} and omega_{1,1} are never cached: each takes
+        # milliseconds, and a uniformly rescaled copy would pass every
+        # load check
+        if not self.cache_dir or (g, n) in ((0, 3), (1, 1)):
             return None
         # the tensors are exact: the working order M is not in the key
         name = f"tensor_N{self.N}_g{g}_n{n}_v{TENSOR_CACHE_VERSION}.json"
@@ -454,8 +456,9 @@ class Recursion:
             return None
         # anything but a dict of sorted n-tuples of slots (a, k), 0 <= a < N
         # and k >= 2, with one at a = 0, to a nonzero element's [den >= 1,
-        # num_0, ...] is a miss, and so is one `_complete` refuses or one
-        # nested deeper than the decoder recurses
+        # num_0, ...] in lowest terms, as `_store_cached` writes it, is a
+        # miss, and so is one `_complete` refuses or one nested deeper
+        # than the decoder recurses
         ring = self.curve.ring
         direct = {}
         try:
@@ -472,9 +475,10 @@ class Recursion:
                                or p[1] < 2 for p in key)
                         or all(p[0] != 0 for p in key)
                         or list(map(type, ints)) != [int] * (ring.deg + 1)
-                        or ints[0] < 1 or not any(ints[1:])):
+                        or ints[0] < 1 or not any(ints[1:])
+                        or gcd(*ints) != 1):
                     return None
-                direct[key] = ring.coerce([Q(x, ints[0]) for x in ints[1:]])
+                direct[key] = NFElem(ring, ints[1:], ints[0])
             return self._complete(direct)
         except (OSError, ValueError, TypeError, ArithmeticError,
                 RecursionError):
@@ -490,13 +494,13 @@ class Recursion:
         held = self._plans.get((g, n))
         if held is not None and held[0] is tensor:
             return held[1]
-        ram = self.curve.ram
+        roots = self.curve.ring.roots
         plan = []
         for K, c in tensor.items():
             if sum(k for _, k in K) % 2:
                 c = -c
             plan.append((tuple(set(permutations(K))),
-                         [c * ram[p - 1] for p in range(self.N)]))  # zeta^p
+                         [c * zeta_p for zeta_p in roots]))
         self._plans[(g, n)] = (tensor, plan)
         return plan
 

@@ -21,9 +21,26 @@ labeled faces of degrees d_i, each face rooted.
                                    prod_j (2a_j)! / (a_j! (a_j-1)!)
 
   (Tutte, Canad. J. Math. 14, 1962).
+- Tutte's equation (every genus, every profile).  Removing the root
+  edge of a map whose root face has degree d_1, with the other labeled
+  faces of degrees D, either merges the root face with another face j,
+  or cuts the root face in two (faces of degrees k and d_1 - 2 - k),
+  which stay on one surface of genus g - 1 or split it in two:
+
+      F_g(d_1; D) = sum_j d_j F_g(d_1 + d_j - 2; D - d_j)
+                    + sum_{k=0..d_1-2} [ F_{g-1}(k; D + (d_1-2-k))
+                    + sum_{g_1+g_2=g, D_1 + D_2 = D}
+                      F_{g_1}(k; D_1) F_{g_2}(d_1-2-k; D_2) ],
+
+  with F_g(0; D) = 1 if g = 0 and D is empty and 0 otherwise, and 0
+  for a non-root face of degree 0 (Tutte, "On the enumeration of planar
+  maps", Bull. AMS 74, 1968; Eynard, *Counting Surfaces*, 2016, ch. 3).
+  RHM_{g;2}(d_1, ..., d_n) = F_g(d_1; (d_2, ..., d_n)).
 """
+from collections import Counter
 from functools import lru_cache
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, prod
 
 
 @lru_cache(maxsize=None)
@@ -53,3 +70,42 @@ def slicings(degrees) -> int:
     count, rest = divmod(num, den)
     assert rest == 0, degrees
     return count
+
+
+def tutte_rhm(g: int, degrees) -> int:
+    """RHM_{g;2}(degrees), by Tutte's equation with the first face as
+    the root face."""
+    degrees = tuple(degrees)
+    return _tutte(g, degrees[0], tuple(sorted(degrees[1:])))
+
+
+@lru_cache(maxsize=None)
+def _tutte(g: int, root: int, others: tuple) -> int:
+    """F_g(root; others) of Tutte's equation, others sorted."""
+    if g < 0:
+        return 0
+    if root == 0:
+        return int(g == 0 and not others)
+    if 0 in others:
+        return 0
+    # merge the root face with each labeled face j
+    total = sum(d * _tutte(g, root + d - 2, others[:j] + others[j + 1:])
+                for j, d in enumerate(others))
+    # every split of the labeled faces into two sides, with its ways
+    count = Counter(others)
+    kinds = sorted(count)
+    splits = []
+    for picks in product(*(range(count[k] + 1) for k in kinds)):
+        side = tuple(k for k, t in zip(kinds, picks) for _ in range(t))
+        other = tuple(k for k, t in zip(kinds, picks)
+                      for _ in range(count[k] - t))
+        ways = prod(comb(count[k], t) for k, t in zip(kinds, picks))
+        splits.append((ways, side, other))
+    # cut the root face into faces of degrees k and root - 2 - k
+    for k in range(root - 1):
+        total += _tutte(g - 1, k, tuple(sorted(others + (root - 2 - k,))))
+        for ways, side, other in splits:
+            for g1 in range(g + 1):
+                total += (ways * _tutte(g1, k, side)
+                          * _tutte(g - g1, root - 2 - k, other))
+    return total

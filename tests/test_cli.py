@@ -273,27 +273,53 @@ def test_rhm_omega_03_is_never_cached(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["rhm"] == 216
 
 
-# omega_{1,1} at N = 2 in the v2 cache is {"0,2": [32, 1], "0,3": [16, 1],
-# "0,4": [16, -1]}; each case sets one key of the true file to a value,
-# or (key None) replaces the whole payload, or (a str) the file's text
+def test_rhm_omega_11_is_never_cached(tmp_path, capsys):
+    """omega_{1,1} is recomputed on every run: no identity relates it to
+    a smaller tensor, so a uniformly doubled copy would pass every load
+    check and double every count read from it.  No cache file is
+    written for it, and none is read."""
+    argv = ["rhm", "--N", "2", "--genus", "1", "--degrees", "4",
+            "--engine", "tr", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 1
+    path = tmp_path / "tensor_N2_g1_n1_v2.json"
+    assert not path.exists()
+    # the payload `_store_cached` would write, were omega_{1,1} cached
+    payload = {key_text(K): [c.den] + c.num
+               for K, c in Recursion(2, 1, 1).omega(1, 1).items()
+               if any(a == 0 for a, _ in K)}
+    assert payload == {"0,2": [32, 1], "0,3": [16, 1], "0,4": [16, -1]}
+    path.write_text(json.dumps({
+        key: [ints[0]] + [2 * x for x in ints[1:]]
+        for key, ints in payload.items()}))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 1
+
+
+# omega_{1,2} at N = 2 in the v2 cache holds 9 keys, among them
+# "0,2;0,4": [128, 15]; each case sets one key of the true file to a
+# value, or (key None) replaces the whole payload, or (a str) the file's
+# text
 @pytest.mark.parametrize("N, degrees, count, key, value", [
-    pytest.param(2, "4", 1, None, [], id="[]"),
+    pytest.param(2, "4,2", 4, None, [], id="[]"),
     # well-formed, but a stable tensor has keys
-    pytest.param(2, "4", 1, None, {}, id="{}"),
-    pytest.param(2, "4", 1, "0,4", [16, -1.0], id="non-integer"),
-    pytest.param(2, "4", 1, "0,4", [True, -1], id="boolean"),
-    pytest.param(2, "4", 1, "0,4", [0, -1], id="zero-denominator"),
-    # the true -1/16, but not in the stored form
-    pytest.param(2, "4", 1, "0,4", [-16, 1], id="negative-denominator"),
-    pytest.param(2, "4", 1, "0,4", [16, -1, 0], id="wrong-length"),
+    pytest.param(2, "4,2", 4, None, {}, id="{}"),
+    pytest.param(2, "4,2", 4, "0,2;0,4", [128, 15.0], id="non-integer"),
+    pytest.param(2, "4,2", 4, "0,2;0,4", [True, 15], id="boolean"),
+    pytest.param(2, "4,2", 4, "0,2;0,4", [0, 15], id="zero-denominator"),
+    # the true 15/128, but not in the stored form
+    pytest.param(2, "4,2", 4, "0,2;0,4", [-128, -15],
+                 id="negative-denominator"),
+    pytest.param(2, "4,2", 4, "0,2;0,4", [256, 30], id="not-lowest-terms"),
+    pytest.param(2, "4,2", 4, "0,2;0,4", [128, 15, 0], id="wrong-length"),
     # a stored key is one `_compute` derives, never a zero coefficient
-    pytest.param(2, "4", 1, "0,4", [1, 0], id="zero-coefficient"),
-    pytest.param(2, "4", 1, "0,x", [2, 1], id="bad-key"),
+    pytest.param(2, "4,2", 4, "0,2;0,4", [1, 0], id="zero-coefficient"),
+    pytest.param(2, "4,2", 4, "0,2;0,x", [2, 1], id="bad-key"),
     # nested deeper than the decoder recurses; json.dumps cannot write it
-    pytest.param(2, "4", 1, None, "[" * 200_000 + "]" * 200_000,
+    pytest.param(2, "4,2", 4, None, "[" * 200_000 + "]" * 200_000,
                  id="deep-nesting"),
     # well-formed, but a key without a slot at index 0 is not stored
-    pytest.param(2, "4", 1, "1,4", [16, 1], id="no-slot-at-0"),
+    pytest.param(2, "4,2", 4, "1,2;1,4", [128, 15], id="no-slot-at-0"),
     # omega_{1,2} at N = 3 with "0,2;1,2" tripled from [162, 1, 0]: the
     # rotation of the stored "0,2;2,2" disagrees with it
     pytest.param(3, "4,2", 28, "0,2;1,2", [54, 1, 0], id="zn-covariance"),
@@ -325,19 +351,19 @@ def test_rhm_malformed_cache_is_a_miss(tmp_path, capsys, monkeypatch,
 def test_cache_dir_only_from_the_request(tmp_path, capsys, monkeypatch):
     """A run without --cache-dir reads no cache, whatever the environment
     holds."""
-    argv = ["rhm", "--N", "2", "--genus", "1", "--degrees", "4",
+    argv = ["rhm", "--N", "2", "--genus", "1", "--degrees", "4,2",
             "--engine", "tr"]
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
-    assert json.loads(capsys.readouterr().out)["rhm"] == 1
+    assert json.loads(capsys.readouterr().out)["rhm"] == 4
     # a uniformly doubled tensor still loads from that directory
-    path = tmp_path / "tensor_N2_g1_n1_v2.json"
+    path = tmp_path / "tensor_N2_g1_n2_v2.json"
     payload = json.loads(path.read_text())
     path.write_text(json.dumps({
         key: [ints[0]] + [2 * x for x in ints[1:]]
         for key, ints in payload.items()}))
     monkeypatch.setenv("HYPERMAPS_CACHE_DIR", str(tmp_path))
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["rhm"] == 1
+    assert json.loads(capsys.readouterr().out)["rhm"] == 4
 
 
 def test_smatrix_output(capsys):

@@ -1,14 +1,14 @@
 """The engines against the closed forms of `closed_forms` at N = 2, up
 to 16 darts: the oracle at an explicit dart cap, tau_Z(2, 16), and the
 TR read at genus up to 4 for one face and at every stable genus 0
-profile."""
+profile; Tutte's equation against tau_Z(2, 16) and the oracle."""
 from math import prod
 
 import pytest
 
-from closed_forms import harer_zagier, slicings
+from closed_forms import harer_zagier, slicings, tutte_rhm
 from hypermaps import oracle, tau
-from hypermaps.partitions import partitions
+from hypermaps.partitions import partitions, partitions_upto
 from hypermaps.recursion import Recursion
 
 DARTS = 16
@@ -79,3 +79,30 @@ def test_slicings_against_the_tr_read():
     assert len(profiles) == 39
     for degrees in profiles:
         assert rec.rhm_from_tr(0, degrees) == slicings(degrees), degrees
+
+
+def test_tutte_equation_against_tau(tz):
+    """Tutte's equation equals the tau count of every stable profile
+    with g <= 4, at most 4 faces and at most 16 darts."""
+    profiles = [(g, lam) for lam in partitions_upto(DARTS)
+                if lam and len(lam) <= 4 and sum(lam) % 2 == 0
+                for g in range(TR_G_MAX + 1)
+                if oracle.Profile(2, g, lam).stable]
+    assert len(profiles) == 951
+    for g, degrees in profiles:
+        assert tutte_rhm(g, degrees) == tau.rhm_from_tau(tz, g, degrees), \
+            (g, degrees)
+
+
+def test_tutte_equation_against_oracle():
+    """Tutte's equation equals the oracle's genus table, every genus,
+    on every profile of at most 12 darts, faces in any order."""
+    cap = 12
+    for lam in partitions_upto(cap):
+        if not lam or sum(lam) % 2:
+            continue
+        table = oracle.genus_table(2, lam, cap)
+        for degrees in {lam, lam[::-1]}:
+            for g in range(sum(lam) // 4 + 2):
+                assert tutte_rhm(g, degrees) == table.get(g, 0), \
+                    (g, degrees)

@@ -1,8 +1,13 @@
-"""Checks that must survive ``python -O``, which strips ``assert``."""
+"""Checks that must survive ``python -O``, which strips ``assert``, and
+report bytes that no interpreter flag may change."""
+import hashlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import hypermaps
 
@@ -73,10 +78,57 @@ raises(ArithmeticError, tau.rhm_from_tau, TZ, 0, (2,))
 '''
 
 
-def test_checks_raise_under_python_O():
-    env = dict(os.environ)
+def _env(**extra):
+    """The environment of a child interpreter that imports this package."""
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+    return env
+
+
+def _cli(args, flags=(), **extra):
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "hypermaps.cli", *args],
+        env=_env(**extra), capture_output=True, timeout=300)
+
+
+def test_checks_raise_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# the benchmark's crosscheck request and its report's sha256
+CROSSCHECK = ["crosscheck", "--N", "2,3", "--g-max", "1", "--n-max", "1",
+              "--out", "json", "--threads", "2"]
+CROSSCHECK_SHA256 = \
+    "412a473ee8160dc00da2321fd1acb5bb788d7d9843e49b7abd5cedf104212a47"
+
+
+@pytest.mark.parametrize("flags, hashseed", [
+    ((), "0"), ((), "4242"), (("-O",), None)],
+    ids=["PYTHONHASHSEED=0", "PYTHONHASHSEED=4242", "-O"])
+def test_report_bytes_do_not_depend_on_interpreter_flags(flags, hashseed):
+    """Neither the hash seed nor stripped asserts change a byte of the
+    crosscheck report."""
+    extra = {} if hashseed is None else {"PYTHONHASHSEED": hashseed}
+    proc = _cli(CROSSCHECK, flags, **extra)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == CROSSCHECK_SHA256
+
+
+def test_failed_verification_exits_1_under_python_O(tmp_path):
+    """A cached omega_{0,4} with one whole Z_N orbit deleted still loads,
+    and the field descent check that refuses its count is no assert."""
+    argv = ["rhm", "--N", "2", "--genus", "0", "--degrees", "2,2,2,2",
+            "--engine", "tr", "--cache-dir", str(tmp_path)]
+    proc = _cli(argv, ("-O",))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rhm"] == 48
+    path = tmp_path / "tensor_N2_g0_n4_v2.json"
+    payload = json.loads(path.read_text())
+    del payload["0,2;0,2;0,2;0,4"]
+    path.write_text(json.dumps(payload))
+    proc = _cli(argv, ("-O",))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"ArithmeticError: field descent failure\n"

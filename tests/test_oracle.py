@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from oracle_reference import reference_completions, reference_genus_table
 
@@ -80,7 +82,7 @@ def test_genus_table_equals_reference():
             reference_genus_table(N, degrees), (N, degrees)
 
 
-@pytest.mark.parametrize("N, max_darts", [(2, 8), (3, 9), (4, 8)])
+@pytest.mark.parametrize("N, max_darts", [(2, 8), (3, 9), (4, 8), (5, 5), (6, 6)])
 def test_completions_equal_reference(N, max_darts):
     """The completion memo gives the histogram of building every sigma,
     for every cycle type of pi up to max_darts darts."""
@@ -88,6 +90,23 @@ def test_completions_equal_reference(N, max_darts):
         cycle_type = tuple(sorted(cycle_type))
         assert oracle._completions(N, cycle_type) == \
             reference_completions(N, cycle_type), (N, cycle_type)
+
+
+def test_completions_pinned_beyond_N_3():
+    """The completion histograms of every cycle type with at most two
+    parts, up to 16 darts at N = 4, 15 at N = 5 and 12 at N = 6, hash to
+    the sha256 of the enumeration that read each first black cycle
+    through two closures and two cycle walks."""
+    rows = []
+    for N, cap in ((4, 16), (5, 15), (6, 12)):
+        for d in range(N, cap + 1, N):
+            for cycle_type in [(d,)] + [(a, d - a)
+                                        for a in range(1, d // 2 + 1)]:
+                rows.append((N, cycle_type,
+                             oracle._completions(N, cycle_type)))
+    assert len(rows) == 52
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "22051c2eff2180d118c76fdf010e214190c33b656995c9591a8d62091432fd92"
 
 
 def test_completions_memo_is_bounded():

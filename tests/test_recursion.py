@@ -508,19 +508,19 @@ def test_eta_closed_form(N):
 
 def test_tensor_cache_ignores_working_order(tmp_path):
     a = Recursion(2, 1, 2, cache_dir=str(tmp_path))
-    t1 = a.omega(1, 1)
+    t1 = a.omega(1, 2)
     b = Recursion(2, 2, 3, cache_dir=str(tmp_path))
     assert b.M != a.M
     b._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
-    assert b.omega(1, 1) == t1
+    assert b.omega(1, 2) == t1
 
 
 def test_tensor_cache_round_trip(tmp_path):
     a = Recursion(2, 1, 2, cache_dir=str(tmp_path))
-    t1 = a.omega(1, 1)
+    t1 = a.omega(1, 2)
     assert list(tmp_path.iterdir()), "cache file written"
     b = Recursion(2, 1, 2, cache_dir=str(tmp_path))
-    t2 = b.omega(1, 1)
+    t2 = b.omega(1, 2)
     assert set(t1) == set(t2)
     for k in t1:
         assert field_coords(t1[k]) == field_coords(t2[k])
@@ -530,16 +530,16 @@ def test_tensor_cache_store_removes_stale_names(tmp_path):
     """Storing omega_{g,n} removes every other file of that (N, g, n):
     the older version and the names that carried the working order M.
     Other (N, g, n), temp files and unrelated names stay."""
-    stale = ["tensor_N2_g1_n1_v1.json", "tensor_N2_g1_n1_M6_v1.json",
-             "tensor_N2_g1_n1_M10_v1.json"]
-    kept = ["tensor_N2_g2_n1_M10_v1.json", "tensor_N3_g1_n1_M6_v1.json",
-            "tensor_N2_g1_n10_v1.json", "tensor_N2_g1_n1_v2.json.77.tmp",
-            "tensor_N2_g1_n1_v1.txt", "notes.json"]
+    stale = ["tensor_N2_g1_n2_v1.json", "tensor_N2_g1_n2_M6_v1.json",
+             "tensor_N2_g1_n2_M10_v1.json"]
+    kept = ["tensor_N2_g2_n2_M10_v1.json", "tensor_N3_g1_n2_M6_v1.json",
+            "tensor_N2_g1_n20_v1.json", "tensor_N2_g1_n2_v2.json.77.tmp",
+            "tensor_N2_g1_n2_v1.txt", "notes.json"]
     for name in stale + kept:
         (tmp_path / name).write_text("{}")
-    Recursion(2, 1, 1, cache_dir=str(tmp_path)).omega(1, 1)
+    Recursion(2, 1, 2, cache_dir=str(tmp_path)).omega(1, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        kept + ["tensor_N2_g1_n1_v2.json"])
+        kept + ["tensor_N2_g1_n2_v2.json"])
 
 
 @pytest.mark.parametrize("g, n", [(0, 4), (1, 2)])
@@ -580,21 +580,22 @@ def test_tensor_cache_write_is_atomic(tmp_path, monkeypatch, exc):
         m.setattr(json, "dump", failing_dump)
         a = Recursion(2, 1, 2, cache_dir=str(tmp_path))
         if exc is OSError:  # an unwritable cache is skipped
-            t1 = a.omega(1, 1)
+            t1 = a.omega(1, 2)
         else:
             with pytest.raises(exc):
-                a.omega(1, 1)
-            t1 = Recursion(2, 1, 2).omega(1, 1)
+                a.omega(1, 2)
+            t1 = Recursion(2, 1, 2).omega(1, 2)
     assert list(tmp_path.iterdir()) == []
     b = Recursion(2, 1, 2, cache_dir=str(tmp_path))
     computed = []
     compute = b._compute
     b._compute = lambda g, n: computed.append((g, n)) or compute(g, n)
-    t2 = b.omega(1, 1)
+    t2 = b.omega(1, 2)
     assert ({k: field_coords(c) for k, c in t2.items()}
             == {k: field_coords(c) for k, c in t1.items()})
-    assert computed == [(1, 1)]
-    assert [str(p) for p in tmp_path.iterdir()] == [b._cache_path(1, 1)]
+    # omega_{1,2} and the uncached tensors below it
+    assert sorted(computed) == [(0, 3), (1, 1), (1, 2)]
+    assert [str(p) for p in tmp_path.iterdir()] == [b._cache_path(1, 2)]
 
 
 # sha256 of each whole tensor with its coefficients as rational strings
@@ -823,16 +824,18 @@ def test_dilaton_equation(rec2, rec3, rec4, N, g, n):
 def test_dilaton_sees_a_rescaled_cached_tensor(tmp_path, rec2, rec3, N,
                                                bad, keys):
     """A uniformly rescaled tensor passes every load check of the tensor
-    cache, so the cache serves a doubled omega_{1,1}; the dilaton
-    equation against omega_{1,2} fails on every key where omega_{1,1}
-    is nonzero."""
+    cache, so omega_{1,1} is never cached: a doubled one is not stored
+    and not served.  Held in memory beside a cached omega_{1,2}, the
+    dilaton equation against omega_{1,2} fails on every key where the
+    doubled omega_{1,1} is nonzero."""
     rec = {2: rec2, 3: rec3}[N]
     doubled = {K: c * 2 for K, c in rec.omega(1, 1).items()}
     writer = Recursion(N, 1, 2, cache_dir=str(tmp_path))
     writer._store_cached(1, 2, rec.omega(1, 2))
     writer._store_cached(1, 1, doubled)
     served = Recursion(N, 1, 2, cache_dir=str(tmp_path))
+    assert served.omega(1, 1) == rec.omega(1, 1)
+    served._memo[(1, 1)] = doubled
     served._compute = lambda g, n: pytest.fail("recomputed a cached tensor")
-    assert served.omega(1, 1) == doubled
     defects, read = dilaton_defects(served, 1, 1)
     assert (len(defects), read) == (bad, keys)
