@@ -13,14 +13,14 @@ The inverse of x is the product of its other Galois conjugates
 irreducible, so every nonzero element is invertible.
 
 ``NumberField`` is also the coefficient ring of a ``UniSeries`` over the
-field (``zero``, ``one``, ``coerce``, ``inv``, ``is_zero``, ``dot``).
+field (``zero``, ``one``, ``inv``, ``is_zero``, ``dot``).
 
-The operand rule: a rational enters the field in exactly two ways.
-``NumberField.coerce`` builds an element from rationals, for the series
-ring interface alone (the tensor cache loader builds an element from
-its stored integers), and ``NFElem.scale`` multiplies an element by an
-``int`` or ``Fraction`` by scaling its integer coordinates, one gcd and
-no convolution; ``*`` with a rational operand is ``scale``, and ``dot``
+An element is built in one way, from integer coordinates over one
+denominator (the field's ``zero`` and ``roots``, and the tensor cache
+loader's stored integers).  A rational enters the field in one way,
+``NFElem.scale``, which multiplies an element by an ``int`` or
+``Fraction`` by scaling its integer coordinates, one gcd and no
+convolution; ``*`` with a rational operand is ``scale``, and ``dot``
 scales the same way for a rational right operand, within the sum's one
 gcd (a correlator's integer term scalars enter it so).  ``+``, ``-``
 and ``==`` take field elements only: a rational operand is a
@@ -84,23 +84,6 @@ class NumberField:
         """Q(zeta_n), one object per n, so that elements built for the same
         n by different callers mix."""
         return NumberField(n)
-
-    def coerce(self, v):
-        """An element of this field, a rational, or deg rational
-        coordinates, as an element of this field."""
-        if isinstance(v, NFElem):
-            if v.field is not self:
-                raise ValueError("element of another number field")
-            return v
-        if is_rational(v):
-            v = [v] + [0] * (self.deg - 1)
-        v = [Q(c) for c in v]
-        if len(v) != self.deg:
-            raise ValueError(f"need {self.deg} coordinates, got {len(v)}")
-        # over the lcm of lowest-terms denominators the gcd is already 1
-        den = lcm(*(int(c.denominator) for c in v))
-        return NFElem(self, [int(c.numerator) * (den // int(c.denominator))
-                             for c in v], den)
 
     @staticmethod
     def inv(v):
@@ -255,18 +238,6 @@ class NFElem:
             if gcd(k, n) == 1:
                 conj = conj * self._conjugate(k)
         return conj * (1 / (self * conj).rational_part())
-
-    def pow(self, e: int):
-        if e < 0:
-            return self.inv().pow(-e)
-        acc, base = self.field.one, self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
 
     def __eq__(self, other):
         if not self._in_field(other):

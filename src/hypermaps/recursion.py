@@ -79,7 +79,7 @@ with the sign (-1)^(sum of k) folded in, times each zeta^p, p < N.  A
 read then forms only the rational of each ordering, buckets those by
 the power p of zeta per key, and sums every nonzero bucket against its
 phased coefficient in one ring.dot, which scales integer coordinates by
-a rational (no rational is coerced into the field, no element is
+a rational (no rational becomes a field element, no element is
 multiplied) and normalizes once; that sum must be rational, and it
 takes the factor (N-1)^(D/N) as one integer.
 """
@@ -108,7 +108,6 @@ class Curve:
         self.N = N
         self.ring = NumberField.cyclotomic_field(N)
         # a_i = zeta^(i+1), i = 0..N-1 (so a_(N-1) = 1)
-        self.zeta = self.ring.gen
         roots = self.ring.roots
         self.ram = roots[1:] + roots[:1]
         # simple ramification: x'(a) = 0 and x''(a) != 0
@@ -142,23 +141,24 @@ def deck_series(curve: Curve, a_idx: int, order: int) -> UniSeries:
     v_pows = [v.pow(i) for i in range(N)]
     step = a * Q(2, N * (N - 1))
     w = UniSeries("t", ring, {0: a, 1: -ring.one}, order)  # a + s, s = -t
+    const = UniSeries("t", ring, {0: ring.one * (N - 1)})
     for _ in range(order):
         # Horner in w: P = w (v^(N-1) + w (v^(N-2) + ... + w v)) - (N-1)
         acc = v
         for i in range(2, N):
             acc = v_pows[i] + w * acc
-        p = w * acc - UniSeries.monomial("t", ring, N - 1, 0)
+        p = w * acc - const
         if p.is_zero():
             break
         w = w - p.scale(step)
     else:
         raise ArithmeticError("deck series failed to converge")
-    s = w - UniSeries.monomial("t", ring, a, 0)
+    s = w - UniSeries("t", ring, {0: a})
     # defining contracts, to working order
     x_loc = curve.x_series(a_idx, order)
     if not (x_loc.compose(s) - x_loc).is_zero():
         raise ArithmeticError("deck series does not preserve x")
-    t = UniSeries.monomial("t", ring, 1, 1, order)
+    t = UniSeries("t", ring, {1: ring.one}, order)
     if not (s.compose(s) - t).is_zero():
         raise ArithmeticError("deck series is not an involution")
     return s
@@ -197,7 +197,7 @@ class Recursion:
             return out
         ring = self.curve.ring
         s = self.deck(a_idx)
-        t = UniSeries.monomial("t", ring, 1, 1, self.M)
+        t = UniSeries("t", ring, {1: ring.one}, self.M)
         xp = self.curve.x_series(a_idx, self.M + 1).deriv()
         inv = ((s - t) * xp).scale(Q(2)).inv()
         out = tuple((t.pow(j) - s.pow(j)) * inv for j in range(1, self.M))
@@ -225,14 +225,14 @@ class Recursion:
         ring = self.curve.ring
         s = self.deck(a_idx)
         if role == ("B2",):
-            t = UniSeries.monomial("t", ring, 1, 1, self.M)
+            t = UniSeries("t", ring, {1: ring.one}, self.M)
             out = s.deriv() * (t - s).pow(2).inv()
         else:
             side, b_idx, p = role
-            x = s if side == "s" else UniSeries.monomial("t", ring, 1, 1)
+            x = s if side == "s" else UniSeries("t", ring, {1: ring.one})
             if b_idx != a_idx:
                 diff = self.curve.ram[a_idx] - self.curve.ram[b_idx]
-                x = x + UniSeries.monomial("t", ring, diff, 0)
+                x = x + UniSeries("t", ring, {0: diff})
             out = x.pow(-p, prec=self.M)
             if side == "s":
                 out = s.deriv() * out
@@ -455,10 +455,11 @@ class Recursion:
         if path is None or not os.path.exists(path):
             return None
         # anything but a dict of sorted n-tuples of slots (a, k), 0 <= a < N
-        # and k >= 2, with one at a = 0, to a nonzero element's [den >= 1,
-        # num_0, ...] in lowest terms, as `_store_cached` writes it, is a
-        # miss, and so is one `_complete` refuses or one nested deeper
-        # than the decoder recurses
+        # and k >= 2, with one at a = 0, each spelled as `key_text` spells
+        # it, to a nonzero element's [den >= 1, num_0, ...] in lowest
+        # terms, as `_store_cached` writes it, is a miss, and so is one
+        # `_complete` refuses or one nested deeper than the decoder
+        # recurses
         ring = self.curve.ring
         direct = {}
         try:
@@ -474,6 +475,7 @@ class Recursion:
                         or any(len(p) != 2 or not 0 <= p[0] < self.N
                                or p[1] < 2 for p in key)
                         or all(p[0] != 0 for p in key)
+                        or skey != key_text(key)
                         or list(map(type, ints)) != [int] * (ring.deg + 1)
                         or ints[0] < 1 or not any(ints[1:])
                         or gcd(*ints) != 1):

@@ -7,13 +7,15 @@ Provides:
   first exponent the series does *not* know; ``trunc is None`` marks an
   exact Laurent polynomial.  Arithmetic never reports coefficients at or
   beyond the truncation order.  A coefficient ring provides ``zero``,
-  ``one``, ``coerce``, ``inv``, ``is_zero`` and ``dot``, the sum of a * b
-  over a sequence of pairs: each coefficient of a product or an inverse
-  is one ``dot``.  Products, powers and inverses take the precision
-  their caller reads (``mul``'s, ``pow``'s and ``inv``'s ``prec``) and
-  form no coefficient at or beyond it.  A series stores no zero
-  coefficient: ``_stored``, which the constructor and every operation
-  return through, drops them, and no operation checks again.
+  ``one``, ``inv``, ``is_zero`` and ``dot``, the sum of a * b over a
+  sequence of pairs: each coefficient of a product or an inverse is one
+  ``dot``.  A series is built in one way, by the constructor, from
+  coefficients that are already ring elements.  Products, powers and
+  inverses take the precision their caller reads (``mul``'s, ``pow``'s
+  and ``inv``'s ``prec``) and form no coefficient at or beyond it.  A
+  series stores no zero coefficient: ``_stored``, which the constructor
+  and every operation return through, drops them, and no operation
+  checks again.
 * ``EpsLaurent`` -- Laurent polynomials in the genus parameter eps with
   rational coefficients (the coefficient ring of the tau function): an
   exact UniSeries over Q in eps, so its sums and products are
@@ -36,10 +38,6 @@ class _RatRing:
 
     zero = QZERO
     one = QONE
-
-    @staticmethod
-    def coerce(v):
-        return Q(v)
 
     @staticmethod
     def inv(v):
@@ -85,17 +83,6 @@ class UniSeries:
         self.ring = ring
         self.trunc = trunc
         self.c = _stored(ring, coeffs or {}, trunc)
-
-    # -- constructors -------------------------------------------------
-
-    # plain UniSeries even through EpsLaurent, which fixes var and ring
-    @staticmethod
-    def zero(var, ring, trunc=None):
-        return UniSeries(var, ring, {}, trunc)
-
-    @staticmethod
-    def monomial(var, ring, coef=1, exp=0, trunc=None):
-        return UniSeries(var, ring, {exp: ring.coerce(coef)}, trunc)
 
     # -- inspection ----------------------------------------------------
 
@@ -214,7 +201,7 @@ class UniSeries:
     def pow(self, n, prec=None):
         if n < 0:
             return self.inv(prec=prec).pow(-n, prec=prec)
-        acc = UniSeries.monomial(self.var, self.ring, 1, 0, trunc=None)
+        acc = UniSeries(self.var, self.ring, {0: self.ring.one})
         b = self
         m = n
         while m:
@@ -244,8 +231,8 @@ class UniSeries:
         t = _least(inner.trunc,
                    None if self.trunc is None else self.trunc * iv)
         # sum of c_e inner^e, one product per exponent
-        out = UniSeries.zero(self.var, self.ring, t)
-        power = UniSeries.monomial(self.var, self.ring, 1, 0, t)
+        out = UniSeries(self.var, self.ring, {}, t)
+        power = UniSeries(self.var, self.ring, {0: self.ring.one}, t)
         for e in range(max(self.c, default=-1) + 1):
             if e:
                 power = power.mul(inner, t)
@@ -310,7 +297,7 @@ def lagrange_invert(phi: UniSeries, trunc: int, out_var: str = "w") -> UniSeries
     if 0 not in phi.c:
         raise ValueError("phi must have a nonzero constant term")
     phi_w = UniSeries(out_var, ring, phi.c, phi.trunc)
-    w = UniSeries.monomial(out_var, ring, 1, 1, trunc)
+    w = UniSeries(out_var, ring, {1: ring.one}, trunc)
     z = w.scale(phi.c[0])
     for _ in range(trunc + 1):
         znew = w.mul(phi_w.compose(z), trunc)

@@ -62,7 +62,7 @@ def truncating_pow(s, n, prec=None):
     reads."""
     if n < 0:
         return truncating_pow(s.inv(prec=prec), -n, prec)
-    acc = UniSeries.monomial(s.var, s.ring, 1, 0, trunc=None)
+    acc = UniSeries(s.var, s.ring, {0: s.ring.one})
     b = s if prec is None else s.truncated(prec + max(0, -s.val(0)) * n)
     m = n
     while m:

@@ -315,6 +315,9 @@ def test_rhm_omega_11_is_never_cached(tmp_path, capsys):
     # a stored key is one `_compute` derives, never a zero coefficient
     pytest.param(2, "4,2", 4, "0,2;0,4", [1, 0], id="zero-coefficient"),
     pytest.param(2, "4,2", 4, "0,2;0,x", [2, 1], id="bad-key"),
+    # "0,2; 0,2" parses to the key of the true "0,2;0,2": [128, 1], and
+    # would replace it had the loader read it
+    pytest.param(2, "4,2", 4, "0,2; 0,2", [128, 129], id="key-spelling"),
     # nested deeper than the decoder recurses; json.dumps cannot write it
     pytest.param(2, "4,2", 4, None, "[" * 200_000 + "]" * 200_000,
                  id="deep-nesting"),

@@ -7,8 +7,9 @@ from math import gcd
 
 import pytest
 
-from exact_reference import dot_reference, field_coords
-from hypermaps.numfield import NFElem, NumberField, cyclotomic
+from exact_reference import (dot_reference, field_coords, field_element,
+                             field_pow)
+from hypermaps.numfield import NumberField, cyclotomic
 from hypermaps.rational import Q
 
 PHI = {
@@ -109,9 +110,9 @@ def test_field_needs_n_at_least_2():
 def test_generator_order(n):
     field = NumberField.cyclotomic_field(n)
     assert field.deg == len(PHI[n]) - 1
-    assert field.gen.pow(n) == field.one
+    assert field_pow(field.gen, n) == field.one
     for k in range(1, n):
-        assert field.gen.pow(k) != field.one
+        assert field_pow(field.gen, k) != field.one
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -122,7 +123,7 @@ def test_against_reference(n):
     rng = random.Random(n)
     for _ in range(20):
         a, b = random_coords(rng, d), random_coords(rng, d)
-        x, y = field.coerce(a), field.coerce(b)
+        x, y = field_element(field, a), field_element(field, b)
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         assert coords(x) == a and coords(y) == b
         cases = [
@@ -130,14 +131,14 @@ def test_against_reference(n):
             (x - y, [s - t for s, t in zip(a, b)]),
             (-x, [-s for s in a]),
             (x * y, ref_mul(a, b, mp)),
-            (x + field.coerce(Q(q)), [a[0] + q] + a[1:]),
+            (x + field_element(field, Q(q)), [a[0] + q] + a[1:]),
             (Q(q) * x, [q * s for s in a]),
         ]
         k = rng.randint(0, 4)
-        cases.append((x.pow(k), ref_pow(a, k, mp)))
+        cases.append((field_pow(x, k), ref_pow(a, k, mp)))
         if any(a):
             cases.append((x.inv(), ref_inv(a, mp)))
-            cases.append((x.pow(-k), ref_pow(a, -k, mp)))
+            cases.append((field_pow(x, -k), ref_pow(a, -k, mp)))
         for got, want in cases:
             check_lowest(got)
             assert coords(got) == want
@@ -145,7 +146,7 @@ def test_against_reference(n):
         assert (x + y) - y == x
         if any(a):
             assert x * x.inv() == field.one
-        assert (x == field.coerce(Q(a[0]))) == (not any(a[1:]))
+        assert (x == field_element(field, Q(a[0]))) == (not any(a[1:]))
         if not any(a[1:]):
             assert x.rational_part() == Q(a[0])
 
@@ -153,9 +154,9 @@ def test_against_reference(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_rational_part(n):
     field = NumberField.cyclotomic_field(n)
-    r = field.coerce(Q(-7, 6))
+    r = field_element(field, Q(-7, 6))
     assert r.is_rational() and r.rational_part() == Q(-7, 6)
-    assert r == field.coerce(Q(-7, 6))
+    assert r == field_element(field, Q(-7, 6))
     assert (field.gen * field.gen.inv()).rational_part() == 1
     if field.deg > 1:
         with pytest.raises(ValueError):
@@ -184,11 +185,11 @@ def test_dot_against_the_op_by_op_sum(n):
         if roll < 0.1:
             return field.zero
         if roll < 0.2:
-            return field.coerce(rng.randint(-5, 5))
+            return field_element(field, rng.randint(-5, 5))
         if roll < 0.3:
-            return field.coerce(Q(rng.randint(-9, 9),
-                                  rng.randint(1, 10 ** 6)))
-        return field.coerce(random_coords(rng, field.deg))
+            return field_element(field, Q(rng.randint(-9, 9),
+                                          rng.randint(1, 10 ** 6)))
+        return field_element(field, random_coords(rng, field.deg))
 
     sums = [[]]
     for _ in range(30):
@@ -212,8 +213,8 @@ def test_dot_against_the_op_by_op_sum(n):
 def test_dot_with_rational_right_operands(n):
     """A rational right operand of dot scales its element's integer
     coordinates: the sum equals the op-by-op sum with the rationals
-    coerced, for zero, signed int and signed Fraction operands, mixed
-    with element pairs, cancelling and all zero."""
+    built into the field, for zero, signed int and signed Fraction
+    operands, mixed with element pairs, cancelling and all zero."""
     field = NumberField.cyclotomic_field(n)
     rng = random.Random(300 + n)
 
@@ -227,10 +228,10 @@ def test_dot_with_rational_right_operands(n):
                         rng.randint(1, 10 ** 4))
 
     for _ in range(40):
-        pairs = [(field.coerce(random_coords(rng, field.deg)), scalar())
-                 for _ in range(rng.randint(1, 8))]
-        elements = [(field.coerce(random_coords(rng, field.deg)),
-                     field.coerce(random_coords(rng, field.deg)))
+        pairs = [(field_element(field, random_coords(rng, field.deg)),
+                  scalar()) for _ in range(rng.randint(1, 8))]
+        elements = [(field_element(field, random_coords(rng, field.deg)),
+                     field_element(field, random_coords(rng, field.deg)))
                     for _ in range(rng.randint(0, 3))]
         for mixed in (pairs, pairs + elements,
                       pairs + [(-a, q) for a, q in pairs],
@@ -238,27 +239,26 @@ def test_dot_with_rational_right_operands(n):
             got = field.dot(mixed)
             check_lowest(got)
             assert got == dot_reference(
-                field, [(a, b if isinstance(b, NFElem) else field.coerce(b))
-                        for a, b in mixed])
+                field, [(a, field_element(field, b)) for a, b in mixed])
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_scale_is_the_rational_product(n):
     """A rational multiplies a field element only by scaling its integer
     coordinates: x.scale(q), x * q and q * x all equal the product with
-    the coerced q, in lowest terms, for q zero, a signed int or a signed
+    the built q, in lowest terms, for q zero, a signed int or a signed
     Fraction."""
     field = NumberField.cyclotomic_field(n)
     rng = random.Random(200 + n)
     for _ in range(10):
-        x = field.coerce(random_coords(rng, field.deg))
+        x = field_element(field, random_coords(rng, field.deg))
         m = rng.randint(1, 10 ** 6)
         scalars = [0, m, -m, Fraction(m, rng.randint(2, 40)),
                    Fraction(-m, rng.randint(2, 40)), Fraction(0, 7)]
         for q in scalars:
             got = x.scale(q)
             check_lowest(got)
-            assert got == x * field.coerce(q)
+            assert got == x * field_element(field, q)
             assert x * q == got and q * x == got
         assert x.scale(0) == field.zero and x.scale(0).den == 1
 

@@ -281,3 +281,29 @@ def test_tau_series_hold_only_what_src_reads():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 and any(a.name == "is_rational" for a in node.names)]
+
+
+def test_exact_types_hold_only_what_src_reads():
+    """A series and a field element each have one constructor: both
+    coefficient rings provide only the series ring interface, with no
+    promotion of a rational, `UniSeries` has no second name for its
+    constructor, and the arithmetic that only the tests read (a field
+    element's power, the curve's generator) lives in their
+    references."""
+    from hypermaps import numfield, recursion, series
+
+    for ring in (series.QRING, numfield.NumberField.cyclotomic_field(3)):
+        for name in ("zero", "one", "inv", "is_zero", "dot"):
+            assert hasattr(ring, name), (ring, name)
+    for cls in (series._RatRing, numfield.NumberField):
+        assert "coerce" not in vars(cls), cls
+    assert not {"monomial", "zero"} & set(vars(series.UniSeries))
+    assert "pow" not in vars(numfield.NFElem)
+    assert not hasattr(recursion.Curve(3), "zeta")
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "coerce"]
+    assert found == []
