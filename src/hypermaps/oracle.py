@@ -210,7 +210,11 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     deliberately wrong accounting (black faces left out) from this same
     table rather than building another.
     """
-    p = Profile(N, 0, degrees)  # a table answers every g
+    return _genus_table(Profile(N, 0, degrees), dart_cap)  # every g
+
+
+def _genus_table(p: Profile, dart_cap):
+    """`genus_table` of a profile's N and degrees; its genus is unread."""
     d = p.darts
     if d > dart_cap:
         raise ValueError(f"oracle cap exceeded: {d} darts, dart_cap = "
@@ -218,14 +222,14 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     if not p.divisible:
         return {}
     # V from d down, so the genera come out ascending
+    histogram = _connected(p.N, tuple(sorted(p.degrees)))
     return {(2 - (v - d + p.faces)) // 2: count
-            for v, count in reversed(_connected(N, tuple(sorted(p.degrees))))}
+            for v, count in reversed(histogram)}
 
 
 def enumerate_rhm(profile: Profile, dart_cap=DEFAULT_DART_CAP) -> int:
     """Number of rooted hypermaps with the given profile."""
-    table = genus_table(profile.N, profile.degrees, dart_cap)
-    return table.get(profile.g, 0)
+    return _genus_table(profile, dart_cap).get(profile.g, 0)
 
 
 def rhm01_closed(N: int, k: int) -> int:

@@ -76,12 +76,13 @@ a rational times a power of zeta.  What a read needs of omega_{g,n}
 besides the degrees is built once per memoized tensor, its read plan:
 per key, the distinct orderings of its slots and the key's coefficient
 with the sign (-1)^(sum of k) folded in, times each zeta^p, p < N.  A
-read then forms only the rational of each ordering, buckets those by
-the power p of zeta per key, and sums every nonzero bucket against its
-phased coefficient in one ring.dot, which scales integer coordinates by
-a rational (no rational becomes a field element, no element is
-multiplied) and normalizes once; that sum must be rational, and it
-takes the factor (N-1)^(D/N) as one integer.
+read then forms only the rational and the power p of zeta of each
+ordering, and sums every ordering's rational against its key's
+coefficient times zeta^p in one ring.dot, which scales integer
+coordinates by a rational (no rational becomes a field element, no
+element is multiplied, no two rationals are added) and normalizes once;
+that sum must be rational, and it takes the factor (N-1)^(D/N) as one
+integer.
 """
 from __future__ import annotations
 
@@ -516,20 +517,16 @@ class Recursion:
             return 0
         exps = tuple(d - 1 for d in prof.degrees)
         N = self.N
-        # an ordering of a key contributes zeta^p times a rational: bucket
-        # the rationals by p, per key, and sum each nonzero bucket against
-        # the key's phased coefficient in one ring.dot
+        # an ordering of a key contributes its phased coefficient at zeta^p
+        # times a rational: every ordering is one pair of the one ring.dot
         pairs = []
         for orders, phased in self._read_plan(g, len(exps)):
-            buckets = {}
             for order in orders:
                 q, p = QONE, 0
                 for (a_idx, k), e in zip(order, exps):
                     q = q * eta_coeff(N, k, e)
                     p -= (a_idx + 1) * (k + e)
-                p %= N
-                buckets[p] = buckets[p] + q if p in buckets else q
-            pairs.extend((phased[p], q) for p, q in buckets.items() if q)
+                pairs.append((phased[p % N], q))
         acc = self.curve.ring.dot(pairs)
         if not acc.is_rational():
             raise ArithmeticError("field descent failure")

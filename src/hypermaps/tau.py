@@ -28,6 +28,11 @@ from .partitions import character, contents, mult_vector, partitions
 from .rational import Q, as_count, need_order
 from .series import EpsLaurent, MultiSeries
 
+# the largest weight cap tau_Z truncates at: tau_Z(2, W) with its log takes
+# seconds at W = 20 and about doubles with every 2 more, so a larger cap
+# is refused rather than left to run for hours
+MAX_WEIGHT_CAP = 24
+
 
 def content_poly(lam) -> list:
     """Integer coefficients, in increasing powers of eps, of
@@ -102,7 +107,7 @@ class TauTruncation:
 
 
 def tau_Z(N: int, W: int) -> TauTruncation:
-    """Truncation of Z to total t-weight <= W.
+    """Truncation of Z to total t-weight <= W, for N <= W <= MAX_WEIGHT_CAP.
 
     Exact by weighted homogeneity: the coefficient of a weight-n monomial
     t_mu only receives contributions from |lambda| = n = mN, namely
@@ -117,6 +122,9 @@ def tau_Z(N: int, W: int) -> TauTruncation:
     need_order(N)
     if W < N:
         raise ValueError(f"weight cap {W} is below N = {N}")
+    if W > MAX_WEIGHT_CAP:
+        raise ValueError(f"weight cap {W} is above MAX_WEIGHT_CAP = "
+                         f"{MAX_WEIGHT_CAP}")
     coeffs = {(): EpsLaurent.const(1)}
     for m in range(1, W // N + 1):
         n = m * N

@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -181,6 +184,7 @@ def test_rhm_decided_by_the_request_builds_no_engine(
     monkeypatch.setattr(tau, "tau_Z", refuse)
     monkeypatch.setattr(recursion, "Curve", refuse)
     monkeypatch.setattr(oracle, "genus_table", refuse)
+    monkeypatch.setattr(oracle, "_genus_table", refuse)
     assert main(["rhm", "--degrees", "1"] + argv) == 0
     assert json.loads(capsys.readouterr().out) == out
 
@@ -411,6 +415,29 @@ def test_pluecker_window_too_large_to_hold_exits_2(capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("request too large: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--N", "2", "--weight-cap", "100000000000000000000"],
+    ["rhm", "--N", "2", "--genus", "0", "--degrees",
+     "100000000000000000000", "--engine", "tau"],
+], ids=["tau", "rhm-tau"])
+def test_tau_weight_beyond_the_engine_exits_2(argv):
+    """A weight cap above tau.MAX_WEIGHT_CAP, asked for directly or as the
+    darts of a tau count, is refused with one line naming the bound; run
+    in a child interpreter, so that a request left to run fails on the
+    timeout instead of holding the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "hypermaps.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("weight cap 100000000000000000000 is above "
+                           f"MAX_WEIGHT_CAP = {tau.MAX_WEIGHT_CAP}\n")
 
 
 def test_curve_subcommand(capsys):

@@ -169,6 +169,24 @@ def test_indivisible_totals_vanish():
     assert enumerate_rhm(Profile(3, 1, (4,))) == 0
 
 
+def test_enumerate_builds_no_profile_of_its_own(monkeypatch):
+    """A query reads the table through the caller's Profile: it builds
+    and validates no second one, divisible or not, and the cap still
+    refuses before the memo is read."""
+    profiles = [Profile(2, 1, (4,)), Profile(3, 0, (2, 1, 3)),
+                Profile(2, 0, (3,))]
+    built = []
+    post_init = Profile.__post_init__
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(Profile, "__post_init__", counting)
+    assert [enumerate_rhm(p) for p in profiles] == [1, 24, 0]
+    with pytest.raises(ValueError, match="oracle cap exceeded"):
+        enumerate_rhm(profiles[0], dart_cap=3)
+    assert built == []
+
+
 def test_cap_error():
     with pytest.raises(ValueError, match="oracle cap exceeded"):
         enumerate_rhm(Profile(2, 0, (14,)))

@@ -178,7 +178,8 @@ def counting(calls, name, fn):
 def check_warm_reads(monkeypatch, rec, profiles):
     """Every profile reads as the op-by-op reference, and once each
     (g, n) has been read, a read forms no ordering, scales or multiplies
-    no field element and sums in exactly one NumberField.dot."""
+    no field element, adds no two rationals (every ordering is its own
+    pair of the sum) and sums in exactly one NumberField.dot."""
     assert profiles
     for g, degrees in profiles:
         assert rec.rhm_from_tr(g, degrees) == \
@@ -186,14 +187,16 @@ def check_warm_reads(monkeypatch, rec, profiles):
     calls = {}
     for owner, name in ((R, "permutations"), (numfield.NFElem, "scale"),
                         (numfield.NFElem, "__mul__"),
-                        (numfield.NumberField, "dot")):
+                        (numfield.NumberField, "dot"),
+                        (Q, "__add__"), (Q, "__radd__")):
         monkeypatch.setattr(owner, name,
                             counting(calls, name, getattr(owner, name)))
     for g, degrees in profiles:
-        calls.update(permutations=0, scale=0, __mul__=0, dot=0)
+        calls.update(permutations=0, scale=0, __mul__=0, dot=0,
+                     __add__=0, __radd__=0)
         rec.rhm_from_tr(g, degrees)
         assert calls == {"permutations": 0, "scale": 0, "__mul__": 0,
-                         "dot": 1}, (g, degrees)
+                         "dot": 1, "__add__": 0, "__radd__": 0}, (g, degrees)
 
 
 @pytest.mark.parametrize("N, W", STREAM_GRID)
