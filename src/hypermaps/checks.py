@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from . import frobenius, oracle, pluecker, tau
 from .config import RunConfig
+from .limits import admit
 from .partitions import partitions
 from .polar import ExactPolar
 from .rational import Q, rat_str
-from .recursion import Recursion, rhm01_from_curve, rhm02_from_curve
+from .recursion import (Recursion, admit_recursion, rhm01_from_curve,
+                        rhm02_from_curve)
 from .report import Report
 
 
@@ -215,21 +217,24 @@ def run_crosscheck(config: RunConfig) -> Report:
                 f"no stable profile for N = {N} within g_max = "
                 f"{config.g_max}, n_max = {config.n_max}, weight_cap = "
                 f"{config.weight_cap}")
+    # each engine admits the request here, before the report exists, by
+    # the rules it serves a request by; the weight cap, tau_Z's bound,
+    # was admitted with the config
     pluecker_N = [N for N in config.N if N in (2, 3)]
-    if pluecker_N and config.weight_cap < pluecker.MIN_WEIGHT_CAP:
-        raise ValueError(
-            f"the Pluecker window for N = {pluecker_N[0]} needs weight_cap "
-            f">= {pluecker.MIN_WEIGHT_CAP}, got {config.weight_cap}")
-    # the dart cap bounds only the grid's oracle reads, and a grid it
-    # would cut short is refused rather than compared with one engine less
-    if "oracle" in config.engines:
-        for N, profiles in grids.items():
-            darts = max(sum(degrees) for _, degrees in profiles)
-            if darts > config.dart_cap:
-                raise ValueError(
-                    f"the oracle needs dart_cap >= {darts} for N = {N} "
-                    f"within weight_cap = {config.weight_cap}, got "
-                    f"{config.dart_cap}")
+    pluecker_W = min(config.weight_cap, 8)
+    if pluecker_N:
+        admit("Pluecker window", pluecker_W)
+    for N, profiles in grids.items():
+        # the dart cap bounds only the grid's oracle reads, and a grid it
+        # would cut short is refused rather than compared with one engine
+        # less
+        if "oracle" in config.engines:
+            oracle.admit_table(N, max(sum(d) for _, d in profiles),
+                               config.dart_cap)
+        # without tr the curve identities build a Recursion(N, 0, 3)
+        shape = (config.g_max, config.n_max) if "tr" in config.engines \
+            else (0, 3)
+        admit_recursion(N, *shape)
     report = Report(config.echo())
     recursions = {}
     units = [(_check_smatrix_gates, {}, ()), (_check_frame, {}, ()),
@@ -237,7 +242,7 @@ def run_crosscheck(config: RunConfig) -> Report:
              (_check_oracle_calibration, {}, ())]
     units += [(_check_three_way, {"N": N}, (N, config, grids[N], recursions))
               for N in config.N]
-    units += [(_check_pluecker, {}, (pluecker_N, min(config.weight_cap, 8))),
+    units += [(_check_pluecker, {}, (pluecker_N, pluecker_W)),
               (_check_curve_identities, {}, (config.N, recursions)),
               (_check_unstable_curve, {}, (config.N,))]
     for check, inputs, args in units:

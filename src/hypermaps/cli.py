@@ -12,8 +12,9 @@ import sys
 
 from . import frobenius, oracle, pluecker, recursion, tau
 from .config import (OUTPUT_FORMATS, VALID_ENGINES, RunConfig, build_config,
-                     need_minimum, parse_config_file, parse_list)
+                     parse_config_file, parse_list)
 from .checks import run_crosscheck
+from .limits import DEFAULT_DART_CAP, admit
 from .rational import rat_str
 from .report import emit
 
@@ -30,7 +31,7 @@ def _count(p, args):
 
 
 def _cmd_rhm(args):
-    need_minimum("dart_cap", args.dart_cap)
+    admit("dart_cap", args.dart_cap)
     p = oracle.Profile(args.N, args.genus,
                        parse_list("degrees", args.degrees))
     # the count the request decides is the same for every engine
@@ -56,8 +57,7 @@ def _cmd_crosscheck(args):
 
 
 def _cmd_smatrix(args):
-    if args.m_max < 0:
-        raise ValueError("need m-max >= 0")
+    admit("S-matrix m", args.m_max)
     out = {}
     for m in range(args.m_max + 1):
         rows = frobenius.s_matrix(args.N, m)
@@ -138,8 +138,7 @@ def build_parser():
     p.add_argument("--degrees", required=True,
                    help="comma separated positive face degrees")
     p.add_argument("--engine", choices=VALID_ENGINES, default="oracle")
-    p.add_argument("--dart-cap", type=int,
-                   default=oracle.DEFAULT_DART_CAP)
+    p.add_argument("--dart-cap", type=int, default=DEFAULT_DART_CAP)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_rhm)
 

@@ -3,20 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .oracle import DEFAULT_DART_CAP
+from .limits import DEFAULT_DART_CAP, admit
 from .rational import need_order
 
 VALID_ENGINES = ("oracle", "tr", "tau")
 OUTPUT_FORMATS = ("json", "csv")
-# the integer settings and the least value of each
-INT_MINIMUM = {"g_max": 0, "n_max": 1, "weight_cap": 1, "dart_cap": 1,
-               "threads": 1}
-
-
-def need_minimum(key, value):
-    """The least-value rule of the integer setting `key`."""
-    if value < INT_MINIMUM[key]:
-        raise ValueError(f"{key} must be >= {INT_MINIMUM[key]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +28,8 @@ class RunConfig:
         for e in self.engines:
             if e not in VALID_ENGINES:
                 raise ValueError(f"unknown engine {e!r}")
-        for key in INT_MINIMUM:
-            need_minimum(key, getattr(self, key))
+        for key in INT_KEYS:
+            admit(key, getattr(self, key))
         if self.out not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format {self.out!r}")
         if len(set(self.engines)) < len(self.engines):
@@ -58,6 +49,10 @@ class RunConfig:
         """
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name not in ("threads", "cache_dir")}
+
+
+# the integer settings, each bounded by its entry of `limits.LIMITS`
+INT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "int")
 
 
 def parse_list(key, s, kind=int):
@@ -110,7 +105,7 @@ def build_config(file_values=None, **overrides) -> RunConfig:
         if key in ("N", "engines"):
             kwargs[key] = value if isinstance(value, tuple) else \
                 parse_list(key, value, int if key == "N" else str)
-        elif key in INT_MINIMUM:
+        elif key in INT_KEYS:
             kwargs[key] = _parse_int(key, value)
         elif key == "out":
             kwargs["out"] = str(value)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+from .limits import admit
 from .polar import ExactPolar, roots_of_unity_sum
 from .rational import Q, QONE, QZERO, binomial_q, harmonic, need_order
 from .series import QRING, UniSeries
@@ -21,6 +22,13 @@ from .series import QRING, UniSeries
 
 # ---------------------------------------------------------------------------
 # metric and charges
+
+
+def _frame_order(N: int) -> None:
+    """The orders the frame serves: N >= 2 (`need_order`) up to the
+    curve's order in `limits`."""
+    need_order(N)
+    admit("curve N", N)
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,7 @@ def _eta_pair(N: int, a: int):
 def eta(N: int) -> EtaMetric:
     """Flat metric in the flat coordinates: eta_{ab} vanishes unless
     a + b = N + 1, where it is `_eta_pair(N, a)`."""
-    need_order(N)
+    _frame_order(N)
     return EtaMetric(N, tuple(
         tuple(_eta_pair(N, a) if a + b == N + 1 else QZERO
               for b in range(1, N + 1))
@@ -78,7 +86,7 @@ def _psi_entry(N: int, i: int, a: int) -> ExactPolar:
 
 
 def canonical_frame(N: int) -> CanonicalFrame:
-    need_order(N)
+    _frame_order(N)
     c = tuple(ExactPolar(N, 1, e1=Q(-1, N), ang=Q(i, N))
               for i in range(1, N + 1))
     u = tuple(ExactPolar(N, N, e1=Q(1, N) - 1, ang=Q(-i, N))
@@ -233,7 +241,8 @@ def _s_entry_last_column(N: int, m: int, alpha: int):
 def s_matrix(N: int, m: int):
     """Full matrix (S_m)^alpha_beta as a tuple of rows indexed by alpha."""
     # checked here too: at N <= 0 no entry is evaluated
-    need_order(N)
+    _frame_order(N)
+    admit("S-matrix m", m)
     return tuple(tuple(s_entry(N, m, a, b) for b in range(1, N + 1))
                  for a in range(1, N + 1))
 

@@ -33,7 +33,8 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from math import comb, prod
 
-DEFAULT_DART_CAP = 12
+from .limits import DEFAULT_DART_CAP, admit
+
 UNSTABLE_MOMENT = "unstable moment: omega_{g,n} needs 2g - 2 + n > 0"
 
 
@@ -199,16 +200,26 @@ def _connected(N, degrees):
     return tuple((v, c) for v, c in sorted(by_v.items()) if c)
 
 
+def admit_table(N, darts, dart_cap=DEFAULT_DART_CAP):
+    """The oracle's admission of a table of `darts` darts at order N: the
+    request's dart cap, then the oracle's ceiling at N in `limits`,
+    whatever the cap says."""
+    if darts > dart_cap:
+        raise ValueError(f"oracle cap exceeded: {darts} darts, dart_cap = "
+                         f"{dart_cap}")
+    admit("oracle darts", darts, N)
+
+
 def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
     """Counts by genus: dict g -> number of transitive phi_b.
 
-    The cap is checked before the memo is read, so a request under a
-    small cap never sees a table beyond it.  The order of the faces only
-    relabels them, so the histogram is read from `_connected` at the
-    sorted degrees, and each vertex count V gives the genus through the
-    one Euler accounting, F = n + d/N.  The calibration check derives a
-    deliberately wrong accounting (black faces left out) from this same
-    table rather than building another.
+    The table is admitted (`admit_table`) before the memo is read, so a
+    request under a small cap never sees a table beyond it.  The order
+    of the faces only relabels them, so the histogram is read from
+    `_connected` at the sorted degrees, and each vertex count V gives
+    the genus through the one Euler accounting, F = n + d/N.  The
+    calibration check derives a deliberately wrong accounting (black
+    faces left out) from this same table rather than building another.
     """
     return _genus_table(Profile(N, 0, degrees), dart_cap)  # every g
 
@@ -216,9 +227,7 @@ def genus_table(N, degrees, dart_cap=DEFAULT_DART_CAP):
 def _genus_table(p: Profile, dart_cap):
     """`genus_table` of a profile's N and degrees; its genus is unread."""
     d = p.darts
-    if d > dart_cap:
-        raise ValueError(f"oracle cap exceeded: {d} darts, dart_cap = "
-                         f"{dart_cap}")
+    admit_table(p.N, d, dart_cap)
     if not p.divisible:
         return {}
     # V from d down, so the genera come out ascending

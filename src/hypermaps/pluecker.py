@@ -42,13 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, factorial
 
+from .limits import admit
 from .partitions import beta_mask, mask_partition, partitions_upto
 from .rational import Q, need_order
 from .series import EpsLaurent
 from .tau import coefficient_row
-
-# the smallest window that holds a relation: A_{} A_{(2,2)} - ... = 0
-MIN_WEIGHT_CAP = 4
 
 
 @dataclass
@@ -75,9 +73,7 @@ def pluecker_check(N: int, W: int) -> PlueckerReport:
     so such pairs are never visited; a side of weight > W is unknown.
     """
     need_order(N)
-    if W < MIN_WEIGHT_CAP:
-        raise ValueError(f"Pluecker window needs a weight cap >= "
-                         f"{MIN_WEIGHT_CAP}, got {W}")
+    admit("Pluecker window", W)
     L = W
     c = L * (L - 1) // 2
     report = PlueckerReport(N, W)

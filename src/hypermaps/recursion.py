@@ -93,6 +93,7 @@ from itertools import permutations
 from math import comb, gcd
 
 from .frobenius import curve_x
+from .limits import admit
 from .numfield import NFElem, NumberField
 from .oracle import UNSTABLE_MOMENT, Profile
 from .rational import Q, QONE, QZERO, as_count, need_order
@@ -170,6 +171,7 @@ class Recursion:
 
     def __init__(self, N: int, g_max: int = 2, n_max: int = 3,
                  cache_dir=None):
+        admit_recursion(N, g_max, n_max)
         self.curve = Curve(N)
         self.N = N
         # the expansion order of every local series: the largest pole
@@ -544,6 +546,16 @@ class Recursion:
                       if ref.get(K, zero) != other.get(K, zero))
 
 
+def admit_recursion(N: int, g_max: int, n_max: int) -> None:
+    """What a Recursion(N, g_max, n_max) may cost, checked before any
+    work: the curve's order, and the faces and 2g - 2 + n of its largest
+    correlator, each within `limits`."""
+    need_order(N)
+    admit("curve N", N)
+    admit("tr faces", n_max)
+    admit("tr 2g - 2 + n", 2 * g_max - 2 + n_max, N)
+
+
 def pole_order(g: int, n: int) -> int:
     """The largest pole order of omega_{g,n} at a ramification point
     (Eynard-Orantin): the expansion order its recursion needs."""
@@ -586,6 +598,7 @@ def eta_coeff(N: int, k: int, e: int):
 def rhm01_from_curve(N: int, k: int) -> int:
     """[X^(k+1)] z(X)^N with X = z/(1+z^N): genus 0, one boundary."""
     Profile(N, 0, (k + 1,))
+    admit("curve degree", k + 1)
     phi = UniSeries("z", QRING, {0: QONE, N: QONE}, None)
     # the read [X^(k+1)] needs z^N, hence z, modulo X^(k+2)
     z = lagrange_invert(phi, k + 2, out_var="X")
@@ -614,6 +627,7 @@ def rhm02_from_curve(N: int, k1: int, k2: int) -> int:
     by (1 - u^(N-1))^J (1 - u)^(-J), over i <= (A - 1)/(N - 1); a term
     with A - 1 - i(N-1) < J - 1 is 0, so the sum is 0 for A < J."""
     Profile(N, 0, (k1 + 1, k2 + 1))
+    admit("curve degree", max(k1, k2) + 1)
     poles1, poles2 = ([(-e, c) for e, c in curve_x(N).pow(k + 1).c.items()
                        if e < 0] for k in (k1, k2))
     total = QZERO

@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
+from .limits import admit
 from .oracle import Profile
 from .partitions import character, contents, mult_vector, partitions
 from .rational import Q, as_count, need_order
 from .series import EpsLaurent, MultiSeries
-
-# the largest weight cap tau_Z truncates at: tau_Z(2, W) with its log takes
-# seconds at W = 20 and about doubles with every 2 more, so a larger cap
-# is refused rather than left to run for hours
-MAX_WEIGHT_CAP = 24
 
 
 def content_poly(lam) -> list:
@@ -107,7 +103,8 @@ class TauTruncation:
 
 
 def tau_Z(N: int, W: int) -> TauTruncation:
-    """Truncation of Z to total t-weight <= W, for N <= W <= MAX_WEIGHT_CAP.
+    """Truncation of Z to total t-weight <= W, for W >= N and W within
+    the weight cap of `limits`.
 
     Exact by weighted homogeneity: the coefficient of a weight-n monomial
     t_mu only receives contributions from |lambda| = n = mN, namely
@@ -122,9 +119,7 @@ def tau_Z(N: int, W: int) -> TauTruncation:
     need_order(N)
     if W < N:
         raise ValueError(f"weight cap {W} is below N = {N}")
-    if W > MAX_WEIGHT_CAP:
-        raise ValueError(f"weight cap {W} is above MAX_WEIGHT_CAP = "
-                         f"{MAX_WEIGHT_CAP}")
+    admit("weight_cap", W)
     coeffs = {(): EpsLaurent.const(1)}
     for m in range(1, W // N + 1):
         n = m * N

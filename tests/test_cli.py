@@ -14,6 +14,7 @@ import pytest
 from hypermaps import checks, oracle, recursion, tau
 from hypermaps.cli import _cmd_rhm, main
 from hypermaps.config import RunConfig, build_config, parse_config_file
+from hypermaps.limits import LIMITS
 from hypermaps.partitions import partitions_upto
 from hypermaps.recursion import Recursion, key_text
 from hypermaps.report import Report, emit
@@ -407,14 +408,15 @@ def test_pluecker_window_checking_nothing_exits_2(capsys, N, W):
 
 
 def test_pluecker_window_too_large_to_hold_exits_2(capsys):
-    """A weight cap whose beta-set masks overflow is a request too large,
-    exit 2 with one line, not a failed verification."""
+    """A weight cap whose beta-set masks would overflow is refused on the
+    window's bound, exit 2 with one line, not a failed verification."""
     assert main(["pluecker", "--N", "2",
                  "--weight-cap", "100000000000000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("request too large: ")
+    assert captured.err == (
+        f"Pluecker window must be <= {LIMITS['Pluecker window'][1]}, "
+        f"got 100000000000000000000\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,10 +425,10 @@ def test_pluecker_window_too_large_to_hold_exits_2(capsys):
      "100000000000000000000", "--engine", "tau"],
 ], ids=["tau", "rhm-tau"])
 def test_tau_weight_beyond_the_engine_exits_2(argv):
-    """A weight cap above tau.MAX_WEIGHT_CAP, asked for directly or as the
-    darts of a tau count, is refused with one line naming the bound; run
-    in a child interpreter, so that a request left to run fails on the
-    timeout instead of holding the suite."""
+    """A weight cap above the one of `limits`, asked for directly or as
+    the darts of a tau count, is refused with one line naming the bound;
+    run in a child interpreter, so that a request left to run fails on
+    the timeout instead of holding the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).parents[1] / "src")]
@@ -436,8 +438,8 @@ def test_tau_weight_beyond_the_engine_exits_2(argv):
                           timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == ("weight cap 100000000000000000000 is above "
-                           f"MAX_WEIGHT_CAP = {tau.MAX_WEIGHT_CAP}\n")
+    assert proc.stderr == (f"weight_cap must be <= {LIMITS['weight_cap'][1]}"
+                           ", got 100000000000000000000\n")
 
 
 def test_curve_subcommand(capsys):
@@ -620,18 +622,16 @@ def test_crosscheck_small_weight_cap_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
-        "the Pluecker window for N = 2 needs weight_cap >= 4, got 3"]
+        "Pluecker window must be >= 4, got 3"]
 
 
 @pytest.mark.parametrize("argv, message", [
     (["--N", "2,3", "--dart-cap", "1"],
-     "the oracle needs dart_cap >= 10 for N = 2 within weight_cap = 10, "
-     "got 1"),
+     "oracle cap exceeded: 10 darts, dart_cap = 1"),
     (["--N", "2", "--weight-cap", "4", "--engine", "oracle",
       "--dart-cap", "3"],
-     "the oracle needs dart_cap >= 4 for N = 2 within weight_cap = 4, "
-     "got 3"),
-])
+     "oracle cap exceeded: 4 darts, dart_cap = 3"),
+], ids=["two-orders", "oracle-alone"])
 def test_crosscheck_dart_cap_too_small_exits_2(capsys, argv, message):
     """A dart cap below a grid profile that the oracle is named for is an
     invalid request, not a failed verification: the profile would be

@@ -37,12 +37,8 @@ def test_one_rational_backend():
     assert found == []
 
 
-def test_oracle_imports_no_other_engine():
-    """The crosscheck is worth something only because its three engines
-    are independent: the oracle borrows nothing from another module of
-    the package (no characters from `partitions` or `tau`, nothing from
-    `recursion`)."""
-    path = SRC / "oracle.py"
+def _package_imports(path):
+    """(line, module) of each import of the package in a module."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
@@ -51,10 +47,20 @@ def test_oracle_imports_no_other_engine():
             names = ["." * node.level + (node.module or "")]
         else:
             continue
-        if any(name.startswith(".") or name.split(".")[0] == "hypermaps"
-               for name in names):
-            found.append(f"oracle.py:{node.lineno}")
-    assert found == []
+        found += [(node.lineno, name) for name in names
+                  if name.startswith(".") or name.split(".")[0] == "hypermaps"]
+    return found
+
+
+def test_oracle_imports_no_other_engine():
+    """The crosscheck is worth something only because its three engines
+    are independent: the oracle borrows nothing from another module of
+    the package (no characters from `partitions` or `tau`, nothing from
+    `recursion`).  It reads only `limits`, the table of request bounds,
+    which imports nothing from the package."""
+    assert [name for _, name in _package_imports(SRC / "oracle.py")] \
+        == [".limits"]
+    assert _package_imports(SRC / "limits.py") == []
 
 
 def test_no_unused_imports_in_src():
@@ -307,3 +313,46 @@ def test_exact_types_hold_only_what_src_reads():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "coerce"]
     assert found == []
+
+
+def _module_constants(tree):
+    """Names a module binds at its top level to a number, or to a tuple
+    of numbers or a dict with numbers for values."""
+    def numeric(node):
+        if isinstance(node, ast.Constant):
+            return type(node.value) in (int, float)
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return all(map(numeric, node.elts))
+        if isinstance(node, ast.Dict):
+            return all(map(numeric, node.values))
+        return False
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            and numeric(node.value) for target in node.targets
+            if isinstance(target, ast.Name)}
+
+
+def test_one_owner_of_the_request_bounds():
+    """Every bound on a request is an entry of `limits.LIMITS`: no other
+    module compares anything with a number it defines at its top level
+    (as `tau.MAX_WEIGHT_CAP` and `pluecker.MIN_WEIGHT_CAP` were), and
+    `run_crosscheck` orders nothing by size: it admits a request through
+    the engines' own rules, not with copies of their bounds."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "limits.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        constants = _module_constants(tree)
+        found += [f"{path.name}:{node.lineno}: {name.id}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  for name in ast.walk(node)
+                  if isinstance(name, ast.Name) and name.id in constants]
+    assert found == []
+    tree = ast.parse((SRC / "checks.py").read_text())
+    crosscheck = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "run_crosscheck")
+    orders = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    assert [node.lineno for node in ast.walk(crosscheck)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, orders) for op in node.ops)] == []
