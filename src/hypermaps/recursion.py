@@ -21,13 +21,16 @@ g <= g_max and n <= n_max builds every local series (deck, kernel, slot)
 modulo t^M, M = pole_order(g_max, n_max), and no further.  Each point
 has one kernel table U_1..U_(M-1), and each pair of slot roles one
 residue vector over j = 1..M-1, of which omega_{g,n} reads the first
-pole_order(g, n) - 1.  A residue reads its integrand w up to t^0 and
-every U_j up to t^(-1 - val(w)), and w is formed only that far: its two
-slot series are multiplied at precision t^1.  A series not known that
-far raises ArithmeticError("insufficient local expansion order") rather
-than be read truncated.  At the exact M neither read has slack: every
-U_j one order shorter raises, and at M - 1 the table lacks U_(M-1), so
-`_compute` raises.
+pole_order(g, n) - 1, at every N.  How far each series is known is
+decided in series.py alone, by one rule: a product is known below the
+least of each factor's truncation shifted by the other factor's
+valuation, where a series that stores nothing below t^T has valuation
+T.  A residue Res U_j w dt is `UniSeries.residue`, which raises
+ArithmeticError("insufficient local expansion order") when U_j w is not
+known at t^(-1), rather than be read truncated.  w is formed only up to
+t^0, the most any U_j reads of it, as U_1 = -1/(2x') has valuation -1.
+The recursion compares no truncation of its own; at M - 1 the table
+lacks U_(M-1), so `_compute` raises.
 
 The recursion kernel needs the local deck involution sigma at each
 ramification point a, with xt(sigma(v)) = xt(v): it is the root w of the
@@ -184,6 +187,7 @@ class Recursion:
         self._slots = {}    # (a_idx, slot role) -> UniSeries
         self._resvec = {}   # (a_idx, left role, right role) -> tuple
         self._plans = {}    # (g, n) -> (its tensor, read plan)
+        self._shapes = set()  # the (g, n) that omega has admitted
 
     # -- local series ----------------------------------------------------
 
@@ -250,39 +254,42 @@ class Recursion:
         out = self._resvec.get(key)
         if out is not None:
             return out
-        # the residue pairs t^m of U_j with t^(-1-m) of w: w is read up
-        # to t^0, as U_1 = -1/(2x') has valuation -1, so it is formed
-        # only that far, and every U_j is read up to t^(-1 - val(w))
+        # the residue pairs t^m of U_j with t^(-1-m) of w, and U_1 =
+        # -1/(2x') has valuation -1, so w is read up to t^0 and formed
+        # only that far
         w = self._factor_series(a_idx, left)
         if right is None:
             w = w.truncated(1)
         else:
             w = w.mul(self._factor_series(a_idx, right), 1)
-        kernel = self._kernel(a_idx)
-        if (w.trunc is not None and w.trunc < 1
-                or w.c and any(u.trunc is not None
-                               and u.trunc <= -1 - w.val() for u in kernel)):
-            raise ArithmeticError("insufficient local expansion order")
-        wc = w.c
-        dot = self.curve.ring.dot
-        out = tuple(dot([(uc, wc[-1 - m]) for m, uc in u.c.items()
-                         if -1 - m in wc]) for u in kernel)
+        out = tuple(u.residue(w) for u in self._kernel(a_idx))
         self._resvec[key] = out
         return out
 
     # -- the recursion ----------------------------------------------------
 
     def omega(self, g: int, n: int) -> dict:
-        """Coefficient tensor of omega_{g,n} on sorted pole-basis keys."""
-        if g < 0:
-            raise ValueError(f"need g >= 0, got {g}")
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if not Profile.stable_shape(g, n):
-            raise ValueError(UNSTABLE_MOMENT)
-        if pole_order(g, n) > self.M:
-            raise ValueError("requested correlator exceeds the configured "
-                             "expansion order")
+        """Coefficient tensor of omega_{g,n} on sorted pole-basis keys,
+        for a shape that `admit_recursion` admits; each shape is checked
+        once, as every read asks for its correlator again."""
+        if (g, n) not in self._shapes:
+            if g < 0:
+                raise ValueError(f"need g >= 0, got {g}")
+            if n < 1:
+                raise ValueError(f"need n >= 1, got {n}")
+            if not Profile.stable_shape(g, n):
+                raise ValueError(UNSTABLE_MOMENT)
+            if pole_order(g, n) > self.M:
+                raise ValueError("requested correlator exceeds the "
+                                 "configured expansion order")
+            admit_recursion(self.N, g, n)
+            self._shapes.add((g, n))
+        return self._omega(g, n)
+
+    def _omega(self, g: int, n: int) -> dict:
+        """omega_{g,n}, memoized, loaded or computed: the recursion's own
+        reads, among them omega_{g-1,n+1}, one face more than any
+        admitted shape."""
         key = (g, n)
         if key in self._memo:
             return self._memo[key]
@@ -316,7 +323,7 @@ class Recursion:
             return [((side, a_idx, 2 - k), ((a_idx, k),), k - 1)
                     for k in range(2, bound + 1)]
         legs = []
-        for K, c in self.omega(*t).items():
+        for K, c in self._omega(*t).items():
             for p in sorted(set(K)):
                 rest = list(K)
                 rest.remove(p)

@@ -15,7 +15,9 @@ Provides:
   and ``inv``'s ``prec``) and form no coefficient at or beyond it.  A
   series stores no zero coefficient: ``_stored``, which the constructor
   and every operation return through, drops them, and no operation
-  checks again.
+  checks again.  How far a result is known is decided here alone, from
+  one valuation rule (``val``); ``residue`` reads a product's
+  coefficient at x^(-1) and raises where the product does not know it.
 * ``EpsLaurent`` -- Laurent polynomials in the genus parameter eps with
   rational coefficients (the coefficient ring of the tau function): an
   exact UniSeries over Q in eps, so its sums and products are
@@ -94,10 +96,15 @@ class UniSeries:
                 f"(truncated at {self.trunc})")
         return self.c.get(e, self.ring.zero)
 
-    def val(self, default=None):
-        """Valuation: lowest stored exponent, or `default` for a zero
-        series."""
-        return min(self.c) if self.c else default
+    def val(self):
+        """The one valuation rule: the lowest stored exponent, else
+        ``trunc`` (a series that stores nothing below x^T vanishes there,
+        so its valuation is at least T), else None for the exact zero.
+        Products, composites and residues read their precision from it,
+        and `inv` refuses a series whose valuation is no stored term."""
+        if self.c:
+            return min(self.c)
+        return self.trunc
 
     def is_zero(self):
         return not self.c
@@ -109,6 +116,18 @@ class UniSeries:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
         if self.ring is not other.ring:
             raise ValueError("coefficient ring mismatch")
+
+    def _product_trunc(self, other):
+        """Where the product with ``other`` stops being known: each
+        factor's unknown tail enters at its trunc shifted by the other
+        factor's valuation, and an exact zero factor shifts it past every
+        exponent."""
+        self._check(other)
+        ta, tb = self.trunc, other.trunc
+        vb = None if ta is None else other.val()
+        va = None if tb is None else self.val()
+        return _least(None if vb is None else ta + vb,
+                      None if va is None else tb + va)
 
     def _new(self, coeffs, trunc):
         out = object.__new__(type(self))
@@ -150,12 +169,7 @@ class UniSeries:
         coefficient pairs below that cut."""
         if not isinstance(other, UniSeries):
             return NotImplemented
-        self._check(other)
-        # truncation of the product: each factor's unknown tail enters at
-        # its trunc shifted by the other factor's valuation
-        ta, tb = self.trunc, other.trunc
-        t = _least(_least(None if ta is None else ta + other.val(0),
-                          None if tb is None else tb + self.val(0)), prec)
+        t = _least(self._product_trunc(other), prec)
         if not self.c or not other.c:
             return self._new({}, t)
         stop = max(self.c) + max(other.c) + 1 if t is None else t
@@ -170,6 +184,18 @@ class UniSeries:
 
     __mul__ = __rmul__ = mul
 
+    def residue(self, other):
+        """Res self * other dx, the product's coefficient at x^(-1): one
+        ring.dot over the pairs of self's coefficient at x^m with other's
+        at x^(-1-m).  A product not known at x^(-1) raises
+        ArithmeticError rather than be read truncated."""
+        t = self._product_trunc(other)
+        if t is not None and t < 0:
+            raise ArithmeticError("insufficient local expansion order")
+        oc = other.c
+        return self.ring.dot([(v, oc[-1 - e]) for e, v in self.c.items()
+                              if -1 - e in oc])
+
     def inv(self, prec=None):
         """Multiplicative inverse as a truncated series.
 
@@ -177,7 +203,7 @@ class UniSeries:
         modulo x^(T - 2v); ``prec`` can request less.
         """
         v = self.val()
-        if v is None:
+        if v not in self.c:  # the exact zero, or no coefficient known
             raise ZeroDivisionError("inverse of zero series")
         lead_inv = self.ring.inv(self.c[v])
         if self.trunc is None and len(self.c) == 1:
@@ -223,10 +249,10 @@ class UniSeries:
         self must have nonnegative valuation (no principal part).
         """
         self._check(inner)
-        if self.val(0) < 0:
+        v, iv = self.val(), inner.val()
+        if v is not None and v < 0:
             raise ValueError("compose requires nonnegative valuation")
-        iv = inner.val(1)
-        if iv < 1:
+        if iv is None or iv < 1:
             raise ValueError("inner series must have positive valuation")
         t = _least(inner.trunc,
                    None if self.trunc is None else self.trunc * iv)

@@ -57,13 +57,13 @@ def mercator_log(m):
 
 
 def truncating_pow(s, n, prec=None):
-    """s^n, truncated at prec after every product; the base is cut first
-    at prec + max(0, -val(s)) n, beyond any term a product below prec
-    reads."""
+    """s^n, truncated at prec after every whole product.  The base is
+    not cut first: a cut below its valuation would forget how far the
+    base vanishes, and each product's truncation reads that valuation."""
     if n < 0:
         return truncating_pow(s.inv(prec=prec), -n, prec)
     acc = UniSeries(s.var, s.ring, {0: s.ring.one})
-    b = s if prec is None else s.truncated(prec + max(0, -s.val(0)) * n)
+    b = s
     m = n
     while m:
         if m & 1:

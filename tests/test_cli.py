@@ -151,6 +151,20 @@ def test_rhm_degree_below_N(capsys, engine):
         "N": 3, "g": 0, "degrees": [1], "rhm": 0}
 
 
+@pytest.mark.parametrize("engine", ["oracle", "tr", "tau"])
+@pytest.mark.parametrize("N, g, degrees, count", [
+    (5, 1, "5", 15),
+    (5, 0, "1,1,1,2", 24),
+])
+def test_rhm_engines_agree_at_every_N(capsys, engine, N, g, degrees, count):
+    """tr builds omega_{1,1} and omega_{0,4} at N = 5 with M =
+    pole_order(g, n), as at every other N, and agrees with the other
+    engines."""
+    assert main(["rhm", "--N", str(N), "--genus", str(g), "--degrees",
+                 degrees, "--engine", engine]) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == count
+
+
 @pytest.mark.parametrize("argv, out", [
     (["--N", "40", "--genus", "0", "--engine", "tau"],
      {"N": 40, "g": 0, "degrees": [1], "rhm": 0}),

@@ -153,3 +153,22 @@ def test_a_request_past_a_bound_exits_2_at_once(argv):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert elapsed < 5, elapsed
+
+
+def test_omega_admits_each_requested_shape(monkeypatch):
+    """A public `omega(g, n)` refuses a shape past the tr bounds before
+    any work, as `admit_recursion` would, however deep its recursion's
+    expansion order reaches; the correlators the recursion builds for an
+    admitted shape, such as omega_{g-1,n+1} with one face more, are not
+    refused."""
+    rec = recursion.Recursion(2, 4, 1)
+    with pytest.raises(ValueError) as info:
+        rec.omega(0, 13)
+    assert str(info.value) == "tr faces must be <= 6, got 13"
+    assert (rec._memo, rec._decks, rec._kernels) == ({}, {}, {})
+    monkeypatch.setitem(LIMITS, "tr faces", (None, 2))
+    rec = recursion.Recursion(2, 1, 2)
+    rec.omega(1, 2)
+    assert (0, 3) in rec._memo
+    with pytest.raises(ValueError, match="tr faces must be <= 2, got 3"):
+        rec.omega(0, 3)

@@ -175,8 +175,41 @@ def test_truncation_zero_is_a_truncation():
     assert inv.trunc == 2 and inv.coeff(1) == Q(1, 2)
     assert S({0: 1, 2: 1}).inv(prec=0).trunc == 0
     assert S({0: 1, 1: 1}, trunc=0).pow(2).trunc == 0
-    t = S({1: 1}, trunc=0)
-    assert S({0: 1, 1: 1}).compose(t).trunc == 0
+    assert S({}, trunc=0).compose(S({1: 1})).trunc == 0
+    # O(z^0) may hold a constant term: its valuation is only >= 0
+    with pytest.raises(ValueError, match="positive valuation"):
+        S({0: 1, 1: 1}).compose(S({1: 1}, trunc=0))
+
+
+def test_one_valuation_rule():
+    """val is the lowest stored exponent, else the truncation (a series
+    that stores nothing below z^T vanishes there, so its valuation is at
+    least T), else None for the exact zero, and every precision reads
+    it.  At N = 5 the kernel's t^2 - s^2 is O(t^5): times a series of
+    valuation -2 it is known to t^3."""
+    assert S({2: 1, 5: 1}, trunc=6).val() == 2
+    assert [S({}, trunc=T).val() for T in (5, 0, -2)] == [5, 0, -2]
+    assert S({}).val() is None
+    polar = S({-2: 1, 0: 1}, trunc=1)
+    assert (S({}, trunc=5) * polar).trunc == 3
+    assert (polar * S({}, trunc=5)).trunc == 3
+    # (c z^-1 + ...)(d z^-1 + ...) has a term at z^-2
+    assert (S({}, trunc=-1) * S({}, trunc=-1)).trunc == -2
+    # an exact zero factor makes the product the exact zero
+    assert (S({1: 1}, trunc=3) * S({})).trunc is None
+    # 1 + O(u) at u = O(t^4) is 1 + O(t^4)
+    assert S({0: 1}, trunc=1).compose(S({}, trunc=4)) == S({0: 1}, trunc=4)
+    with pytest.raises(ValueError, match="positive valuation"):
+        S({0: 1, 1: 1}).compose(S({}))
+    with pytest.raises(ValueError, match="nonnegative valuation"):
+        S({}, trunc=-1).compose(S({1: 1}))
+    # Res of U w for U of valuation -1 reads w up to z^0
+    u = S({-1: 2, 0: 1}, trunc=2)
+    assert u.residue(S({0: 3, 1: 5}, trunc=1)) == 6
+    assert u.residue(S({}, trunc=1)) == 0
+    with pytest.raises(ArithmeticError,
+                       match="insufficient local expansion order"):
+        u.residue(S({-1: 1}, trunc=0))
 
 
 def _outcome(f, *args):
@@ -194,6 +227,8 @@ def test_short_product_and_power(N):
     pow(n, prec) is the power truncated after every product, raised
     errors included: over exact and truncated operands, valuations -3..3,
     zero series, and prec None or below, at and above both valuations.
+    a.residue(b) is the product's coefficient at z^-1, or raises where
+    the product does not know it.
     A cancellation stores no zero coefficient and keeps the truncation:
     a + (-a), a.scale(0), a partial cancellation, and the
     derivative of a constant."""
@@ -215,14 +250,18 @@ def test_short_product_and_power(N):
             coeffs = {v + j: coef() for j in range(rng.randint(1, 4))}
             coeffs[v] = coeffs[v] if not ring.is_zero(coeffs[v]) \
                 else ring.one
-        low = min(coeffs, default=0)
+        # a series that stores nothing is known to vanish below its
+        # truncation, which may be negative
+        low = min(coeffs) if coeffs else rng.randint(-3, 3)
         trunc = rng.choice([None, low + rng.randint(0, 6)])
         return UniSeries("z", ring, coeffs, trunc)
 
-    shapes = set()
+    shapes, residues = set(), set()
     for _ in range(60):
         a, b = series(), series()
-        va, vb = a.val(0), b.val(0)
+        # precisions around each valuation, 0 standing in for the exact
+        # zero's
+        va, vb = (0 if s.val() is None else s.val() for s in (a, b))
         precs = {None} | {v + d for v in (va, vb) for d in (-1, 0, 1)}
         for p in sorted(precs, key=lambda p: (p is not None, p)):
             assert a.mul(b, p) == (a * b).truncated(p)
@@ -232,6 +271,16 @@ def test_short_product_and_power(N):
                 assert _outcome(a.pow, n, p) == \
                     _outcome(truncating_pow, a, n, p)
         shapes.add((a.trunc is None, a.is_zero(), va < 0))
+        # a residue is the product's coefficient at z^-1, where it is known
+        prod = a * b
+        if prod.trunc is not None and prod.trunc <= -1:
+            with pytest.raises(ArithmeticError,
+                               match="insufficient local expansion order"):
+                a.residue(b)
+            residues.add("raised")
+        else:
+            assert a.residue(b) == prod.coeff(-1)
+            residues.add("read")
         for s in (a + (-a), a.scale(0), a.scale(ring.zero)):
             assert s.c == {} and s.trunc == a.trunc
         # cancel every other stored coefficient of a against an exact
@@ -246,7 +295,7 @@ def test_short_product_and_power(N):
         assert d.trunc == (None if a.trunc is None else a.trunc - 1)
         for s in (a, b, a * b, a + b, a.deriv(), part):
             assert not any(ring.is_zero(v) for v in s.c.values())
-    assert len(shapes) >= 6
+    assert len(shapes) >= 6 and residues == {"raised", "read"}
     assert UniSeries.__mul__ is UniSeries.__rmul__ is UniSeries.mul
 
 

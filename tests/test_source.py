@@ -261,6 +261,27 @@ def test_one_product_precision():
     assert cuts == []
 
 
+def test_one_valuation_rule():
+    """How far a series is known is decided in series.py alone: no call
+    in the package passes a default to `.val(`, which has one rule for
+    the series that stores nothing, and recursion.py reads no `.trunc`,
+    leaving every precision to the series operations."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _name(node.func) == "val"
+                  and (node.args or node.keywords)]
+        if path.name == "recursion.py":
+            found += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "trunc"]
+    assert found == []
+
+
 # what every class body defines, whatever its methods
 _CLASS_MACHINERY = {"__module__", "__qualname__", "__doc__", "__slots__",
                     "__firstlineno__", "__static_attributes__"}
