@@ -249,10 +249,8 @@ def rhm01_closed(N: int, k: int) -> int:
     num = (N - 1) * (k + 2) + 1
     if num % N != 0:
         return 0
-    j = num // N
-    if j < 0 or j > k + 2:
-        return 0
-    res = comb(k + 2, j)
+    # 1 <= j <= k + 2, as N <= num <= N(k + 2) for k >= 0 and N >= 2
+    res = comb(k + 2, num // N)
     if res % (k + 2):
         raise ArithmeticError("closed form must divide exactly")
     return res // (k + 2)

@@ -29,8 +29,13 @@ T.  A residue Res U_j w dt is `UniSeries.residue`, which raises
 ArithmeticError("insufficient local expansion order") when U_j w is not
 known at t^(-1), rather than be read truncated.  w is formed only up to
 t^0, the most any U_j reads of it, as U_1 = -1/(2x') has valuation -1.
-The recursion compares no truncation of its own; at M - 1 the table
-lacks U_(M-1), so `_compute` raises.
+The recursion compares no truncation of its own: at M - 1 every series
+is one order short, and a residue that omega_{g,n} reads raises.
+
+Which correlators a Recursion serves is decided by `admit_recursion`
+alone, by one shape rule and the tr bounds: g >= 0, n >= 1 and 2g - 2 +
+n > 0.  Its instance adds one order rule: omega_{g,n} is served only
+where pole_order(g, n) <= M.
 
 The recursion kernel needs the local deck involution sigma at each
 ramification point a, with xt(sigma(v)) = xt(v): it is the root w of the
@@ -188,6 +193,7 @@ class Recursion:
         self._resvec = {}   # (a_idx, left role, right role) -> tuple
         self._plans = {}    # (g, n) -> (its tensor, read plan)
         self._shapes = set()  # the (g, n) that omega has admitted
+        self._loaded = set()  # the (g, n) read from the tensor cache
 
     # -- local series ----------------------------------------------------
 
@@ -270,15 +276,10 @@ class Recursion:
 
     def omega(self, g: int, n: int) -> dict:
         """Coefficient tensor of omega_{g,n} on sorted pole-basis keys,
-        for a shape that `admit_recursion` admits; each shape is checked
-        once, as every read asks for its correlator again."""
+        for a shape within this instance's expansion order that
+        `admit_recursion` admits; each shape is checked once, as every
+        read asks for its correlator again."""
         if (g, n) not in self._shapes:
-            if g < 0:
-                raise ValueError(f"need g >= 0, got {g}")
-            if n < 1:
-                raise ValueError(f"need n >= 1, got {n}")
-            if not Profile.stable_shape(g, n):
-                raise ValueError(UNSTABLE_MOMENT)
             if pole_order(g, n) > self.M:
                 raise ValueError("requested correlator exceeds the "
                                  "configured expansion order")
@@ -296,6 +297,7 @@ class Recursion:
         cached = self._load_cached(g, n)
         if cached is not None:
             self._memo[key] = cached
+            self._loaded.add(key)
             return cached
         tensor = self._compute(g, n)
         self._memo[key] = tensor
@@ -346,8 +348,6 @@ class Recursion:
         # the residue vectors hold j = 1..M-1, and omega_{g,n} reads the
         # first bound - 1 of them
         j_max = bound - 1
-        if j_max > self.M - 1:
-            raise ArithmeticError("insufficient local expansion order")
 
         # every term as (externals, z role, sigma(z) role): its scalar
         terms = {}
@@ -537,10 +537,21 @@ class Recursion:
                     p -= (a_idx + 1) * (k + e)
                 pairs.append((phased[p % N], q))
         acc = self.curve.ring.dot(pairs)
-        if not acc.is_rational():
-            raise ArithmeticError("field descent failure")
-        value = Q(acc.num[0] * (N - 1) ** (prof.darts // N), acc.den)
-        return as_count(value, "field descent failure")
+        try:
+            if not acc.is_rational():
+                raise ArithmeticError("is not rational")
+            value = Q(acc.num[0] * (N - 1) ** (prof.darts // N), acc.den)
+            return as_count(value, "is not a count")
+        except ArithmeticError as exc:
+            # name the correlator, and the cache file it was read from, so
+            # that a tampered file can be found and deleted
+            n = len(exps)
+            source = f"loaded from {self._cache_path(g, n)}" \
+                if (g, n) in self._loaded else "computed"
+            raise ArithmeticError(
+                f"field descent failure at N = {N}, g = {g}, degrees "
+                f"{','.join(map(str, prof.degrees))}: the read of "
+                f"omega_{{{g},{n}}}, {source}, {exc}") from None
 
     def zn_covariance_defects(self, g: int, n: int):
         """Keys on which omega_{g,n}, computed at ramification point 0,
@@ -553,14 +564,24 @@ class Recursion:
                       if ref.get(K, zero) != other.get(K, zero))
 
 
-def admit_recursion(N: int, g_max: int, n_max: int) -> None:
-    """What a Recursion(N, g_max, n_max) may cost, checked before any
-    work: the curve's order, and the faces and 2g - 2 + n of its largest
-    correlator, each within `limits`."""
+def admit_recursion(N: int, g: int, n: int) -> None:
+    """The one admission rule for a Recursion(N, g, n) and for each
+    omega_{g,n} one serves, checked before any work: N >= 2; the one
+    shape rule, g >= 0, n >= 1 and a stable moment (2g - 2 + n > 0); and
+    the curve's order, the faces and 2g - 2 + n, each within `limits`.
+    The one order rule is the instance's: a Recursion(N, g, n) expands
+    every local series to M = pole_order(g, n), and its `omega` serves
+    omega_{g',n'} only where pole_order(g', n') <= M."""
     need_order(N)
+    if g < 0:
+        raise ValueError(f"need g >= 0, got {g}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not Profile.stable_shape(g, n):
+        raise ValueError(UNSTABLE_MOMENT)
     admit("curve N", N)
-    admit("tr faces", n_max)
-    admit("tr 2g - 2 + n", 2 * g_max - 2 + n_max, N)
+    admit("tr faces", n)
+    admit("tr 2g - 2 + n", 2 * g - 2 + n, N)
 
 
 def pole_order(g: int, n: int) -> int:

@@ -263,7 +263,32 @@ def test_rhm_failed_verification_exits_1(tmp_path, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "ArithmeticError: field descent failure\n"
+    assert captured.err == (
+        "ArithmeticError: field descent failure at N = 2, g = 0, degrees "
+        f"2,2,2,2: the read of omega_{{0,4}}, loaded from {path}, is not a "
+        "count\n")
+
+
+def test_rhm_irrational_read_exits_1(tmp_path, capsys):
+    """A cached coefficient multiplied by zeta keeps every load check but
+    leaves the read outside Q: the field descent check refuses it before
+    any count is formed, and names the file."""
+    argv = ["rhm", "--N", "3", "--genus", "1", "--degrees", "4,2",
+            "--engine", "tr", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rhm"] == 28
+    path = tmp_path / "tensor_N3_g1_n2_v2.json"
+    payload = json.loads(path.read_text())
+    assert payload["0,4;0,4"] == [24, 1, 0]
+    payload["0,4;0,4"] = [24, 0, 1]
+    path.write_text(json.dumps(payload))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ArithmeticError: field descent failure at N = 3, g = 1, degrees "
+        f"4,2: the read of omega_{{1,2}}, loaded from {path}, is not "
+        "rational\n")
 
 
 def test_rhm_omega_03_is_never_cached(tmp_path, capsys):
@@ -513,6 +538,27 @@ def test_crosscheck_config_key_set_twice_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
         f"{path}:3: 'weight_cap' already set on line 1"]
+
+
+def test_crosscheck_unknown_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text("x = 1\n")
+    assert main(["crosscheck", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unknown config key 'x'\n"
+
+
+def test_crosscheck_cache_dir_keeps_the_report(tmp_path, capsysbinary):
+    """A crosscheck with --cache-dir writes the report it writes without
+    one, and leaves its tr tensors in that directory."""
+    argv = ["crosscheck", "--N", "2", "--g-max", "1", "--n-max", "2",
+            "--weight-cap", "6", "--out", "json"]
+    assert main(argv) == 0
+    plain = capsysbinary.readouterr().out
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsysbinary.readouterr().out == plain
+    assert (tmp_path / "tensor_N2_g1_n2_v2.json").exists()
 
 
 def test_config_validation():

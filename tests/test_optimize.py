@@ -129,4 +129,7 @@ def test_failed_verification_exits_1_under_python_O(tmp_path):
     path.write_text(json.dumps(payload))
     proc = _cli(argv, ("-O",))
     assert (proc.returncode, proc.stdout) == (1, b"")
-    assert proc.stderr == b"ArithmeticError: field descent failure\n"
+    assert proc.stderr.decode() == (
+        "ArithmeticError: field descent failure at N = 2, g = 0, degrees "
+        f"2,2,2,2: the read of omega_{{0,4}}, loaded from {path}, is not a "
+        "count\n")

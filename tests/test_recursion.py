@@ -138,6 +138,27 @@ def test_omega_rejects_negative_genus_and_no_faces(tmp_path, g, n, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("g_max, n_max, message", [
+    (-1, 3, "need g >= 0, got -1"), (0, 1, O.UNSTABLE_MOMENT),
+    (0, 0, "need n >= 1, got 0")])
+def test_recursion_refuses_a_shape_that_is_no_correlator(g_max, n_max,
+                                                         message):
+    """The shape rule of `admit_recursion` refuses at construction what
+    `omega` would refuse on its first read."""
+    with pytest.raises(ValueError) as info:
+        Recursion(2, g_max, n_max)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("degrees", [(2,), (1,)])
+def test_rhm_from_tr_refuses_an_unstable_moment(degrees):
+    """Genus 0 with one face has no correlator, whether or not N divides
+    its darts."""
+    with pytest.raises(ValueError) as info:
+        Recursion(2, 1, 3).rhm_from_tr(0, degrees)
+    assert str(info.value) == O.UNSTABLE_MOMENT
+
+
 def test_omega_order_cap(rec2):
     with pytest.raises(ValueError, match="expansion order"):
         rec2.omega(5, 3)
